@@ -29,7 +29,6 @@ from .semidiscrete import (
     grad_b_inverse,
     grad_b_inverse_eigs,
     jacobian_det,
-    lq_norm,
     lq_power_via_changevar,
     lq_via_changevar,
     nonsharp_constant,

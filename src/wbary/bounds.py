@@ -18,11 +18,20 @@ injectivity of the barycenter map on plan supports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .core import EPS_COINCIDENT, P2_TOL, _check_exponent, alpha_exponent, pbary_points
+from .core import (
+    P2_TOL,
+    _check_exponent,
+    _diameters,
+    alpha_exponent,
+    coincident_mask,
+    curvature_kernel,
+    mixed_spectrum,
+    pbary_points,
+    support_product,
+)
 from .errors import GeometryError, ValidationError
 from .grid import GridDensity
 
@@ -47,20 +56,6 @@ class SupportGeometry:
     n_tuples: int
 
 
-def _support_product(measures, cap):
-    shape = tuple(mu.n_atoms for mu in measures)
-    total = int(np.prod(shape))
-    if total > cap:
-        raise ValidationError(
-            f"support product size {total} exceeds cap {cap}"
-        )
-    idx = np.indices(shape).reshape(len(shape), -1).T
-    pts = np.stack(
-        [measures[i].atoms[idx[:, i]] for i in range(len(measures))], axis=1
-    )
-    return pts  # (total, N, d)
-
-
 def compute_D(measures, weights, p, cap=_DEFAULT_CAP) -> float:
     """Smallest displacement of the barycenter caused by the first marginal.
 
@@ -70,7 +65,7 @@ def compute_D(measures, weights, p, cap=_DEFAULT_CAP) -> float:
     """
     p = _check_exponent(p)
     w = np.asarray(weights, dtype=float).ravel()
-    reduced = _support_product(measures[1:], cap)  # (B2, N-1, d)
+    reduced = support_product([mu.atoms for mu in measures[1:]], cap)
     wr = w[1:] / w[1:].sum()
     if reduced.shape[1] == 1:
         zr = reduced[:, 0, :]
@@ -95,7 +90,7 @@ def compute_m(measures, weights, p, cap=_DEFAULT_CAP) -> float:
     """Smallest distance between any tuple point and the tuple barycenter."""
     p = _check_exponent(p)
     w = np.asarray(weights, dtype=float).ravel()
-    pts = _support_product(measures, cap)
+    pts = support_product([mu.atoms for mu in measures], cap)
     z = pbary_points(pts, w, p)
     dist = np.linalg.norm(pts - z[:, None, :], axis=2)
     return float(dist.min())
@@ -103,11 +98,10 @@ def compute_m(measures, weights, p, cap=_DEFAULT_CAP) -> float:
 
 def compute_geometry(measures, weights, p, cap=_DEFAULT_CAP) -> SupportGeometry:
     """Both separation quantities over the (capped) support product."""
-    pts = _support_product(measures, cap)
     return SupportGeometry(
         D=compute_D(measures, weights, p, cap=cap),
         m=compute_m(measures, weights, p, cap=cap),
-        n_tuples=pts.shape[0],
+        n_tuples=int(np.prod([mu.n_atoms for mu in measures])),
     )
 
 
@@ -180,85 +174,32 @@ class GeneralLqReport:
         return measured <= self.value * (1.0 + rel_tol) + rel_tol
 
 
-def _tuple_blocks(pts, w, p, z):
-    """Curvature blocks w_i r^(p-2) ((p-2) u u^T + Id) for tuples (B,N,d)."""
-    B, N, d = pts.shape
-    rvec = pts - z[:, None, :]
-    r = np.linalg.norm(rvec, axis=2)
-    rs = np.maximum(r, 1e-300)
-    fac = np.where(r > 0.0, rs ** (p - 2.0), 0.0 if p >= 2.0 else np.inf)
-    fac = np.where(np.isinf(fac), 1e300, fac)
-    u = rvec / rs[..., None]
-    outer = u[..., :, None] * u[..., None, :]
-    eye = np.eye(d)
-    H = (
-        w[None, :, None, None]
-        * fac[..., None, None]
-        * ((p - 2.0) * outer + eye[None, None])
-    )
-    return H, r
+def _tuple_classes(pts, w, p, diam):
+    """Barycenters, coincidence classes and curvature ratios of tuples.
 
-
-def _lambda_ratio(H, exclude):
-    """(max spectral norm, min Lambda) over non-excluded blocks.
-
-    Lambda_i is the smallest eigenvalue of H_i Hbar^{-1} H_i with Hbar the
-    sum over *all* blocks.
+    pts : (n, N, d); diam : (n,) their diameters.  Returns
+    (z, in_S, max_norm, min_lam): in_S marks the points on the barycenter,
+    and max |H_i| and min Lambda_i run over the blocks outside in_S; they
+    are (inf, 0) where the sum of all blocks is not positive definite.
     """
-    Hbar = H.sum(axis=0)
-    try:
-        L = np.linalg.cholesky(Hbar)
-    except np.linalg.LinAlgError:
-        return np.inf, 0.0
-    max_norm, min_lam = 0.0, np.inf
-    for i in range(H.shape[0]):
-        if exclude[i]:
-            continue
-        sv_full = np.linalg.svd(H[i], compute_uv=False)
-        max_norm = max(max_norm, float(sv_full[0]))
-        X = np.linalg.solve(L, H[i])
-        sv = np.linalg.svd(X, compute_uv=False)
-        min_lam = min(min_lam, float(sv[-1] ** 2))
-    return max_norm, min_lam
-
-
-def _classify_cells(xs, maps, w, p):
-    """Barycenters, coincidence classes, and tuple geometry for cell centers."""
-    M, d = xs.shape
-    N = len(maps) + 1
-    pts = np.empty((M, N, d))
-    pts[:, 0, :] = xs
-    for i, T in enumerate(maps):
-        pts[:, i + 1, :] = T(xs)
     z = pbary_points(pts, w, p)
-    r = np.linalg.norm(pts - z[:, None, :], axis=2)
-    diff = pts[:, :, None, :] - pts[:, None, :, :]
-    diam = np.sqrt((diff ** 2).sum(-1)).max(axis=(1, 2))
-    in_S = r <= EPS_COINCIDENT * np.maximum(diam, 1e-300)[:, None]
-    in_S[diam == 0.0] = True
-    return pts, z, in_S
+    H, r, _ = curvature_kernel(pts - z[:, None, :], w, p)
+    in_S = coincident_mask(r, diam)
+    lam, norms, _ = mixed_spectrum(H)
+    max_norm = np.where(in_S, 0.0, norms).max(axis=1)
+    min_lam = np.where(in_S, np.inf, lam).min(axis=1)
+    return z, in_S, max_norm, min_lam
 
 
 def _cell_coefficients(xs, maps, w, p, q, d):
     """Per-cell coefficient of f1^q in the classified estimate."""
-    pts, z, in_S = _classify_cells(xs, maps, w, p)
-    M = xs.shape[0]
-    coeff = np.ones(M)
-    flagged = np.zeros(M, bool)
+    pts = np.stack([xs] + [T(xs) for T in maps], axis=1)
+    _, in_S, max_norm, min_lam = _tuple_classes(pts, w, p, _diameters(pts))
     first = in_S[:, 0]
-    other = ~first
-    if other.any():
-        H, _ = _tuple_blocks(pts[other], w, p, z[other])
-        idx = np.where(other)[0]
-        for k, b in enumerate(idx):
-            max_norm, min_lam = _lambda_ratio(H[k], exclude=in_S[b])
-            if min_lam < 1e-14:
-                flagged[b] = True
-                coeff[b] = np.inf
-            else:
-                coeff[b] = 2.0 ** (d * (q - 1.0)) * (
-                    max_norm / min_lam
-                ) ** (d * (q - 1.0))
+    flagged = ~first & (min_lam < 1e-14)
+    e = d * (q - 1.0)
+    ratio = max_norm / np.where(flagged | first, 1.0, min_lam)
+    coeff = np.where(first, 1.0, np.where(flagged, np.inf, 2.0 ** e * ratio ** e))
     return coeff, first, flagged
 
 
@@ -369,14 +310,11 @@ def local_injectivity_check(points, weights, p, r_init=None,
         raise ValidationError("support points must be (n, N, d)")
     p = _check_exponent(p)
     w = np.asarray(weights, dtype=float).ravel()
-    n, N, d = pts.shape
-    z = pbary_points(pts, w, p)
-    r_pt = np.linalg.norm(pts - z[:, None, :], axis=2)
-    diff = pts[:, :, None, :] - pts[:, None, :, :]
-    diam = np.sqrt((diff ** 2).sum(-1)).max(axis=(1, 2))
-    in_S = r_pt <= EPS_COINCIDENT * np.maximum(diam, 1e-300)[:, None]
-    in_S[diam == 0.0] = True
-    classes = [tuple(np.where(in_S[k])[0]) for k in range(n)]
+    n = pts.shape[0]
+    diam = _diameters(pts)
+    z, in_S, max_norm, min_lam = _tuple_classes(pts, w, p, diam)
+    same_class = (in_S[:, None, :] == in_S[None, :, :]).all(axis=2)
+    z_dist = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=2)
 
     # Pairwise product-space distances between support tuples.
     pd_full = np.sqrt(
@@ -385,7 +323,6 @@ def local_injectivity_check(points, weights, p, r_init=None,
     scale = max(float(diam.max()), 1e-300)
     if r_init is None:
         r_init = 1.01 * float(pd_full.max()) if n > 1 else 1.0
-    H_all, _ = _tuple_blocks(pts, w, p, z)
 
     ok = True
     worst = np.inf
@@ -394,34 +331,30 @@ def local_injectivity_check(points, weights, p, r_init=None,
     vacuous = 0
     checked = 0
     for k in range(n):
-        S = classes[k]
-        if len(S) == N:
+        free = ~in_S[k]
+        if not free.any():
             continue  # fully coincident tuple: the estimate excludes S = full
         checked += 1
-        excl = np.zeros(N, bool)
-        excl[list(S)] = True
-        max_norm, min_lam = _lambda_ratio(H_all[k], exclude=excl)
-        if not np.isfinite(max_norm) or max_norm <= 0.0:
+        if not np.isfinite(max_norm[k]) or max_norm[k] <= 0.0:
             continue
-        kappa = 0.5 * min_lam / max_norm
-        mates = np.array(
-            [j for j in range(n) if classes[j] == S], dtype=int
-        )
+        kappa = 0.5 * min_lam[k] / max_norm[k]
+        mates = np.flatnonzero(same_class[k])
+        y = pts[mates][:, free, :]
+        # margin[a, b] = |bary(y_a) - bary(y_b)| - kappa |y_a - y_b|_free
+        margin = z_dist[np.ix_(mates, mates)] - kappa * np.sqrt(
+            ((y[:, None] - y[None, :]) ** 2).sum(axis=(2, 3))
+        ) + 1e-12 * scale
+        pairs = np.triu(np.ones(margin.shape, bool), 1)
         r = r_init
         passed = False
         for halv in range(max_halvings + 1):
-            inside = mates[pd_full[k, mates] <= r]
-            if len(inside) < 2:
+            inside = pd_full[k, mates] <= r
+            if inside.sum() < 2:
                 vacuous += 1
                 passed = True
                 break
-            deficit = 0.0
-            for a, b in combinations(inside, 2):
-                lhs = np.linalg.norm(z[a] - z[b])
-                rhs = kappa * np.sqrt(
-                    ((pts[a] - pts[b])[~excl] ** 2).sum()
-                )
-                deficit = min(deficit, float(lhs - rhs + 1e-12 * scale))
+            sel = pairs & inside[:, None] & inside[None, :]
+            deficit = min(0.0, float(margin[sel].min()))
             if deficit >= 0.0:
                 passed = True
                 break

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -88,7 +87,6 @@ def _finish(outdir: Path, kind: str, params: dict) -> None:
         "version": __version__,
         "kind": kind,
         "params": params,
-        "threads": os.environ.get("WBARY_THREADS"),
         "files": digests,
     })
 
@@ -324,8 +322,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--cap", type=int, default=10 ** 6,
                      help="largest admissible support product")
-    run.add_argument("--threads", type=int, default=None,
-                     help="record a thread budget (WBARY_THREADS)")
 
     st = sub.add_parser("selftest", help="run the verification battery")
     st.add_argument("--fast", action="store_true",
@@ -350,11 +346,6 @@ def main(argv=None) -> int:
     if args.grid < 8 or args.grid > 4096:
         print("error: --grid out of range [8, 4096]", file=sys.stderr)
         return 2
-    if args.threads is not None:
-        if args.threads < 1:
-            print("error: --threads must be positive", file=sys.stderr)
-            return 2
-        os.environ["WBARY_THREADS"] = str(args.threads)
 
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -99,7 +99,7 @@ class WeightedPointConfig:
 
     @property
     def diameter(self) -> float:
-        return float(_diameters(self.points[None])[0])
+        return float(_diameters(self.points))
 
     def el_residual(self, z) -> np.ndarray:
         return el_residual(self.points, self.weights, self.p, z)
@@ -113,7 +113,6 @@ class BarycenterSolution:
     residual_norm : Euclidean norm of the Euler-Lagrange residual at z
     coincident_set : indices i with |x_i - z| <= 1e-9 * diameter (0-based)
     iterations : Newton steps taken (0 for closed-form routes)
-    converged : always True for returned solutions (failures raise)
     borderline : True when some |x_i - z| sits within a decade of the
         coincidence threshold, i.e. the classification is fragile
     """
@@ -122,7 +121,6 @@ class BarycenterSolution:
     residual_norm: float
     coincident_set: tuple
     iterations: int
-    converged: bool = True
     borderline: bool = False
 
 
@@ -156,9 +154,34 @@ def el_residual(points, weights, p, z) -> np.ndarray:
 
 
 def _diameters(pts: np.ndarray) -> np.ndarray:
-    """Max pairwise distance per batch entry; pts is (B, N, d)."""
-    diff = pts[:, :, None, :] - pts[:, None, :, :]
-    return np.sqrt((diff ** 2).sum(-1)).max(axis=(1, 2))
+    """Max pairwise distance per batch entry; pts is (..., N, d)."""
+    diff = pts[..., :, None, :] - pts[..., None, :, :]
+    return np.sqrt((diff ** 2).sum(-1)).max(axis=(-2, -1))
+
+
+def coincident_mask(r: np.ndarray, diam) -> np.ndarray:
+    """Which points sit on the barycenter: r_i <= EPS_COINCIDENT * diam.
+
+    r : (..., N) distances |x_i - z|; diam : (...) configuration diameters.
+    Every point of a configuration with zero diameter counts as coincident.
+    """
+    diam = np.asarray(diam, dtype=float)
+    mask = r <= EPS_COINCIDENT * np.maximum(diam, 1e-300)[..., None]
+    return mask | (diam == 0.0)[..., None]
+
+
+def support_product(atom_sets, cap) -> np.ndarray:
+    """All tuples (a_1, ..., a_N) with a_i drawn from atom_sets[i].
+
+    atom_sets : sequence of (K_i, d) arrays.  Returns (prod K_i, N, d) in C
+    order of the multi-index; raises ValidationError above cap tuples.
+    """
+    shape = tuple(len(a) for a in atom_sets)
+    total = int(np.prod(shape))
+    if total > cap:
+        raise ValidationError(f"support product size {total} exceeds cap {cap}")
+    idx = np.indices(shape).reshape(len(shape), -1)
+    return np.stack([a[i] for a, i in zip(atom_sets, idx)], axis=1)
 
 
 def _nudge_off_atoms(pts, z, floor):
@@ -181,31 +204,22 @@ def _nudge_off_atoms(pts, z, floor):
     return z
 
 
-def _eval_batch(pts, w, p, z, guard_atoms):
+def _eval_batch(pts, w, p, z, floor=None):
     """Objective, EL residual and Hessian of phi at z, batched.
 
-    Returns (z, obj, F, H); z may have been nudged off atoms when
-    guard_atoms is set (p < 2).
+    Returns (z, obj, F, H); for p < 2 pass the per-entry nudge distance as
+    floor, and z is moved off any atom closer than that.
     """
-    B, N, d = pts.shape
-    if guard_atoms:
-        floor = np.full(B, 1e-14) * np.maximum(_diameters(pts), 1e-300)
+    if floor is not None:
         z = _nudge_off_atoms(pts, np.array(z, copy=True), floor)
     rvec = pts - z[:, None, :]
-    r = np.linalg.norm(rvec, axis=2)
-    rpos = np.maximum(r, 1e-300)
-    obj = (w / p * rpos ** p).sum(axis=1)
-    fac = np.where(r > 0.0, rpos ** (p - 2.0), 0.0)
+    H, r, fac = curvature_kernel(rvec, w, p)
+    # z can still sit on an atom when the nudge is below its float spacing;
+    # that block stays out of the Newton matrix so the step can leave.
+    H[r == 0.0] = 0.0
+    obj = (w / p * np.maximum(r, 1e-300) ** p).sum(axis=1)
     F = (w[..., None] * fac[..., None] * rvec).sum(axis=1)
-    u = rvec / rpos[..., None]
-    outer = u[..., :, None] * u[..., None, :]
-    eye = np.eye(d)
-    H = (
-        w[..., None, None]
-        * fac[..., None, None]
-        * ((p - 2.0) * outer + eye[None, None])
-    ).sum(axis=1)
-    return z, obj, F, H
+    return z, obj, F, H.sum(axis=1)
 
 
 def _residual_at_atoms(pts, w, p):
@@ -242,18 +256,25 @@ def pbary_points(points, weights, p, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
     """Batched p-barycenter of point tuples.
 
     points : (..., N, d); weights : (N,) or broadcastable to (..., N).
-    Returns minimizers with shape (..., d).  Raises ConvergenceError if any
-    batch entry fails to reach |residual| <= tol * max(w) * diam^(p-1).
+    Returns minimizers with shape (..., d).  Raises ValidationError for
+    non-finite points or weights that are not finite and positive, and
+    ConvergenceError if any batch entry fails to reach
+    |residual| <= tol * max(w) * diam^(p-1).
     """
     p = _check_exponent(p)
     pts = np.asarray(points, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if not np.isfinite(pts).all():
+        raise ValidationError("points contain non-finite entries")
+    if not (np.isfinite(weights) & (weights > 0.0)).all():
+        raise ValidationError("weights must be finite and strictly positive")
     single = pts.ndim == 2
     if single:
         pts = pts[None]
     lead = pts.shape[:-2]
     N, d = pts.shape[-2:]
     pts = pts.reshape(-1, N, d)
-    w = np.broadcast_to(np.asarray(weights, dtype=float), lead + (N,)).reshape(-1, N)
+    w = np.broadcast_to(weights, lead + (N,)).reshape(-1, N)
     z, _, _ = _solve_batch(pts, w, p, tol, max_iter, raise_on_fail=True)
     out = z.reshape((lead + (d,)) if not single else (d,))
     return out
@@ -267,6 +288,9 @@ def _solve_batch(pts, w, p, tol, max_iter, raise_on_fail=True):
     B, N, d = pts.shape
     diam = _diameters(pts)
     scale = w.max(axis=1) * np.maximum(diam, 1e-300) ** (p - 1.0)
+    # For p < 2, |x - z|^(p-2) blows up on the atoms: every evaluation first
+    # moves z off any atom closer than this floor.
+    floor = 1e-14 * np.maximum(diam, 1e-300) if p < 2.0 else None
     tol_abs = tol * scale
 
     # Degenerate: all points identical -> that point is the minimizer.
@@ -282,12 +306,11 @@ def _solve_batch(pts, w, p, tol, max_iter, raise_on_fail=True):
         t = w ** s
         t = t / t.sum(axis=1, keepdims=True)
         z = (t[..., None] * pts).sum(axis=1)
-        z, _, F, _ = _eval_batch(pts, w, p, z, guard_atoms=p < 2.0)
+        z, _, F, _ = _eval_batch(pts, w, p, z, floor)
         return z, np.zeros(B, int), np.linalg.norm(F, axis=1)
 
-    guard = p < 2.0
     z = (w[..., None] * pts).sum(axis=1)
-    z, obj, F, H = _eval_batch(pts, w, p, z, guard)
+    z, obj, F, H = _eval_batch(pts, w, p, z, floor)
     res = np.linalg.norm(F, axis=1)
     active = ~trivial & (res > tol_abs)
     iters = np.zeros(B, int)
@@ -297,6 +320,7 @@ def _solve_batch(pts, w, p, tol, max_iter, raise_on_fail=True):
             break
         idx = np.where(active)[0]
         Ha, Fa = H[idx], F[idx]
+        floor_a = None if floor is None else floor[idx]
         try:
             step = np.linalg.solve(Ha, Fa[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -320,7 +344,7 @@ def _solve_batch(pts, w, p, tol, max_iter, raise_on_fail=True):
         res_old = res[idx]
         for _h in range(_MAX_HALVINGS):
             trial = z[idx] + t[:, None] * step
-            trial, obj_t, F_t, _ = _eval_batch(pts[idx], w[idx], p, trial, guard)
+            trial, obj_t, F_t, _ = _eval_batch(pts[idx], w[idx], p, trial, floor_a)
             res_t = np.linalg.norm(F_t, axis=1)
             ok = ~accepted & (
                 (obj_t <= obj[idx] - _ARMIJO_C1 * t * descent)
@@ -339,11 +363,11 @@ def _solve_batch(pts, w, p, tol, max_iter, raise_on_fail=True):
 
         z[idx] = z_new
         iters[idx] += 1
-        z_idx, obj_i, F_i, H_i = _eval_batch(pts[idx], w[idx], p, z[idx], guard)
+        z_idx, obj_i, F_i, H_i = _eval_batch(pts[idx], w[idx], p, z[idx], floor_a)
         z[idx] = z_idx
         obj[idx], F[idx], H[idx] = obj_i, F_i, H_i
         res[idx] = np.linalg.norm(F_i, axis=1)
-        if guard:
+        if floor is not None:
             # For p < 2 the minimizer may sit extremely close to an atom,
             # where |F| ~ w r^(p-1) makes damped Newton crawl.  Solve the
             # Euler-Lagrange equation anchored at each atom instead:
@@ -356,7 +380,8 @@ def _solve_batch(pts, w, p, tol, max_iter, raise_on_fail=True):
             flat = zc.reshape(nb * nN, -1)
             pts_rep = np.repeat(pts[idx], nN, axis=0)
             w_rep = np.repeat(w[idx], nN, axis=0)
-            zf, of, Ff, Hf = _eval_batch(pts_rep, w_rep, p, flat, guard)
+            zf, of, Ff, Hf = _eval_batch(pts_rep, w_rep, p, flat,
+                                         np.repeat(floor_a, nN))
             rf = np.linalg.norm(Ff, axis=1).reshape(nb, nN)
             best = rf.argmin(axis=1)
             take = rf[np.arange(nb), best] < res[idx]
@@ -406,23 +431,63 @@ def pbary_solve(config: WeightedPointConfig, tol=DEFAULT_TOL,
     diam = config.diameter
     r = np.linalg.norm(config.points - z0[None, :], axis=1)
     thr = EPS_COINCIDENT * diam
-    coincident = tuple(int(i) for i in np.where(r <= thr)[0]) if diam > 0 else tuple(
-        range(config.n_points)
-    )
-    borderline = bool(diam > 0 and np.any((r > 0.1 * thr) & (r < 10.0 * thr)))
     return BarycenterSolution(
         z=z0,
         residual_norm=float(res[0]),
-        coincident_set=coincident,
+        coincident_set=tuple(np.flatnonzero(coincident_mask(r, diam)).tolist()),
         iterations=int(iters[0]),
-        converged=True,
-        borderline=borderline,
+        borderline=bool(np.any((r > 0.1 * thr) & (r < 10.0 * thr))),
     )
 
 
 # ---------------------------------------------------------------------------
 # curvature blocks
 # ---------------------------------------------------------------------------
+
+
+def curvature_kernel(rvec, w, p):
+    """Curvature blocks H_i = w_i r_i^(p-2) ((p-2) u_i u_i^T + Id), batched.
+
+    rvec : (..., N, d) offsets between the points and z (either sign);
+    w : weight array broadcastable to (..., N).  u_i = rvec_i / r_i.  At r_i = 0
+    the block takes the limit of the formula: 0 for p > 2, w_i Id at p = 2
+    and, for p < 2, the finite stand-in w_i 1e300 Id.  |p - 2| <= P2_TOL
+    counts as p = 2.  Returns (H, r, fac): the (..., N, d, d) blocks, the
+    distances r_i and the radial factors fac_i = r_i^(p-2).
+    """
+    if abs(p - 2.0) <= P2_TOL:
+        p = 2.0
+    r = np.linalg.norm(rvec, axis=-1)
+    rpos = np.maximum(r, 1e-300)
+    fac = rpos ** (p - 2.0)
+    if p != 2.0:
+        fac[r == 0.0] = 0.0 if p > 2.0 else 1e300
+    u = rvec / rpos[..., None]
+    outer = u[..., :, None] * u[..., None, :]
+    eye = np.eye(rvec.shape[-1])
+    H = w[..., None, None] * fac[..., None, None] * ((p - 2.0) * outer + eye)
+    return H, r, fac
+
+
+def mixed_spectrum(H):
+    """Lambda_i = lambda_min(H_i Hbar^{-1} H_i) and |H_i|_2 for blocks H.
+
+    H : (..., N, d, d) with Hbar = sum_i H_i per batch entry.  With
+    L L^T = Hbar and X_i = L^{-1} H_i, Lambda_i = sigma_min(X_i)^2.  Returns
+    (Lambda, norms, pd): entries whose Hbar is not positive definite get
+    Lambda = 0 and norm = inf, and pd marks the others.
+    """
+    Hbar = H.sum(axis=-3)
+    finite = np.isfinite(Hbar).all(axis=(-2, -1))[..., None, None]
+    eye = np.eye(H.shape[-1])
+    pd = np.linalg.eigvalsh(np.where(finite, Hbar, eye))[..., 0] > 0.0
+    pd &= finite[..., 0, 0]
+    L = np.linalg.cholesky(np.where(pd[..., None, None], Hbar, eye))
+    X = np.linalg.solve(L[..., None, :, :], H)
+    sv = np.linalg.svd(np.stack([X, H]), compute_uv=False)
+    lam = np.where(pd[..., None], sv[0, ..., -1] ** 2, 0.0)
+    norms = np.where(pd[..., None], sv[1, ..., 0], np.inf)
+    return lam, norms, pd
 
 
 @dataclass(frozen=True)
@@ -445,51 +510,27 @@ def curvature_blocks(config: WeightedPointConfig, z=None) -> CurvatureBlocks:
     """Curvature blocks H_i, their sum, and the mixed eigenvalues Lambda_i.
 
     z defaults to the solved barycenter.  For p < 2 a coincident point makes
-    its block unbounded; this raises SingularBlockError.  Lambda_i is computed
-    through a Cholesky factor of Hbar: with L L^T = Hbar and X = L^{-1} H_i,
-    Lambda_i is the smallest eigenvalue of X^T X, i.e. sigma_min(X)^2.
+    its block unbounded; this raises SingularBlockError, as does a sum of
+    blocks that is not positive definite.
     """
     p = config.p
     if z is None:
         z = pbary_solve(config).z
     z = np.asarray(z, dtype=float).ravel()
-    pts, w = config.points, config.weights
-    n, d = pts.shape
-    diam = config.diameter
-    rvec = pts - z[None, :]
-    r = np.linalg.norm(rvec, axis=1)
-    thr = EPS_COINCIDENT * max(diam, 1e-300)
-    coincident = tuple(int(i) for i in np.where(r <= thr)[0])
+    H, r, _ = curvature_kernel(config.points - z[None, :], config.weights, p)
+    coincident = tuple(np.flatnonzero(coincident_mask(r, config.diameter)).tolist())
     if p < 2.0 - P2_TOL and coincident:
         raise SingularBlockError(
             f"curvature block unbounded for p={p} at coincident point(s) "
             f"{coincident}"
         )
-    H = np.zeros((n, d, d))
-    eye = np.eye(d)
-    if abs(p - 2.0) <= P2_TOL:
-        H[:] = w[:, None, None] * eye[None]
-    else:
-        pos = r > 0.0
-        rp = np.zeros(n)
-        rp[pos] = r[pos] ** (p - 2.0)
-        u = np.zeros_like(rvec)
-        u[pos] = rvec[pos] / r[pos, None]
-        outer = u[:, :, None] * u[:, None, :]
-        H = w[:, None, None] * rp[:, None, None] * ((p - 2.0) * outer + eye[None])
-    Hbar = H.sum(axis=0)
-    try:
-        L = np.linalg.cholesky(Hbar)
-    except np.linalg.LinAlgError as exc:
+    lam, _, pd = mixed_spectrum(H)
+    if not pd:
         raise SingularBlockError(
             "sum of curvature blocks is singular (all blocks vanish?)"
-        ) from exc
-    lam = np.empty(n)
-    for i in range(n):
-        X = np.linalg.solve(L, H[i])
-        sv = np.linalg.svd(X, compute_uv=False)
-        lam[i] = sv[-1] ** 2
-    return CurvatureBlocks(H=H, Hbar=Hbar, Lambda=lam, coincident_set=coincident)
+        )
+    return CurvatureBlocks(H=H, Hbar=H.sum(axis=0), Lambda=lam,
+                           coincident_set=coincident)
 
 
 def dbary_dxi(config: WeightedPointConfig, i: int, z=None) -> np.ndarray:

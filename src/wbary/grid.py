@@ -126,13 +126,6 @@ class GridDensity:
             for c, v in zip(centers, vals):
                 writer.writerow([f"{x:.17g}" for x in c] + [f"{v:.17g}"])
 
-    def metadata(self) -> dict:
-        return {
-            "box": self.box.tolist(),
-            "resolution": list(self.resolution),
-            "mass": self.mass(),
-        }
-
 
 def uniform_ball(center, radius, box=None, resolution=64) -> GridDensity:
     """Uniform probability density on a Euclidean ball, sampled at cell centers.

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.sparse.csgraph import connected_components
 
-from .core import _check_exponent, pbary_points
+from .core import _check_exponent, pbary_points, support_product
 from .errors import ConvergenceError, ValidationError
 
 _MASS_TOL = 1e-12
@@ -78,13 +78,6 @@ class DiscreteMeasure:
     def dim(self) -> int:
         return self.atoms.shape[1]
 
-    def to_dict(self) -> dict:
-        return {"atoms": self.atoms.tolist(), "masses": self.masses.tolist()}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DiscreteMeasure":
-        return cls(np.asarray(data["atoms"]), np.asarray(data["masses"]))
-
 
 def _merge_scale(atoms: np.ndarray) -> float:
     if atoms.shape[0] < 2:
@@ -94,19 +87,37 @@ def _merge_scale(atoms: np.ndarray) -> float:
 
 
 def _merge_close(atoms, masses, tol):
-    """Merge atoms whose lexicographic neighbors lie within tol (Euclidean)."""
+    """Merge atoms that lie within tol of each other in every coordinate.
+
+    Closeness is closed under chaining: each connected group of atoms
+    becomes one atom at the mass-weighted mean position.  Groups come out in
+    lexicographic order of their first atom; single atoms are kept as is.
+    """
     order = np.lexsort(atoms.T[::-1])
     atoms, masses = atoms[order], masses[order]
-    out_a, out_m = [atoms[0]], [masses[0]]
-    for a, m in zip(atoms[1:], masses[1:]):
-        if np.linalg.norm(a - out_a[-1]) <= tol:
-            w = out_m[-1] + m
-            out_a[-1] = (out_m[-1] * out_a[-1] + m * a) / w
-            out_m[-1] = w
-        else:
-            out_a.append(a)
-            out_m.append(m)
-    return np.array(out_a), np.array(out_m)
+    K = atoms.shape[0]
+    # Sweep over the first coordinate: atom i can only be close to the atoms
+    # after it up to hi[i] in the sorted order.
+    hi = np.searchsorted(atoms[:, 0], atoms[:, 0] + tol, side="right")
+    n_next = hi - np.arange(K) - 1
+    i = np.repeat(np.arange(K), n_next)
+    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(n_next) - n_next, n_next)
+    close = np.all(np.abs(atoms[i] - atoms[j]) <= tol, axis=1)
+    if not close.any():
+        return atoms, masses
+    graph = sp.coo_matrix((np.ones(int(close.sum())), (i[close], j[close])),
+                          shape=(K, K))
+    _, labels = connected_components(graph, directed=False)
+    # Renumber the groups in the order of their first atoms.
+    _, first, labels = np.unique(labels, return_index=True, return_inverse=True)
+    labels = np.argsort(np.argsort(first))[labels]
+    first = np.sort(first)
+    mass = np.bincount(labels, weights=masses)
+    pos = np.stack([np.bincount(labels, weights=masses * a) for a in atoms.T],
+                   axis=1) / mass[:, None]
+    single = np.bincount(labels) == 1
+    pos[single] = atoms[first[single]]
+    return pos, mass
 
 
 def _check_family(measures, weights, p):
@@ -143,15 +154,7 @@ def cost_tensor(measures, weights, p, cap=_DEFAULT_CAP) -> CostTensor:
     """Evaluate c(x_1..x_N) and the barycenters on the full support product."""
     w, p, d = _check_family(measures, weights, p)
     shape = tuple(mu.n_atoms for mu in measures)
-    total = int(np.prod(shape))
-    if total > cap:
-        raise ValidationError(
-            f"product support size {total} exceeds cap {cap}"
-        )
-    idx = np.indices(shape).reshape(len(shape), -1).T  # (total, N)
-    pts = np.stack(
-        [measures[i].atoms[idx[:, i]] for i in range(len(measures))], axis=1
-    )  # (total, N, d)
+    pts = support_product([mu.atoms for mu in measures], cap)
     z = pbary_points(pts, w, p)
     cost = (w[None, :] * np.linalg.norm(pts - z[:, None, :], axis=2) ** p).sum(axis=1)
     return CostTensor(

@@ -35,6 +35,8 @@ from .core import (
     alpha_exponent,
     beta_exponent,
     _check_exponent,
+    _diameters,
+    curvature_kernel,
     pbary_points,
 )
 from .errors import (
@@ -113,9 +115,7 @@ class DiracConfiguration:
     @cached_property
     def geometry_scale(self) -> float:
         """Diameter of anchors together with the fixed point (length scale)."""
-        pts = np.vstack([self.anchors, self.fixed_point[None, :]])
-        diff = pts[:, None, :] - pts[None, :, :]
-        d = float(np.sqrt((diff ** 2).sum(-1)).max())
+        d = float(_diameters(np.vstack([self.anchors, self.fixed_point])))
         return d if d > 0 else 1.0
 
 
@@ -174,20 +174,11 @@ def b_inverse(cfg: DiracConfiguration, z) -> np.ndarray:
 
 def _neg_grad_gbar(cfg: DiracConfiguration, zb) -> np.ndarray:
     """-grad Gbar(z) = sum_{i>=2} w_i r^(p-2) ((p-2) u u^T + Id), u = (z-xh)/r."""
-    p, d = cfg.p, cfg.dim
-    rvec = zb[:, None, :] - cfg.anchors[None, :, :]
-    r = np.linalg.norm(rvec, axis=2)
-    if np.any(r == 0.0) and abs(p - 2.0) > P2_TOL:
+    H, r, _ = curvature_kernel(zb[:, None, :] - cfg.anchors[None, :, :],
+                               cfg.weights[1:], cfg.p)
+    if np.any(r == 0.0) and abs(cfg.p - 2.0) > P2_TOL:
         raise SingularPointError("grad Gbar undefined at an anchor")
-    rp = np.maximum(r, _GBAR_ZERO) ** (p - 2.0)
-    u = rvec / np.maximum(r, _GBAR_ZERO)[..., None]
-    outer = u[..., :, None] * u[..., None, :]
-    eye = np.eye(d)
-    return (
-        cfg.weights[1:][None, :, None, None]
-        * rp[..., None, None]
-        * ((p - 2.0) * outer + eye[None, None])
-    ).sum(axis=1)
+    return H.sum(axis=1)
 
 
 def _sym_factor(cfg, G, Gn):
@@ -632,11 +623,6 @@ def pushforward_density(cfg: DiracConfiguration, f1: GridDensity,
         mass_ok=abs(mass - 1.0) <= 0.05,
         singular_cells=n_sing,
     )
-
-
-def lq_norm(density: GridDensity, q: float) -> float:
-    """L^q norm of a grid density (cell quadrature)."""
-    return density.lq_norm(q)
 
 
 def lq_power_via_changevar(cfg: DiracConfiguration, f1: GridDensity, q: float,

@@ -20,6 +20,7 @@ from wbary import (
     uniform_ball,
     uniform_box,
 )
+from wbary.bounds import _cell_coefficients
 from wbary.semidiscrete import DiracConfiguration, lq_via_changevar
 
 
@@ -94,6 +95,18 @@ def test_general_bound_identity_reduction():
     assert not rep.diverging
 
 
+def test_general_bound_p2_point_on_barycenter():
+    """At p = 2 a point sitting exactly on the barycenter keeps its block
+    w_i Id: in cell 1 the barycenter lands on the anchor 0, and every cell's
+    coefficient is 2 (1/3) / (1/9) = 6."""
+    f1 = uniform_box(np.array([[0.0, 1.0]]), resolution=4)
+    c = f1.centers()[1, 0]
+    rep = general_lq_bound(f1, constant_maps([[0.0], [-c]]), [1 / 3] * 3,
+                           2.0, 2.0)
+    assert rep.value == pytest.approx(6 * f1.lq_norm(2.0) ** 2, rel=1e-12)
+    assert (rep.n_cells_first, rep.n_flagged) == (0, 0)
+
+
 def test_general_bound_dominates_measured():
     anchors = np.array([[0.8, 0.1], [-0.7, -0.25]])
     w = np.array([0.4, 0.3, 0.3])
@@ -146,3 +159,60 @@ def test_injectivity_nonvacuous_on_clustered_tuples():
 def test_injectivity_validation():
     with pytest.raises(ValidationError):
         local_injectivity_check(np.zeros((3, 2)), np.array([0.5, 0.5]), 2.0)
+
+
+# Pinned reports.  In both inputs the cell centred at (-0.0917, -0.0917)
+# puts the barycenter on (p < 2) or within 1e-8 of (p > 2) the anchor
+# (0.9, 0.2), so its curvature ratio degenerates and the cell is refined.
+_PINNED_CELLS = {
+    # p: (second anchor, flagged cell, sum and max of the finite coefficients)
+    3.0: ([2.045078046820961, 0.536787674264886], 443092.39694967936,
+          80093.58069188561),
+    1.5: ([2.662962962962963, 0.7185185185185186], 93969.80946133201,
+          13027.026841227716),
+}
+
+
+@pytest.mark.parametrize("p", sorted(_PINNED_CELLS))
+def test_general_bound_pinned_refined_cell(p):
+    anchor2, coeff_sum, coeff_max = _PINNED_CELLS[p]
+    w = np.array([0.4, 0.3, 0.3])
+    maps = constant_maps([[0.9, 0.2], anchor2])
+    f1 = uniform_box(np.array([[-0.5, 0.5], [-0.5, 0.5]]), resolution=6)
+    rep = general_lq_bound(f1, maps, w, p, 1.7)
+    assert (rep.n_cells_first, rep.n_cells_curved, rep.n_flagged) == (0, 35, 1)
+    assert rep.diverging and rep.value == np.inf
+    coeff, first, flagged = _cell_coefficients(f1.centers(), maps, w, p, 1.7, 2)
+    assert not first.any()
+    assert np.where(flagged)[0].tolist() == [14]
+    finite = coeff[np.isfinite(coeff)]
+    assert finite.size == 35
+    assert finite.sum() == pytest.approx(coeff_sum, rel=1e-12)
+    assert finite.max() == pytest.approx(coeff_max, rel=1e-12)
+
+
+_PINNED_INJECTIVITY = {
+    # p: (vacuous bases, halvings, min radius, worst deficit)
+    1.5: (2, 5, 0.1310882541982515, -0.005449787717559814),
+    3.0: (1, 13, 0.00051206349296192, -8.838834322008481e-05),
+}
+
+
+@pytest.mark.parametrize("p", sorted(_PINNED_INJECTIVITY))
+def test_injectivity_pinned_report(p):
+    """Clustered tuples, three tuples whose barycenter is their middle
+    point, and one fully coincident tuple (skipped)."""
+    vacuous, halvings, min_radius, worst = _PINNED_INJECTIVITY[p]
+    rng = np.random.default_rng(6)
+    base = rng.normal(size=(1, 3, 2))
+    sym = np.array([[[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]])
+    pts = np.concatenate([
+        base + 0.1 * rng.normal(size=(20, 3, 2))[10:], sym, 1.0005 * sym,
+        sym + [0.0, 2e-4], np.full((1, 3, 2), 0.25),
+    ])
+    rep = local_injectivity_check(pts, np.array([0.25, 0.5, 0.25]), p)
+    assert rep.ok
+    assert (rep.n_bases, rep.n_checked_bases) == (14, 13)
+    assert (rep.vacuous_bases, rep.max_halvings_used) == (vacuous, halvings)
+    assert rep.min_radius == pytest.approx(min_radius, rel=1e-12)
+    assert rep.worst_deficit == pytest.approx(worst, rel=1e-9)

@@ -106,7 +106,6 @@ def test_affine_fixture(tmp_path):
     [
         ("run", "--kind", "point_bary", "--p", "0.5"),
         ("run", "--kind", "point_bary", "--grid", "4"),
-        ("run", "--kind", "point_bary", "--threads", "0"),
     ],
 )
 def test_invalid_parameters_exit_2(tmp_path, args):

@@ -31,6 +31,23 @@ def test_measure_validation_and_merging():
         DiscreteMeasure(np.array([[0.0], [1.0]]), [1.5, -0.5])
 
 
+def test_merging_groups_atoms_that_are_not_lexicographic_neighbours():
+    """(0, 0) and (1e-13, 0) are near-duplicates with (5e-14, 3) sorted
+    between them; they merge, and the result stays in lexicographic order."""
+    m = DiscreteMeasure([[0.0, 0.0], [5e-14, 3.0], [1e-13, 0.0]], [1 / 3] * 3)
+    assert m.n_atoms == 2
+    np.testing.assert_allclose(m.atoms, [[5e-14, 0.0], [5e-14, 3.0]],
+                               rtol=0, atol=1e-20)
+    np.testing.assert_allclose(m.masses, [2 / 3, 1 / 3], rtol=1e-15)
+    # Chains of close atoms merge into one group; distinct atoms stay put.
+    chain = DiscreteMeasure([[2.0, 1.0], [0.0, 0.0], [8e-13, 1e-13],
+                             [4e-13, 0.0]], [0.25] * 4)
+    np.testing.assert_allclose(chain.atoms, [[4e-13, 1e-13 / 3], [2.0, 1.0]],
+                               rtol=1e-12, atol=1e-25)
+    assert chain.atoms[1].tolist() == [2.0, 1.0]
+    np.testing.assert_allclose(chain.masses, [0.75, 0.25], rtol=1e-15)
+
+
 def test_measure_drops_zero_mass():
     m = DiscreteMeasure(np.array([[0.0], [1.0]]), [1.0, 0.0])
     assert m.n_atoms == 1
