@@ -1,5 +1,7 @@
 """wbary: p-Wasserstein barycenters, multi-marginal transport, and density bounds."""
 
+from types import ModuleType as _ModuleType
+
 from .core import (
     BarycenterSolution,
     CurvatureBlocks,
@@ -91,4 +93,5 @@ from .errors import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

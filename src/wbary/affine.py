@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_exponent, pbary_points
+from .core import _check_exponent, _check_weights, pbary_points
 from .errors import StructureError, ValidationError
 from .mmot import DiscreteMeasure, barycenter_measure, solve_mmot, wp_distance
 
@@ -79,14 +79,7 @@ def matrix_pbary(matrices, weights, p) -> np.ndarray:
     scale = max(1.0, float(np.abs(mats).max()))
     if np.abs(offdiag).max() <= 1e-12 * scale:
         diags = np.einsum("nii->ni", mats)  # (n, d)
-        out = np.zeros(d)
-        for j in range(d):
-            col = diags[:, j]
-            if np.ptp(col) == 0.0:
-                out[j] = col[0]
-            else:
-                out[j] = pbary_points(col[:, None], w, p)[0]
-        return np.diag(out)
+        return np.diag(pbary_points(diags.T[:, :, None], w, p)[:, 0])
     z = pbary_points(mats.reshape(n, d * d), w, p)
     return z.reshape(d, d)
 
@@ -172,11 +165,7 @@ def affine_barycenter(maps, weights, p) -> AffineBarycenterResult:
     p = _check_exponent(p)
     if len(maps) < 2:
         raise ValidationError("need at least two affine maps")
-    w = np.asarray(weights, dtype=float).ravel()
-    if w.shape[0] != len(maps):
-        raise ValidationError("one weight per map required")
-    if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
-        raise ValidationError("weights must be positive and sum to 1")
+    w = _check_weights(weights, len(maps))
     d = maps[0].dim
     if any(mp.dim != d for mp in maps):
         raise ValidationError("maps act on different dimensions")
@@ -243,10 +232,7 @@ def affine_barycenter(maps, weights, p) -> AffineBarycenterResult:
             "eigenvalue-1 eigenspaces of the non-identity maps differ"
         )
 
-    mu = np.empty(d)
-    for j in range(d):
-        col = diags[:, j]
-        mu[j] = col[0] if np.ptp(col) == 0.0 else pbary_points(col[:, None], w, p)[0]
+    mu = pbary_points(diags.T[:, :, None], w, p)[:, 0]
     Abar = Q @ np.diag(mu) @ Q.T
     A1_inv = np.linalg.inv(mats[0])
     lin = Abar @ A1_inv

@@ -159,8 +159,8 @@ class GeneralLqReport:
     n_cells_first : cells where the barycenter touches the first point
         (coefficient one)
     n_cells_curved : cells weighted by the curvature ratio
-    n_flagged : cells whose smallest curvature eigenvalue stayed below
-        1e-14 after one refinement (bound carries no information there)
+    n_flagged : cells whose smallest curvature eigenvalue at the cell
+        center is below 1e-14 (bound carries no information there)
     diverging : True when flagged cells exist
     """
 
@@ -211,9 +211,10 @@ def general_lq_bound(f1: GridDensity, maps, weights, p, q) -> GeneralLqReport:
     marginals, the identity when marginals coincide).  Cells where the
     barycenter coincides with the first point contribute f1^q directly; all
     other cells are weighted by 2^(d(q-1)) (max|H_i| / min Lambda_i)^(d(q-1))
-    over the non-coincident blocks.  Cells whose ratio degenerates are
-    refined once (3^d subcells); if still degenerate they are flagged and
-    the bound is reported as diverging.
+    over the non-coincident blocks.  Cells whose ratio degenerates at the
+    cell center are flagged, and the bound is then inf and reported as
+    diverging.  (Refining such a cell cannot clear the flag: the middle one
+    of its 3^d subcells has the same center.)
     """
     p = _check_exponent(p)
     if q <= 1.0:
@@ -226,24 +227,6 @@ def general_lq_bound(f1: GridDensity, maps, weights, p, q) -> GeneralLqReport:
     xs = f1.centers()[mask]
     vals = f1.values.ravel()[mask]
     coeff, first, flagged = _cell_coefficients(xs, maps, w, p, q, d)
-
-    n_flagged = 0
-    if flagged.any():
-        h = f1.cell_widths
-        offs = (np.arange(3) + 0.5) / 3.0
-        mesh = np.meshgrid(*([offs] * d), indexing="ij")
-        rel = np.stack([m.ravel() for m in mesh], axis=-1)
-        for b in np.where(flagged)[0]:
-            lo = xs[b] - 0.5 * h
-            sub = lo[None, :] + rel * h[None, :]
-            c_sub, f_sub, fl_sub = _cell_coefficients(sub, maps, w, p, q, d)
-            c_sub = np.where(f_sub, 1.0, c_sub)
-            if fl_sub.any():
-                n_flagged += 1
-            else:
-                coeff[b] = float(c_sub.mean())
-                flagged[b] = False
-
     contrib = np.where(first, 1.0, coeff) * vals ** q
     value = float(contrib.sum() * f1.cell_volume)
     return GeneralLqReport(

@@ -32,13 +32,7 @@ from .bounds import compute_D, integrability_bound
 from .core import pbary_solve, WeightedPointConfig
 from .errors import WbaryError
 from .grid import uniform_ball, uniform_box
-from .mmot import (
-    DiscreteMeasure,
-    barycenter_measure,
-    check_cp_monotone,
-    solve_mmot,
-    verify_c2m_equivalence,
-)
+from .mmot import DiscreteMeasure, check_cp_monotone, verify_c2m_equivalence
 from .semidiscrete import (
     DiracConfiguration,
     blowup_exponent,
@@ -164,9 +158,8 @@ def _run_mmot(args, outdir: Path) -> int:
         measures.append(DiscreteMeasure(atoms, masses / masses.sum()))
     w = rng.uniform(0.2, 1.0, 3)
     w = w / w.sum()
-    plan = solve_mmot(measures, w, args.p, cap=args.cap)
-    nu = barycenter_measure(plan)
     eq = verify_c2m_equivalence(measures, w, args.p, cap=args.cap)
+    plan, nu = eq.plan, eq.barycenter
     mono = check_cp_monotone(plan)
     rows = [
         (k, *map(int, plan.indices[k]), float(plan.masses[k]),

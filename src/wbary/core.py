@@ -52,6 +52,20 @@ def _check_exponent(p) -> float:
     return p
 
 
+def _check_weights(weights, n) -> np.ndarray:
+    """n weights, finite, strictly positive and summing to 1 within 1e-12."""
+    w = np.asarray(weights, dtype=float).ravel()
+    if w.shape != (n,):
+        raise ValidationError(f"{w.shape[0]} weights given, {n} required")
+    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+        raise ValidationError("weights must be finite and strictly positive")
+    if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
+        raise ValidationError(
+            f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {w.sum()!r}"
+        )
+    return w
+
+
 @dataclass(frozen=True)
 class WeightedPointConfig:
     """A weighted configuration (x_1..x_N, w_1..w_N, p) with validated invariants.
@@ -76,18 +90,9 @@ class WeightedPointConfig:
         n, _ = pts.shape
         if n < 2:
             raise ValidationError("a configuration needs at least two points")
-        if w.shape != (n,):
-            raise ValidationError(
-                f"weights shape {w.shape} does not match {n} points"
-            )
         if not np.all(np.isfinite(pts)):
             raise ValidationError("points contain non-finite entries")
-        if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-            raise ValidationError("weights must be finite and strictly positive")
-        if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise ValidationError(
-                f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {w.sum()!r}"
-            )
+        _check_weights(w, n)
 
     @property
     def n_points(self) -> int:
@@ -275,15 +280,16 @@ def pbary_points(points, weights, p, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
     N, d = pts.shape[-2:]
     pts = pts.reshape(-1, N, d)
     w = np.broadcast_to(weights, lead + (N,)).reshape(-1, N)
-    z, _, _ = _solve_batch(pts, w, p, tol, max_iter, raise_on_fail=True)
+    z, _, _ = _solve_batch(pts, w, p, tol, max_iter)
     out = z.reshape((lead + (d,)) if not single else (d,))
     return out
 
 
-def _solve_batch(pts, w, p, tol, max_iter, raise_on_fail=True):
+def _solve_batch(pts, w, p, tol, max_iter):
     """Core batched solve.  pts (B,N,d), w (B,N) normalized rows.
 
-    Returns (z, iterations, residual_norm) arrays.
+    Returns (z, iterations, residual_norm) arrays; raises ConvergenceError
+    when an entry of the Newton route misses its tolerance.
     """
     B, N, d = pts.shape
     diam = _diameters(pts)
@@ -293,26 +299,25 @@ def _solve_batch(pts, w, p, tol, max_iter, raise_on_fail=True):
     floor = 1e-14 * np.maximum(diam, 1e-300) if p < 2.0 else None
     tol_abs = tol * scale
 
-    # Degenerate: all points identical -> that point is the minimizer.
+    # Degenerate: all points identical -> that point is the minimizer, on
+    # every route.
     trivial = diam == 0.0
 
+    closed_form = abs(p - 2.0) <= P2_TOL or N == 2
     if abs(p - 2.0) <= P2_TOL:
         z = (w[..., None] * pts).sum(axis=1)
         F = (w[..., None] * (pts - z[:, None, :])).sum(axis=1)
-        return z, np.zeros(B, int), np.linalg.norm(F, axis=1)
-
-    if N == 2:
+    elif N == 2:
         s = 1.0 / (p - 1.0)
         t = w ** s
         t = t / t.sum(axis=1, keepdims=True)
         z = (t[..., None] * pts).sum(axis=1)
         z, _, F, _ = _eval_batch(pts, w, p, z, floor)
-        return z, np.zeros(B, int), np.linalg.norm(F, axis=1)
-
-    z = (w[..., None] * pts).sum(axis=1)
-    z, obj, F, H = _eval_batch(pts, w, p, z, floor)
+    else:
+        z = (w[..., None] * pts).sum(axis=1)
+        z, obj, F, H = _eval_batch(pts, w, p, z, floor)
     res = np.linalg.norm(F, axis=1)
-    active = ~trivial & (res > tol_abs)
+    active = ~trivial & (res > tol_abs) & (not closed_form)
     iters = np.zeros(B, int)
 
     for _ in range(max_iter):
@@ -409,15 +414,14 @@ def _solve_batch(pts, w, p, tol, max_iter, raise_on_fail=True):
     z[trivial] = pts[trivial, 0]
     res[trivial] = 0.0
     if active.any():
-        if raise_on_fail:
-            k = int(np.where(active)[0][0])
-            raise ConvergenceError(
-                f"{int(active.sum())} of {B} barycenter solves did not reach "
-                f"tolerance {tol:g} within {max_iter} iterations "
-                f"(worst residual {res[active].max():.3e}, scale {scale[k]:.3e})",
-                best=z,
-                residual=res,
-            )
+        k = int(np.where(active)[0][0])
+        raise ConvergenceError(
+            f"{int(active.sum())} of {B} barycenter solves did not reach "
+            f"tolerance {tol:g} within {max_iter} iterations "
+            f"(worst residual {res[active].max():.3e}, scale {scale[k]:.3e})",
+            best=z,
+            residual=res,
+        )
     return z, iters, res
 
 

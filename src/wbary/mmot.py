@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from scipy.optimize import linprog
 from scipy.sparse.csgraph import connected_components
 
-from .core import _check_exponent, pbary_points, support_product
+from .core import _check_exponent, _check_weights, pbary_points, support_product
 from .errors import ConvergenceError, ValidationError
 
 _MASS_TOL = 1e-12
@@ -66,7 +66,7 @@ class DiscreteMeasure:
         atoms, masses = atoms[keep], masses[keep]
         if atoms.shape[0] == 0:
             raise ValidationError("measure has no atoms with positive mass")
-        atoms, masses = _merge_close(atoms, masses, _merge_scale(atoms))
+        atoms, masses = _merge_close(atoms, masses, _span_tol(atoms, 1e-12))
         self.atoms = atoms
         self.masses = masses
 
@@ -79,11 +79,10 @@ class DiscreteMeasure:
         return self.atoms.shape[1]
 
 
-def _merge_scale(atoms: np.ndarray) -> float:
-    if atoms.shape[0] < 2:
-        return 1e-12
+def _span_tol(atoms: np.ndarray, rel: float) -> float:
+    """rel * max(1, |span|), span the bounding-box diagonal of the atoms."""
     span = atoms.max(axis=0) - atoms.min(axis=0)
-    return 1e-12 * max(1.0, float(np.linalg.norm(span)))
+    return rel * max(1.0, float(np.linalg.norm(span)))
 
 
 def _merge_close(atoms, masses, tol):
@@ -124,11 +123,7 @@ def _check_family(measures, weights, p):
     p = _check_exponent(p)
     if len(measures) < 2:
         raise ValidationError("need at least two marginals")
-    w = np.asarray(weights, dtype=float).ravel()
-    if w.shape[0] != len(measures):
-        raise ValidationError("one weight per marginal required")
-    if np.any(w <= 0) or abs(w.sum() - 1.0) > _MASS_TOL:
-        raise ValidationError("weights must be positive and sum to 1")
+    w = _check_weights(weights, len(measures))
     d = measures[0].dim
     for mu in measures:
         if mu.dim != d:
@@ -150,13 +145,24 @@ class CostTensor:
     p: float
 
 
+def _tuple_costs(pts, w, p):
+    """Barycenters z and costs sum_i w_i |x_i - z|^p of tuples pts (n, N, d)."""
+    z = pbary_points(pts, w, p)
+    return z, (w * np.linalg.norm(pts - z[:, None, :], axis=2) ** p).sum(axis=1)
+
+
+def _pair_cost(mu, nu, p):
+    """Pair cost matrix |x_j - y_k|^p between the atoms of mu and nu."""
+    return np.linalg.norm(mu.atoms[:, None, :] - nu.atoms[None, :, :],
+                          axis=2) ** p
+
+
 def cost_tensor(measures, weights, p, cap=_DEFAULT_CAP) -> CostTensor:
     """Evaluate c(x_1..x_N) and the barycenters on the full support product."""
     w, p, d = _check_family(measures, weights, p)
     shape = tuple(mu.n_atoms for mu in measures)
-    pts = support_product([mu.atoms for mu in measures], cap)
-    z = pbary_points(pts, w, p)
-    cost = (w[None, :] * np.linalg.norm(pts - z[:, None, :], axis=2) ** p).sum(axis=1)
+    z, cost = _tuple_costs(support_product([mu.atoms for mu in measures], cap),
+                           w, p)
     return CostTensor(
         values=cost.reshape(shape),
         barycenters=z.reshape(shape + (d,)),
@@ -197,64 +203,73 @@ class TransportPlan:
         return self.masses.shape[0]
 
 
-def _marginal_matrix(shape):
-    """Equality-constraint matrix mapping a flattened plan to its marginals."""
-    total = int(np.prod(shape))
+def _transport_lp(cost, marginals):
+    """Optimal coupling of discrete marginals for a cost array.
+
+    cost : (K_1, ..., K_N) array; marginals : the N mass vectors, of lengths
+    K_i.  Solves min <cost, x> over x >= 0 with the marginals of x fixed,
+    once, with HiGHS dual simplex (vertex solutions, so sparse supports);
+    raises ConvergenceError unless HiGHS reports an optimum.  Returns
+    (plan, duals, objective, certificate):
+
+    plan : the nonnegative optimal coupling, shaped like cost
+    duals : the N equality-constraint dual vectors, one per marginal
+    objective : the optimal value
+    certificate : (marginal_residual, degenerate), the worst absolute
+        marginal mismatch of plan, and whether a variable off the support
+        (mass <= 1e-11) has zero reduced cost, i.e. whether the optimal
+        plan may not be unique
+    """
+    shape = cost.shape
     idx = np.indices(shape).reshape(len(shape), -1)  # (N, total)
-    rows, cols = [], []
-    offset = 0
-    for i, k in enumerate(shape):
-        rows.append(offset + idx[i])
-        cols.append(np.arange(total))
-        offset += k
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    data = np.ones(rows.shape[0])
-    return sp.coo_matrix((data, (rows, cols)), shape=(offset, total)).tocsr()
-
-
-def solve_mmot(measures, weights, p, cap=_DEFAULT_CAP,
-               cost: CostTensor | None = None) -> TransportPlan:
-    """Solve the multi-marginal problem to LP optimality (HiGHS dual simplex)."""
-    w, p, d = _check_family(measures, weights, p)
-    if cost is None:
-        cost = cost_tensor(measures, weights, p, cap=cap)
-    shape = cost.values.shape
-    total = int(np.prod(shape))
-    c = cost.values.ravel()
-    A = _marginal_matrix(shape)
-    b = np.concatenate([mu.masses for mu in measures])
+    offsets = np.cumsum((0,) + shape[:-1])
+    rows = (idx + offsets[:, None]).ravel()
+    cols = np.tile(np.arange(cost.size), len(shape))
+    A = sp.coo_matrix((np.ones(rows.shape[0]), (rows, cols)),
+                      shape=(sum(shape), cost.size)).tocsr()
+    c = cost.ravel()
+    b = np.concatenate(marginals)
     res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds")
     if res.status != 0:
-        raise ConvergenceError(f"MMOT LP failed: {res.message}")
+        raise ConvergenceError(f"transport LP failed: {res.message}")
     x = np.maximum(res.x, 0.0)
-    support = x > _SPARSITY_TOL
-    flat = np.where(support)[0]
+    y = res.eqlin.marginals
+    residual = float(np.abs(A @ x - b).max())
+    rc = c - A.T @ y
+    degenerate = (x <= _SPARSITY_TOL) & (
+        np.abs(rc) <= 1e-9 * (1.0 + np.abs(c).max())
+    )
+    duals = tuple(np.split(y, offsets[1:]))
+    return (x.reshape(shape), duals, float(res.fun),
+            (residual, bool(degenerate.any())))
+
+
+def solve_mmot(measures, weights, p, cap=_DEFAULT_CAP) -> TransportPlan:
+    """Solve the multi-marginal problem to LP optimality (HiGHS dual simplex)."""
+    w, p, d = _check_family(measures, weights, p)
+    cost = cost_tensor(measures, w, p, cap=cap)
+    shape = cost.values.shape
+    x, _, objective, (residual, degenerate) = _transport_lp(
+        cost.values, [mu.masses for mu in measures]
+    )
+    flat = np.flatnonzero(x > _SPARSITY_TOL)
     indices = np.stack(np.unravel_index(flat, shape), axis=-1)
-    masses = x[flat]
     pts = np.stack(
         [measures[i].atoms[indices[:, i]] for i in range(len(measures))], axis=1
     )
-    barys = cost.barycenters.reshape(total, d)[flat]
-    marg = A @ x
-    residual = float(np.abs(marg - b).max())
     basis_bound = int(sum(shape)) - len(shape) + 1
-    # Uniqueness probe through reduced costs of nonbasic variables.
-    y = res.eqlin.marginals
-    rc = c - A.T @ y
-    slack_zero = (~support) & (np.abs(rc) <= 1e-9 * (1.0 + np.abs(c).max()))
     return TransportPlan(
         indices=indices,
-        masses=masses,
+        masses=x.ravel()[flat],
         points=pts,
-        barycenters=barys,
-        objective=float(res.fun),
+        barycenters=cost.barycenters.reshape(-1, d)[flat],
+        objective=objective,
         weights=w,
         p=p,
         measures=tuple(measures),
         marginal_residual=residual,
         support_within_basis=bool(len(flat) <= basis_bound),
-        maybe_degenerate=bool(slack_zero.any()),
+        maybe_degenerate=degenerate,
     )
 
 
@@ -266,35 +281,9 @@ def barycenter_measure(plan: TransportPlan, merge_tol=None) -> DiscreteMeasure:
     renormalized to absorb the LP feasibility residual (<= 1e-9).
     """
     if merge_tol is None:
-        allpts = np.vstack([mu.atoms for mu in plan.measures])
-        span = allpts.max(axis=0) - allpts.min(axis=0)
-        merge_tol = 1e-9 * max(1.0, float(np.linalg.norm(span)))
+        merge_tol = _span_tol(np.vstack([mu.atoms for mu in plan.measures]), 1e-9)
     atoms, masses = _merge_close(plan.barycenters, plan.masses, merge_tol)
     return DiscreteMeasure(atoms, masses / masses.sum())
-
-
-def _pair_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, costmat: np.ndarray):
-    """Two-marginal transport LP; returns value, plan, duals, degeneracy flag."""
-    km, kn = costmat.shape
-    A = sp.vstack(
-        [
-            sp.kron(sp.eye(km), np.ones((1, kn))),
-            sp.kron(np.ones((1, km)), sp.eye(kn)),
-        ]
-    ).tocsr()
-    b = np.concatenate([mu.masses, nu.masses])
-    res = linprog(costmat.ravel(), A_eq=A, b_eq=b, bounds=(0, None),
-                  method="highs-ds")
-    if res.status != 0:
-        raise ConvergenceError(f"pair transport LP failed: {res.message}")
-    x = np.maximum(res.x, 0.0).reshape(km, kn)
-    y = res.eqlin.marginals
-    phi, psi = y[:km], y[km:]
-    rc = costmat.ravel() - A.T @ y
-    nonbasic_zero = (res.x <= _SPARSITY_TOL) & (
-        np.abs(rc) <= 1e-9 * (1.0 + np.abs(costmat).max())
-    )
-    return float(res.fun), x, phi, psi, bool(nonbasic_zero.any())
 
 
 def wp_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p,
@@ -305,21 +294,26 @@ def wp_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p,
         raise ValidationError("measures live in different dimensions")
     if mu.n_atoms * nu.n_atoms > cap:
         raise ValidationError("pair support product exceeds cap")
-    diff = mu.atoms[:, None, :] - nu.atoms[None, :, :]
-    costmat = np.linalg.norm(diff, axis=2) ** p
-    value, _, _, _, _ = _pair_lp(mu, nu, costmat)
+    _, _, value, _ = _transport_lp(_pair_cost(mu, nu, p),
+                                   (mu.masses, nu.masses))
     return float(max(value, 0.0) ** (1.0 / p))
 
 
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Comparison of the MMOT value with sum_i w_i W_p^p(mu_i, nu)."""
+    """Comparison of the MMOT value with sum_i w_i W_p^p(mu_i, nu).
+
+    plan and barycenter are the solved coupling and nu, its pushforward
+    through the barycenter map.
+    """
 
     mmot_value: float
     pairwise_value: float
     per_marginal: tuple
     gap: float
     tol: float
+    plan: TransportPlan
+    barycenter: DiscreteMeasure
 
     @property
     def ok(self) -> bool:
@@ -344,6 +338,8 @@ def verify_c2m_equivalence(measures, weights, p,
         per_marginal=tuple(per),
         gap=gap,
         tol=1e-8 * (1.0 + abs(plan.objective)),
+        plan=plan,
+        barycenter=nu,
     )
 
 
@@ -368,11 +364,6 @@ class MonotonicityReport:
         return self.min_margin >= -self.tol
 
 
-def _tuple_costs(pts, w, p):
-    z = pbary_points(pts, w, p)
-    return (w[None, :] * np.linalg.norm(pts - z[:, None, :], axis=2) ** p).sum(axis=1)
-
-
 def check_cp_monotone(plan_or_points, weights=None, p=None,
                       tol=1e-9) -> MonotonicityReport:
     """Test cyclical monotonicity of a support under coordinate swaps.
@@ -395,7 +386,7 @@ def check_cp_monotone(plan_or_points, weights=None, p=None,
     n, N, d = pts.shape
     if n < 2:
         return MonotonicityReport(0.0, 0, 0, (), (), tol)
-    base = _tuple_costs(pts, w, p)
+    base = _tuple_costs(pts, w, p)[1]
     ia, ib = map(np.array, zip(*combinations(range(n), 2)))
     patterns = [
         tuple(i for i in range(N) if (mask >> i) & 1)
@@ -409,7 +400,7 @@ def check_cp_monotone(plan_or_points, weights=None, p=None,
         y1 = np.where(sel[None, :, None], pts[ib], pts[ia])
         y2 = np.where(sel[None, :, None], pts[ia], pts[ib])
         m = (
-            _tuple_costs(y1, w, p) + _tuple_costs(y2, w, p)
+            _tuple_costs(y1, w, p)[1] + _tuple_costs(y2, w, p)[1]
             - base[ia] - base[ib]
         )
         k = int(np.argmin(m))
@@ -455,9 +446,10 @@ def dual_check_potentials(measures, weights, p, cap=_DEFAULT_CAP) -> DualReport:
     psis, comp_ids, degenerate = [], [], False
     feas_viol = 0.0
     for mu in measures:
-        diff = mu.atoms[:, None, :] - nu.atoms[None, :, :]
-        costmat = np.linalg.norm(diff, axis=2) ** p
-        _, pi, phi, psi, degen = _pair_lp(mu, nu, costmat)
+        costmat = _pair_cost(mu, nu, p)
+        pi, (phi, psi), _, (_, degen) = _transport_lp(
+            costmat, (mu.masses, nu.masses)
+        )
         degenerate |= degen
         feas_viol = max(
             feas_viol, float((phi[:, None] + psi[None, :] - costmat).max())

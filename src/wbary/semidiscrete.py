@@ -35,6 +35,7 @@ from .core import (
     alpha_exponent,
     beta_exponent,
     _check_exponent,
+    _check_weights,
     _diameters,
     curvature_kernel,
     pbary_points,
@@ -65,20 +66,13 @@ class DiracConfiguration:
 
     def __post_init__(self):
         anchors = np.atleast_2d(np.asarray(self.anchors, dtype=float))
-        w = np.asarray(self.weights, dtype=float).ravel()
         self.anchors = anchors
-        self.weights = w
         self.p = _check_exponent(self.p)
         if anchors.ndim != 2 or anchors.shape[0] < 1:
             raise ValidationError("anchors must be a nonempty (N-1, d) array")
-        if w.shape[0] != anchors.shape[0] + 1:
-            raise ValidationError(
-                f"{w.shape[0]} weights do not match {anchors.shape[0]} anchors"
-            )
         if not np.all(np.isfinite(anchors)):
             raise ValidationError("anchors contain non-finite entries")
-        if np.any(w <= 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValidationError("weights must be positive and sum to 1")
+        self.weights = _check_weights(self.weights, anchors.shape[0] + 1)
 
     @property
     def lam1(self) -> float:
@@ -191,7 +185,7 @@ def _sym_factor(cfg, G, Gn):
     u = G / Gn[:, None]
     P = u[:, :, None] * u[:, None, :]
     s = math.sqrt(1.0 - cfg.alpha) - 1.0
-    return np.eye(d)[None] + s * P, P
+    return np.eye(d)[None] + s * P
 
 
 def grad_b_inverse(cfg: DiracConfiguration, z) -> np.ndarray:
@@ -250,7 +244,7 @@ def grad_b_inverse_eigs(cfg: DiracConfiguration, z) -> np.ndarray:
     pos = ~zero
     if pos.any():
         S = _neg_grad_gbar(cfg, zb[pos]) / Gn[pos, None, None] ** cfg.alpha
-        Ah, _ = _sym_factor(cfg, G[pos], Gn[pos])
+        Ah = _sym_factor(cfg, G[pos], Gn[pos])
         M = np.einsum("bij,bjk,bkl->bil", Ah, S, Ah)
         M = 0.5 * (M + np.swapaxes(M, 1, 2))
         c = cfg.lam1 ** (cfg.alpha - 1.0)

@@ -163,9 +163,9 @@ def test_injectivity_validation():
 
 # Pinned reports.  In both inputs the cell centred at (-0.0917, -0.0917)
 # puts the barycenter on (p < 2) or within 1e-8 of (p > 2) the anchor
-# (0.9, 0.2), so its curvature ratio degenerates and the cell is refined.
+# (0.9, 0.2), so its curvature ratio degenerates and the cell is flagged.
 _PINNED_CELLS = {
-    # p: (second anchor, flagged cell, sum and max of the finite coefficients)
+    # p: (second anchor, sum and max of the finite coefficients)
     3.0: ([2.045078046820961, 0.536787674264886], 443092.39694967936,
           80093.58069188561),
     1.5: ([2.662962962962963, 0.7185185185185186], 93969.80946133201,

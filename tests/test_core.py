@@ -1,14 +1,21 @@
 """Solver and derivative tests for the weighted point barycenter."""
 
+import types
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wbary
 from wbary import (
+    AffineMap,
     BarycenterSolution,
     ConvergenceError,
+    DiracConfiguration,
+    DiscreteMeasure,
     ValidationError,
     WeightedPointConfig,
+    affine_barycenter,
     alpha_exponent,
     beta_exponent,
     curvature_blocks,
@@ -16,6 +23,7 @@ from wbary import (
     el_residual,
     pbary_points,
     pbary_solve,
+    solve_mmot,
 )
 from wbary.core import curvature_kernel, mixed_spectrum
 
@@ -228,6 +236,42 @@ def test_pbary_points_rejects_bad_inputs():
     bad[1, 2, 1] = -np.inf
     with pytest.raises(ValidationError):
         pbary_points(bad, [0.4, 0.3, 0.3], 3.0)
+
+
+@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_identical_points_return_the_point_exactly(p, N):
+    """All points equal: the barycenter is that point, bit for bit, on the
+    p = 2 and N = 2 closed-form routes as well as on the Newton route."""
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(400, 1, 2)) * 10.0 ** rng.integers(-3, 4, (400, 1, 1))
+    w = rng.uniform(0.2, 1.0, N)
+    z = pbary_points(np.repeat(x, N, axis=1), w / w.sum(), p)
+    assert np.array_equal(z, x[:, 0])
+
+
+def test_weight_rule_is_shared():
+    """Every family constructor applies the same weight rule; a NaN weight
+    used to slip through the sum and sign tests of the last three."""
+    nan_w = [np.nan, 0.5, 0.5]
+    pts = np.array([[0.0], [1.0], [3.0]])
+    measures = [DiscreteMeasure(a, [1.0]) for a in pts]
+    maps = [AffineMap([[1.0]], a) for a in pts]
+    for weights in (nan_w, [0.5, 0.5], [0.6, 0.6, -0.2], [0.3, 0.3, 0.3]):
+        with pytest.raises(ValidationError):
+            WeightedPointConfig(pts, weights, 3.0)
+        with pytest.raises(ValidationError):
+            DiracConfiguration([[1.0], [2.0]], weights, 3.0)
+        with pytest.raises(ValidationError):
+            solve_mmot(measures, weights, 3.0)
+        with pytest.raises(ValidationError):
+            affine_barycenter(maps, weights, 3.0)
+
+
+def test_package_exports_no_modules():
+    modules = [name for name in wbary.__all__
+               if isinstance(getattr(wbary, name), types.ModuleType)]
+    assert modules == []
 
 
 def test_exponent_helpers():

@@ -17,7 +17,7 @@ from wbary import (
     verify_c2m_equivalence,
     wp_distance,
 )
-from wbary.mmot import _pair_lp
+from wbary.mmot import _transport_lp
 
 
 def test_measure_validation_and_merging():
@@ -131,12 +131,39 @@ def test_pair_lp_duals_certify_optimum():
     mu = DiscreteMeasure(np.array([[0.0], [1.0]]), [0.5, 0.5])
     nu = DiscreteMeasure(np.array([[2.0], [3.0]]), [0.5, 0.5])
     cost = (mu.atoms[:, None, 0] - nu.atoms[None, :, 0]) ** 2
-    value, plan, phi, psi, _ = _pair_lp(mu, nu, cost)
+    plan, (phi, psi), value, _ = _transport_lp(cost, (mu.masses, nu.masses))
     assert value == pytest.approx(4.0, rel=1e-12)
     assert phi @ mu.masses + psi @ nu.masses == pytest.approx(value, rel=1e-10)
     slack = cost - phi[:, None] - psi[None, :]
     assert slack.min() >= -1e-9
     assert np.abs(slack[plan > 1e-12]).max() <= 1e-9
+
+
+def test_certificate_flags_a_tie_as_degenerate():
+    """(0,0), (1,1) against (1,0), (0,1): every pair is at distance 1, so
+    every coupling is optimal and both certificates report degeneracy."""
+    a = DiscreteMeasure([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
+    b = DiscreteMeasure([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
+    w = np.array([0.5, 0.5])
+    plan = solve_mmot([a, b], w, 2.0)
+    assert plan.maybe_degenerate
+    assert plan.objective == pytest.approx(0.25, rel=1e-12)
+    assert dual_check_potentials([a, b], w, 2.0).degenerate
+
+
+def test_certificate_passes_a_unique_1d_optimum():
+    """Unequal masses on the line: the monotone plan fills the basis
+    (2 + 2 - 1 entries) and is the unique optimum.  Dirac marginals give
+    pair LPs without nonbasic variables."""
+    a = DiscreteMeasure([[0.0], [1.0]], [0.3, 0.7])
+    b = DiscreteMeasure([[0.5], [2.0]], [0.6, 0.4])
+    plan = solve_mmot([a, b], np.array([0.5, 0.5]), 2.0)
+    assert not plan.maybe_degenerate
+    assert plan.n_entries == 3 and plan.support_within_basis
+    diracs = [DiscreteMeasure([[x]], [1.0]) for x in (0.0, 1.0, 3.0)]
+    rep = dual_check_potentials(diracs, np.array([0.5, 0.3, 0.2]), 3.0)
+    assert not rep.degenerate
+    assert rep.feasibility_violation <= 1e-12
 
 
 def test_equivalence_on_seeded_instance():
