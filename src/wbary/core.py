@@ -209,6 +209,11 @@ def _nudge_off_atoms(pts, z, floor):
     return z
 
 
+def _objective_cap(obj):
+    """Largest objective a residual-driven move may reach: obj plus rounding."""
+    return obj + 16.0 * np.finfo(float).eps * np.abs(obj)
+
+
 def _eval_batch(pts, w, p, z, floor=None):
     """Objective, EL residual and Hessian of phi at z, batched.
 
@@ -342,18 +347,21 @@ def _solve_batch(pts, w, p, tol, max_iter):
         # Accept a step on sufficient objective decrease (Armijo) or on
         # sufficient residual decrease; the latter keeps making progress when
         # the objective is already flat to machine precision near the
-        # minimizer.
+        # minimizer, so it must not raise the objective beyond rounding
+        # (otherwise the iterate can cycle between two points).
         t = np.ones(len(idx))
         accepted = np.zeros(len(idx), bool)
         z_new = np.array(z[idx])
         res_old = res[idx]
+        obj_cap = _objective_cap(obj[idx])
         for _h in range(_MAX_HALVINGS):
             trial = z[idx] + t[:, None] * step
             trial, obj_t, F_t, _ = _eval_batch(pts[idx], w[idx], p, trial, floor_a)
             res_t = np.linalg.norm(F_t, axis=1)
             ok = ~accepted & (
                 (obj_t <= obj[idx] - _ARMIJO_C1 * t * descent)
-                | (res_t <= (1.0 - _ARMIJO_C1 * t) * res_old)
+                | ((res_t <= (1.0 - _ARMIJO_C1 * t) * res_old)
+                   & (obj_t <= obj_cap))
             )
             z_new[ok] = trial[ok]
             accepted |= ok
@@ -379,7 +387,8 @@ def _solve_batch(pts, w, p, tol, max_iter):
             # w_j r^(p-2) (x_j - z) = -R_j(z) with R_j the smooth rest
             # field, giving the candidate
             # z = x_j + (|R_j|/w_j)^(1/(p-1)) R_j/|R_j|.
-            # Candidates are accepted only when they reduce the residual.
+            # Candidates are accepted only when they reduce the residual
+            # without raising the objective beyond rounding.
             zc = _anchored_candidates(pts[idx], w[idx], p, z[idx], F_i)
             nb, nN = zc.shape[:2]
             flat = zc.reshape(nb * nN, -1)
@@ -388,6 +397,7 @@ def _solve_batch(pts, w, p, tol, max_iter):
             zf, of, Ff, Hf = _eval_batch(pts_rep, w_rep, p, flat,
                                          np.repeat(floor_a, nN))
             rf = np.linalg.norm(Ff, axis=1).reshape(nb, nN)
+            rf[of.reshape(nb, nN) > _objective_cap(obj_i)[:, None]] = np.inf
             best = rf.argmin(axis=1)
             take = rf[np.arange(nb), best] < res[idx]
             if take.any():

@@ -11,10 +11,19 @@ through the barycenter map yields a measure nu with
 
     C_MM = sum_i w_i W_p^p(mu_i, nu),
 
-which is what verify_c2m_equivalence checks numerically.  All linear
-programs are solved with scipy's HiGHS dual simplex, which returns vertex
-solutions (sparse supports) and the equality-constraint duals used by the
-potential probe.
+which is what verify_c2m_equivalence checks numerically.
+
+On the line (d = 1) the cost is strictly submodular, so the optimal
+coupling is the monotone (north-west) one: the quantile t in (0, 1) goes to
+the tuple of the t-quantiles of the marginals.  solve_mmot and wp_distance
+build it directly from the cumulative masses, in O(sum K_i log sum K_i),
+with no support product and no LP.  In higher dimensions all linear
+programs go through _transport_lp, scipy's HiGHS dual simplex, which
+returns vertex solutions (sparse supports) and the equality-constraint
+duals used by the potential probe; it also solves the pair LPs of
+dual_check_potentials in every dimension.  The cap argument bounds the
+sizes of these LPs (and of cost_tensor's product) only: the 1-D route never
+forms a product and ignores it.
 """
 
 from __future__ import annotations
@@ -39,8 +48,9 @@ _DEFAULT_CAP = 10 ** 6
 class DiscreteMeasure:
     """Finitely supported probability measure.
 
-    atoms : (K, d), distinct after ingestion (near-duplicates are merged and
-        their masses added); zero-mass atoms are dropped
+    atoms : (K, d), distinct and in lexicographic order after ingestion
+        (near-duplicates are merged and their masses added); zero-mass atoms
+        are dropped
     masses : (K,) nonnegative, summing to one within 1e-12
     """
 
@@ -182,8 +192,14 @@ class TransportPlan:
     objective : optimal cost value
     marginal_residual : worst absolute marginal mismatch of the plan
     support_within_basis : whether n <= sum K_i - N + 1 (vertex sparsity)
-    maybe_degenerate : True when zero-reduced-cost nonbasic variables exist,
-        i.e. the optimal plan may not be unique
+    maybe_degenerate : whether the optimal plan may not be unique.  LP route
+        (d >= 2): a variable off the support has zero reduced cost.  1-D
+        route: always False.  The mixed partials -h_i h_j / sum_k h_k of
+        the cost, h_k = w_k (p-1) |x_k - z|^(p-2), are strictly negative
+        except where a point sits on its barycenter (h = 0 for p > 2,
+        h = inf for p < 2), a null set, so the cost is strictly submodular
+        and the monotone plan is the unique optimum; coincident tuples in
+        the plan do not change that.
     """
 
     indices: np.ndarray
@@ -244,32 +260,79 @@ def _transport_lp(cost, marginals):
             (residual, bool(degenerate.any())))
 
 
+def _monotone_coupling(marginals):
+    """Monotone (north-west) coupling of 1-D mass vectors.
+
+    marginals : the N mass vectors, each in increasing order of its atoms.
+    The quantile t goes to the tuple of atoms whose cumulative-mass
+    intervals contain t: the breakpoints of all marginals are merged, and
+    each interval between consecutive breakpoints is one piece.  Returns
+    (indices, masses): (n, N) atom indices, nondecreasing in every column,
+    and the n > 0 piece masses, with n <= sum K_i - N + 1 (equal cumulative
+    masses share a breakpoint).  The pieces end at the largest total mass,
+    so every atom receives mass.
+    """
+    cums = [np.cumsum(m) for m in marginals]
+    end = max(c[-1] for c in cums)
+    cuts = np.unique(np.concatenate([c[:-1] for c in cums]))
+    starts = np.concatenate(([0.0], cuts[cuts < end]))
+    masses = np.diff(np.append(starts, end))
+    indices = np.stack(
+        [np.searchsorted(c[:-1], starts, side="right") for c in cums], axis=1
+    )
+    return indices, masses
+
+
 def solve_mmot(measures, weights, p, cap=_DEFAULT_CAP) -> TransportPlan:
-    """Solve the multi-marginal problem to LP optimality (HiGHS dual simplex)."""
+    """Solve the multi-marginal problem exactly.
+
+    d = 1: the monotone (north-west) coupling, with the cost evaluated on
+    its at most sum K_i - N + 1 tuples only; cap does not apply.  d >= 2:
+    the LP over the full support product (HiGHS dual simplex), which raises
+    ValidationError when the product exceeds cap.
+    """
     w, p, d = _check_family(measures, weights, p)
-    cost = cost_tensor(measures, w, p, cap=cap)
-    shape = cost.values.shape
-    x, _, objective, (residual, degenerate) = _transport_lp(
-        cost.values, [mu.masses for mu in measures]
-    )
-    flat = np.flatnonzero(x > _SPARSITY_TOL)
-    indices = np.stack(np.unravel_index(flat, shape), axis=-1)
-    pts = np.stack(
-        [measures[i].atoms[indices[:, i]] for i in range(len(measures))], axis=1
-    )
-    basis_bound = int(sum(shape)) - len(shape) + 1
+    marginals = [mu.masses for mu in measures]
+    if d == 1:
+        indices, masses = _monotone_coupling(marginals)
+        pts = _gather(measures, indices)
+        z, costs = _tuple_costs(pts, w, p)
+        objective = float(masses @ costs)
+        residual = max(
+            float(np.abs(np.bincount(idx, masses, len(m)) - m).max())
+            for idx, m in zip(indices.T, marginals)
+        )
+        degenerate = False
+    else:
+        cost = cost_tensor(measures, w, p, cap=cap)
+        x, _, objective, (residual, degenerate) = _transport_lp(
+            cost.values, marginals
+        )
+        flat = np.flatnonzero(x > _SPARSITY_TOL)
+        indices = np.stack(np.unravel_index(flat, x.shape), axis=-1)
+        masses = x.ravel()[flat]
+        pts = _gather(measures, indices)
+        z = cost.barycenters.reshape(-1, d)[flat]
+    basis_bound = sum(len(m) for m in marginals) - len(marginals) + 1
     return TransportPlan(
         indices=indices,
-        masses=x.ravel()[flat],
+        masses=masses,
         points=pts,
-        barycenters=cost.barycenters.reshape(-1, d)[flat],
+        barycenters=z,
         objective=objective,
         weights=w,
         p=p,
         measures=tuple(measures),
         marginal_residual=residual,
-        support_within_basis=bool(len(flat) <= basis_bound),
+        support_within_basis=bool(len(masses) <= basis_bound),
         maybe_degenerate=degenerate,
+    )
+
+
+def _gather(measures, indices):
+    """The (n, N, d) support tuples of the multi-indices (n, N)."""
+    return np.stack(
+        [mu.atoms[idx] for mu, idx in zip(measures, indices.T)], axis=1
     )
 
 
@@ -278,7 +341,7 @@ def barycenter_measure(plan: TransportPlan, merge_tol=None) -> DiscreteMeasure:
 
     Barycenter points closer than merge_tol (default 1e-9 times the overall
     support diameter) are merged with mass-weighted positions.  Masses are
-    renormalized to absorb the LP feasibility residual (<= 1e-9).
+    renormalized to absorb the plan's marginal residual (<= 1e-9).
     """
     if merge_tol is None:
         merge_tol = _span_tol(np.vstack([mu.atoms for mu in plan.measures]), 1e-9)
@@ -286,16 +349,29 @@ def barycenter_measure(plan: TransportPlan, merge_tol=None) -> DiscreteMeasure:
     return DiscreteMeasure(atoms, masses / masses.sum())
 
 
+def _check_pair_cap(mu, nu, cap):
+    if mu.n_atoms * nu.n_atoms > cap:
+        raise ValidationError("pair support product exceeds cap")
+
+
 def wp_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p,
                 cap=_DEFAULT_CAP) -> float:
-    """p-Wasserstein distance between discrete measures (exact LP)."""
+    """p-Wasserstein distance between discrete measures, exactly.
+
+    d = 1: from the monotone (north-west) coupling; cap does not apply.
+    d >= 2: the pair LP, which raises ValidationError when K_mu K_nu > cap.
+    """
     p = _check_exponent(p)
     if mu.dim != nu.dim:
         raise ValidationError("measures live in different dimensions")
-    if mu.n_atoms * nu.n_atoms > cap:
-        raise ValidationError("pair support product exceeds cap")
-    _, _, value, _ = _transport_lp(_pair_cost(mu, nu, p),
-                                   (mu.masses, nu.masses))
+    if mu.dim == 1:
+        indices, masses = _monotone_coupling((mu.masses, nu.masses))
+        i, j = indices.T
+        value = float(masses @ np.abs(mu.atoms[i, 0] - nu.atoms[j, 0]) ** p)
+    else:
+        _check_pair_cap(mu, nu, cap)
+        _, _, value, _ = _transport_lp(_pair_cost(mu, nu, p),
+                                       (mu.masses, nu.masses))
     return float(max(value, 0.0) ** (1.0 / p))
 
 
@@ -428,6 +504,15 @@ class DualReport:
     known per-component freedom of degenerate supports.  variance_shifted is
     the mass-weighted variance of that sum after optimal per-component
     constant shifts (which preserve dual optimality).
+
+    degenerate is True when some pair LP has a zero-mass variable with zero
+    reduced cost.  It does not mean that a pair plan is non-unique: nu is
+    the pushforward of the multi-marginal plan, so an optimal pair plan
+    against nu needs only one entry per atom of nu, fewer than the
+    K_i + |nu| - 1 basic variables whenever K_i > 1, and a zero-mass basic
+    variable (reduced cost 0) nearly always exists (100 of 100 random
+    families with K_i in 2..4 reported it).  Only families of Dirac
+    marginals reliably report False.
     """
 
     variance_raw: float
@@ -438,7 +523,11 @@ class DualReport:
 
 
 def dual_check_potentials(measures, weights, p, cap=_DEFAULT_CAP) -> DualReport:
-    """Extract pair duals against nu_p and test sum_i w_i psi_i = const."""
+    """Extract pair duals against nu_p and test sum_i w_i psi_i = const.
+
+    The pair duals come from the LP in every dimension, so each pair
+    product K_i |nu| must stay within cap (ValidationError otherwise).
+    """
     w, p, _ = _check_family(measures, weights, p)
     plan = solve_mmot(measures, weights, p, cap=cap)
     nu = barycenter_measure(plan)
@@ -446,6 +535,7 @@ def dual_check_potentials(measures, weights, p, cap=_DEFAULT_CAP) -> DualReport:
     psis, comp_ids, degenerate = [], [], False
     feas_viol = 0.0
     for mu in measures:
+        _check_pair_cap(mu, nu, cap)
         costmat = _pair_cost(mu, nu, p)
         pi, (phi, psi), _, (_, degen) = _transport_lp(
             costmat, (mu.masses, nu.masses)

@@ -302,3 +302,21 @@ def test_random_configs_solve_and_stay_in_box(seed, p, n, d):
     pad = 1e-9 * (1.0 + cfg.diameter)
     assert (sol.z >= pts.min(axis=0) - pad).all()
     assert (sol.z <= pts.max(axis=0) + pad).all()
+
+
+@pytest.mark.parametrize("seed, p, n", [(831, 1.3125, 4), (479333, 1.3227, 5)])
+def test_residual_driven_moves_do_not_raise_the_objective(seed, p, n):
+    """Two 1-d configurations on which the p < 2 iteration cycled until
+    max_iter: an anchored candidate (seed 831) or a line-search step
+    (seed 479333) lowered the residual but raised the objective, and the
+    next step undid it."""
+    rng = np.random.default_rng(seed)
+    pts = rng.normal(size=(n, 1))
+    w = rng.uniform(0.2, 1.0, n)
+    w = w / w.sum()
+    cfg = WeightedPointConfig(pts, w, p)
+    sol = pbary_solve(cfg, tol=1e-11)
+    assert sol.residual_norm <= 1e-11 * w.max() * cfg.diameter ** (p - 1.0)
+    z = sol.z[0] + np.array([0.0, -1e-6, 1e-6])
+    phi = (w * np.abs(pts[:, 0] - z[:, None]) ** p).sum(axis=1)
+    assert phi[0] <= phi[1:].min()

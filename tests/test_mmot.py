@@ -4,8 +4,12 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, reject, settings, strategies as st
+from scipy.optimize import linprog
 
 from wbary import (
+    ConvergenceError,
     DiscreteMeasure,
     ValidationError,
     barycenter_measure,
@@ -233,3 +237,94 @@ def test_family_validation():
         solve_mmot([m, m2], np.array([0.5, 0.5]), 2.0)  # dim mismatch
     with pytest.raises(ValidationError):
         solve_mmot([m], np.array([1.0]), 2.0)  # needs >= 2 marginals
+
+
+def _lp_value(cost, marginals):
+    """Optimal value of the transport LP for a cost array, built here
+    independently of wbary and solved by HiGHS at feasibility tolerances
+    1e-10.  (At the default 1e-7, pair LPs against a barycenter measure
+    were seen to end up to 7.6e-9 above the optimum.)"""
+    idx = np.indices(cost.shape).reshape(cost.ndim, -1)
+    rows = (idx + np.cumsum((0,) + cost.shape[:-1])[:, None]).ravel()
+    cols = np.tile(np.arange(cost.size), cost.ndim)
+    A = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
+                      shape=(sum(cost.shape), cost.size))
+    res = linprog(cost.ravel(), A_eq=A, b_eq=np.concatenate(marginals),
+                  method="highs-ds",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return res.fun
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    p=st.floats(1.2, 4.0),
+    sizes=st.lists(st.integers(1, 8), min_size=2, max_size=4),
+    equal=st.lists(st.booleans(), min_size=4, max_size=4),
+)
+def test_monotone_route_matches_the_lp_1d(seed, p, sizes, equal):
+    """On the line solve_mmot and wp_distance use the monotone coupling;
+    its values match the LP.  Equal masses make cumulative sums tie."""
+    rng = np.random.default_rng(seed)
+    measures = []
+    for K, eq in zip(sizes, equal):
+        m = np.ones(K) if eq else rng.uniform(0.2, 1.0, K)
+        measures.append(DiscreteMeasure(rng.normal(size=(K, 1)), m / m.sum()))
+    w = rng.uniform(0.2, 1.0, len(sizes))
+    w = w / w.sum()
+    marginals = [mu.masses for mu in measures]
+    try:
+        plan = solve_mmot(measures, w, p)
+        cost = cost_tensor(measures, w, p).values
+        mono = check_cp_monotone(plan)
+    except ConvergenceError:
+        # Near p = 1.2 the point solver's tolerance can lie below the float
+        # resolution of the residual; pbary_points then raises by design
+        # (test_near_one_exponent_unreachable), and there is no cost to
+        # compare.
+        reject()
+    C = plan.objective
+    assert C == pytest.approx(_lp_value(cost, marginals), rel=0,
+                              abs=1e-9 * (1.0 + C))
+    assert plan.marginal_residual <= 1e-12
+    assert plan.support_within_basis
+    assert mono.ok, mono.min_margin
+    nu = barycenter_measure(plan)
+    for mu in measures:
+        cost_pair = np.abs(mu.atoms - nu.atoms.T) ** p
+        lp = _lp_value(cost_pair, (mu.masses, nu.masses))
+        assert wp_distance(mu, nu, p) ** p == pytest.approx(
+            lp, rel=0, abs=1e-9 * (1.0 + lp))
+
+
+def test_1d_route_has_no_product_cap():
+    """1e5 atoms per marginal (a product of 1e15) in one dimension.  p = 2
+    because at p != 2 some of the 3e5 quantile tuples have diameters so
+    small against their position that pbary_points' tolerance lies below
+    the float resolution of the residual, and it raises."""
+    rng = np.random.default_rng(0)
+    measures = []
+    for _ in range(3):
+        m = rng.uniform(0.2, 1.0, 10 ** 5)
+        measures.append(DiscreteMeasure(rng.normal(size=(10 ** 5, 1)),
+                                        m / m.sum()))
+    rep = verify_c2m_equivalence(measures, np.array([0.5, 0.3, 0.2]), 2.0)
+    assert rep.gap <= 1e-12 * (1.0 + rep.mmot_value)
+    assert rep.plan.n_entries <= 3 * 10 ** 5 - 2
+    assert rep.plan.marginal_residual <= 1e-12
+
+
+def test_cap_still_bounds_the_lp_in_2d():
+    rng = np.random.default_rng(4)
+    measures = [DiscreteMeasure(rng.normal(size=(11, 2)), np.full(11, 1 / 11))
+                for _ in range(2)]
+    w = np.array([0.5, 0.5])
+    with pytest.raises(ValidationError):
+        solve_mmot(measures, w, 2.0, cap=100)
+    with pytest.raises(ValidationError):
+        verify_c2m_equivalence(measures, w, 2.0, cap=100)
+    with pytest.raises(ValidationError):
+        wp_distance(measures[0], measures[1], 2.0, cap=100)
+    assert solve_mmot(measures, w, 2.0, cap=121).support_within_basis
