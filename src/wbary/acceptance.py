@@ -39,6 +39,7 @@ from .core import WeightedPointConfig, dbary_dxi, pbary_points
 from .grid import uniform_ball, uniform_box
 from .mmot import (
     DiscreteMeasure,
+    _pair_cost,
     _transport_lp,
     check_cp_monotone,
     cost_tensor,
@@ -230,29 +231,35 @@ def mmot_equivalence_battery(fast: bool = False) -> CheckResult:
     """|sum_i w_i W_p^p(mu_i, nu_p) - C_MM| <= 1e-8 (1 + C_MM) on 50 draws.
 
     Random instances with N <= 3 marginals, K_i <= 5 atoms, d <= 2 and
-    p in {1.5, 2, 3}; the total runtime must stay within 60 s.  On the
-    line solve_mmot uses the monotone coupling, so for d = 1 draws C_MM
-    must also match the LP over the full support product within
-    1e-8 (1 + C_MM).
+    p in {1.5, 2, 3}; the total runtime must stay within 60 s.  The LP
+    checks both shortcuts within 1e-8 (1 + C_MM): C_MM of the monotone
+    coupling (d = 1) against the LP over the support product, and each
+    pair bracket (L_i, U_i) (d = 2) against the pair LP w_i W_p^p(mu_i, nu).
     """
     t0 = time.perf_counter()
     n_inst = 12 if fast else 50
     rng = np.random.default_rng(20240817)
-    worst = worst_lp = 0.0
+    worst = 0.0
+    worst_lp = {1: 0.0, 2: 0.0}  # by dimension
     failures = 0
     for _ in range(n_inst):
         measures, w, p = _random_family(rng)
         rep = verify_c2m_equivalence(measures, w, p)
+        nu, d = rep.barycenter, measures[0].dim
         scale = 1.0 + abs(rep.mmot_value)
         worst = max(worst, rep.gap / scale)
-        ok = rep.ok
-        if measures[0].dim == 1:
-            lp = _transport_lp(cost_tensor(measures, w, p).values,
-                               [mu.masses for mu in measures])[2]
-            lp_gap = abs(rep.mmot_value - lp) / scale
-            worst_lp = max(worst_lp, lp_gap)
-            ok &= lp_gap <= 1e-8
-        failures += 0 if ok else 1
+        if d == 1:
+            gaps = [rep.mmot_value - _transport_lp(
+                cost_tensor(measures, w, p).values,
+                [mu.masses for mu in measures])[2]]
+        else:
+            gaps = [b - wi * _transport_lp(_pair_cost(mu, nu, p),
+                                           (mu.masses, nu.masses))[2]
+                    for mu, wi, bounds in zip(measures, w, rep.bracket)
+                    for b in bounds]
+        lp_gap = max(map(abs, gaps)) / scale
+        worst_lp[d] = max(worst_lp[d], lp_gap)
+        failures += 0 if rep.ok and lp_gap <= 1e-8 else 1
     seconds = time.perf_counter() - t0
     ok = failures == 0 and seconds <= 60.0
     return CheckResult(
@@ -261,9 +268,11 @@ def mmot_equivalence_battery(fast: bool = False) -> CheckResult:
         details=(
             f"{n_inst - failures}/{n_inst} instances within 1e-8(1+C); "
             f"worst normalized gap {_fmt(worst)}; worst 1-D LP gap "
-            f"{_fmt(worst_lp)}; {seconds:.1f}s"
+            f"{_fmt(worst_lp[1])}; worst 2-D pair LP gap "
+            f"{_fmt(worst_lp[2])}; {seconds:.1f}s"
         ),
-        metrics={"worst_gap": worst, "worst_lp_gap_1d": worst_lp,
+        metrics={"worst_gap": worst, "worst_lp_gap_1d": worst_lp[1],
+                 "worst_pair_lp_gap_2d": worst_lp[2],
                  "failures": float(failures), "seconds": seconds},
     )
 

@@ -180,6 +180,7 @@ def _run_mmot(args, outdir: Path) -> int:
         "seed": args.seed,
         "objective": plan.objective,
         "equivalence_gap": eq.gap,
+        "pair_certificate_gap": max(u - l for l, u in eq.bracket),
         "monotone_margin": mono.min_margin,
         "support_size": len(plan.masses),
         "support_within_basis": bool(plan.support_within_basis),

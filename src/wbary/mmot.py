@@ -11,7 +11,8 @@ through the barycenter map yields a measure nu with
 
     C_MM = sum_i w_i W_p^p(mu_i, nu),
 
-which is what verify_c2m_equivalence checks numerically.
+which is what verify_c2m_equivalence checks numerically, in d >= 2 by
+bracketing each pair value with bounds read off the one multi-marginal LP.
 
 On the line (d = 1) the cost is strictly submodular, so the optimal
 coupling is the monotone (north-west) one: the quantile t in (0, 1) goes to
@@ -20,10 +21,10 @@ build it directly from the cumulative masses, in O(sum K_i log sum K_i),
 with no support product and no LP.  In higher dimensions all linear
 programs go through _transport_lp, scipy's HiGHS dual simplex, which
 returns vertex solutions (sparse supports) and the equality-constraint
-duals used by the potential probe; it also solves the pair LPs of
-dual_check_potentials in every dimension.  The cap argument bounds the
-sizes of these LPs (and of cost_tensor's product) only: the 1-D route never
-forms a product and ignores it.
+duals used by the bracket and by dual_check_potentials, which solves the
+multi-marginal LP in every dimension.  The cap argument bounds the sizes of
+these LPs (and of cost_tensor's product) only: the 1-D route never forms a
+product and ignores it.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ class DiscreteMeasure:
         atoms, masses = atoms[keep], masses[keep]
         if atoms.shape[0] == 0:
             raise ValidationError("measure has no atoms with positive mass")
-        atoms, masses = _merge_close(atoms, masses, _span_tol(atoms, 1e-12))
+        atoms, masses, _ = _merge_close(atoms, masses, _span_tol(atoms, 1e-12))
         self.atoms = atoms
         self.masses = masses
 
@@ -99,34 +100,37 @@ def _merge_close(atoms, masses, tol):
     """Merge atoms that lie within tol of each other in every coordinate.
 
     Closeness is closed under chaining: each connected group of atoms
-    becomes one atom at the mass-weighted mean position.  Groups come out in
-    lexicographic order of their first atom; single atoms are kept as is.
+    becomes one atom at the mass-weighted mean position; single atoms are
+    kept as is.  A mean can land within tol of another atom, so merging
+    repeats until no two atoms are close.  Returns (atoms, masses, labels):
+    the merged atoms in lexicographic order, their masses, and for each
+    input atom the index of the merged atom that absorbed it.
     """
-    order = np.lexsort(atoms.T[::-1])
-    atoms, masses = atoms[order], masses[order]
-    K = atoms.shape[0]
-    # Sweep over the first coordinate: atom i can only be close to the atoms
-    # after it up to hi[i] in the sorted order.
-    hi = np.searchsorted(atoms[:, 0], atoms[:, 0] + tol, side="right")
-    n_next = hi - np.arange(K) - 1
-    i = np.repeat(np.arange(K), n_next)
-    j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(n_next) - n_next, n_next)
-    close = np.all(np.abs(atoms[i] - atoms[j]) <= tol, axis=1)
-    if not close.any():
-        return atoms, masses
-    graph = sp.coo_matrix((np.ones(int(close.sum())), (i[close], j[close])),
-                          shape=(K, K))
-    _, labels = connected_components(graph, directed=False)
-    # Renumber the groups in the order of their first atoms.
-    _, first, labels = np.unique(labels, return_index=True, return_inverse=True)
-    labels = np.argsort(np.argsort(first))[labels]
-    first = np.sort(first)
-    mass = np.bincount(labels, weights=masses)
-    pos = np.stack([np.bincount(labels, weights=masses * a) for a in atoms.T],
-                   axis=1) / mass[:, None]
-    single = np.bincount(labels) == 1
-    pos[single] = atoms[first[single]]
-    return pos, mass
+    labels = np.arange(atoms.shape[0])
+    while True:
+        order = np.lexsort(atoms.T[::-1])
+        atoms, masses = atoms[order], masses[order]
+        labels = np.argsort(order)[labels]
+        K = atoms.shape[0]
+        # Sweep over the first coordinate: atom i can only be close to the
+        # atoms after it up to hi[i] in the sorted order.
+        hi = np.searchsorted(atoms[:, 0], atoms[:, 0] + tol, side="right")
+        n_next = hi - np.arange(K) - 1
+        i = np.repeat(np.arange(K), n_next)
+        j = i + 1 + np.arange(i.size) - np.repeat(np.cumsum(n_next) - n_next,
+                                                  n_next)
+        close = np.all(np.abs(atoms[i] - atoms[j]) <= tol, axis=1)
+        if not close.any():
+            return atoms, masses, labels
+        graph = sp.coo_matrix((np.ones(int(close.sum())), (i[close], j[close])),
+                              shape=(K, K))
+        _, group = connected_components(graph, directed=False)
+        mass = np.bincount(group, weights=masses)
+        pos = np.stack([np.bincount(group, weights=masses * a)
+                        for a in atoms.T], axis=1) / mass[:, None]
+        lone = (np.bincount(group) == 1)[group]
+        pos[group[lone]] = atoms[lone]
+        atoms, masses, labels = pos, mass, group[labels]
 
 
 def _check_family(measures, weights, p):
@@ -200,6 +204,8 @@ class TransportPlan:
         h = inf for p < 2), a null set, so the cost is strictly submodular
         and the monotone plan is the unique optimum; coincident tuples in
         the plan do not change that.
+    duals : LP route, the N equality-constraint dual vectors y_i, with
+        sum_i y_i[t_i] <= c(t) up to the LP tolerance.  1-D route: None.
     """
 
     indices: np.ndarray
@@ -213,6 +219,7 @@ class TransportPlan:
     marginal_residual: float
     support_within_basis: bool
     maybe_degenerate: bool
+    duals: tuple | None
 
     @property
     def n_entries(self) -> int:
@@ -292,32 +299,35 @@ def solve_mmot(measures, weights, p, cap=_DEFAULT_CAP) -> TransportPlan:
     ValidationError when the product exceeds cap.
     """
     w, p, d = _check_family(measures, weights, p)
+    return _solve(measures, w, p,
+                  cost_tensor(measures, w, p, cap=cap) if d > 1 else None)
+
+
+def _solve(measures, w, p, cost):
+    """The monotone plan (cost None, d = 1), or the LP plan for cost."""
     marginals = [mu.masses for mu in measures]
-    if d == 1:
+    if cost is None:
         indices, masses = _monotone_coupling(marginals)
-        pts = _gather(measures, indices)
-        z, costs = _tuple_costs(pts, w, p)
+        z, costs = _tuple_costs(_gather(measures, indices), w, p)
         objective = float(masses @ costs)
         residual = max(
             float(np.abs(np.bincount(idx, masses, len(m)) - m).max())
             for idx, m in zip(indices.T, marginals)
         )
-        degenerate = False
+        degenerate, duals = False, None
     else:
-        cost = cost_tensor(measures, w, p, cap=cap)
-        x, _, objective, (residual, degenerate) = _transport_lp(
+        x, duals, objective, (residual, degenerate) = _transport_lp(
             cost.values, marginals
         )
         flat = np.flatnonzero(x > _SPARSITY_TOL)
         indices = np.stack(np.unravel_index(flat, x.shape), axis=-1)
         masses = x.ravel()[flat]
-        pts = _gather(measures, indices)
-        z = cost.barycenters.reshape(-1, d)[flat]
+        z = cost.barycenters.reshape(x.size, -1)[flat]
     basis_bound = sum(len(m) for m in marginals) - len(marginals) + 1
     return TransportPlan(
         indices=indices,
         masses=masses,
-        points=pts,
+        points=_gather(measures, indices),
         barycenters=z,
         objective=objective,
         weights=w,
@@ -326,6 +336,7 @@ def solve_mmot(measures, weights, p, cap=_DEFAULT_CAP) -> TransportPlan:
         marginal_residual=residual,
         support_within_basis=bool(len(masses) <= basis_bound),
         maybe_degenerate=degenerate,
+        duals=duals,
     )
 
 
@@ -343,15 +354,22 @@ def barycenter_measure(plan: TransportPlan, merge_tol=None) -> DiscreteMeasure:
     support diameter) are merged with mass-weighted positions.  Masses are
     renormalized to absorb the plan's marginal residual (<= 1e-9).
     """
+    return _pushforward(plan, merge_tol)[0]
+
+
+def _pushforward(plan, merge_tol=None):
+    """barycenter_measure(plan) and, for each plan entry, its atom index.
+
+    The merged atoms come sorted and farther apart than merge_tol, so the
+    labels index nu.atoms whenever merge_tol is at least DiscreteMeasure's
+    own merge tolerance, 1e-12 times the diameter of nu.  The default is
+    1e-9 times the diameter of the supports, whose hull contains nu.
+    """
     if merge_tol is None:
         merge_tol = _span_tol(np.vstack([mu.atoms for mu in plan.measures]), 1e-9)
-    atoms, masses = _merge_close(plan.barycenters, plan.masses, merge_tol)
-    return DiscreteMeasure(atoms, masses / masses.sum())
-
-
-def _check_pair_cap(mu, nu, cap):
-    if mu.n_atoms * nu.n_atoms > cap:
-        raise ValidationError("pair support product exceeds cap")
+    atoms, masses, labels = _merge_close(plan.barycenters, plan.masses,
+                                         merge_tol)
+    return DiscreteMeasure(atoms, masses / masses.sum()), labels
 
 
 def wp_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p,
@@ -369,23 +387,37 @@ def wp_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p,
         i, j = indices.T
         value = float(masses @ np.abs(mu.atoms[i, 0] - nu.atoms[j, 0]) ** p)
     else:
-        _check_pair_cap(mu, nu, cap)
+        if mu.n_atoms * nu.n_atoms > cap:
+            raise ValidationError("pair support product exceeds cap")
         _, _, value, _ = _transport_lp(_pair_cost(mu, nu, p),
                                        (mu.masses, nu.masses))
     return float(max(value, 0.0) ** (1.0 / p))
 
 
+def _c_transforms(plan, nu):
+    """Pair costs w_i |x_ik - z_j|^p to the atoms z_j of nu, and the
+    c-transforms psi_i(z_j) = min_k (w_i |x_ik - z_j|^p - y_ik) of the duals."""
+    costs = [wi * _pair_cost(mu, nu, plan.p)
+             for mu, wi in zip(plan.measures, plan.weights)]
+    psis = [(c - y[:, None]).min(axis=0) for c, y in zip(costs, plan.duals)]
+    return costs, psis
+
+
 @dataclass(frozen=True)
 class EquivalenceReport:
-    """Comparison of the MMOT value with sum_i w_i W_p^p(mu_i, nu).
+    """Comparison of the MMOT value C with sum_i w_i W_p^p(mu_i, nu).
 
     plan and barycenter are the solved coupling and nu, its pushforward
-    through the barycenter map.
+    through the barycenter map.  bracket holds per marginal (L_i, U_i) with
+    L_i <= w_i W_p^p(mu_i, nu) <= U_i: in d = 1 both are the exact monotone
+    value; in d >= 2, L_i = <mu_i, y_i> + <nu, psi_i> (psi_i the c-transform
+    of the LP dual y_i) and U_i is the cost of the plan projected onto
+    (mu_i, nu).  gap = max(|C - sum L_i|, |C - sum U_i|) bounds the true gap.
+    bracket replaces the former fields pairwise_value and per_marginal.
     """
 
     mmot_value: float
-    pairwise_value: float
-    per_marginal: tuple
+    bracket: tuple
     gap: float
     tol: float
     plan: TransportPlan
@@ -398,22 +430,28 @@ class EquivalenceReport:
 
 def verify_c2m_equivalence(measures, weights, p,
                            cap=_DEFAULT_CAP) -> EquivalenceReport:
-    """Check C_MM = sum_i w_i W_p^p(mu_i, nu_p) on a finite instance."""
-    w, p, _ = _check_family(measures, weights, p)
+    """Check C_MM = sum_i w_i W_p^p(mu_i, nu_p) with one solve_mmot."""
+    w, p, d = _check_family(measures, weights, p)
     plan = solve_mmot(measures, weights, p, cap=cap)
-    nu = barycenter_measure(plan)
-    per = []
-    for mu, wi in zip(measures, w):
-        dist = wp_distance(mu, nu, p, cap=cap)
-        per.append(wi * dist ** p)
-    pairwise = float(sum(per))
-    gap = abs(plan.objective - pairwise)
+    nu, labels = _pushforward(plan)
+    if d == 1:
+        bracket = [(v, v) for v in (float(wi * wp_distance(mu, nu, p) ** p)
+                                    for mu, wi in zip(measures, w))]
+    else:
+        costs, psis = _c_transforms(plan, nu)
+        bracket = [
+            (float(y @ mu.masses + psi @ nu.masses),
+             float(plan.masses @ c[idx, labels]))
+            for mu, y, psi, c, idx in zip(measures, plan.duals, psis, costs,
+                                          plan.indices.T)
+        ]
+    lower, upper = (sum(b) for b in zip(*bracket))
+    C = plan.objective
     return EquivalenceReport(
-        mmot_value=plan.objective,
-        pairwise_value=pairwise,
-        per_marginal=tuple(per),
-        gap=gap,
-        tol=1e-8 * (1.0 + abs(plan.objective)),
+        mmot_value=C,
+        bracket=tuple(bracket),
+        gap=max(abs(C - lower), abs(C - upper)),
+        tol=1e-8 * (1.0 + abs(C)),
         plan=plan,
         barycenter=nu,
     )
@@ -498,87 +536,31 @@ def check_cp_monotone(plan_or_points, weights=None, p=None,
 class DualReport:
     """Probe of the Kantorovich characterization on a finite instance.
 
-    For each marginal the two-marginal dual potentials (phi_i, psi_i) against
-    the barycenter measure are extracted from the LP; the weighted sum
-    sum_i w_i psi_i should be constant across barycenter atoms, up to the
-    known per-component freedom of degenerate supports.  variance_shifted is
-    the mass-weighted variance of that sum after optimal per-component
-    constant shifts (which preserve dual optimality).
+    The duals y_i of the multi-marginal LP are optimal potentials when
+    sum_i y_i[t_i] <= c(t) on the support product and their c-transforms
+    psi_i sum to zero on the support of nu.  Shifts of the y_i by constants
+    summing to zero leave both unchanged.
 
-    degenerate is True when some pair LP has a zero-mass variable with zero
-    reduced cost.  It does not mean that a pair plan is non-unique: nu is
-    the pushforward of the multi-marginal plan, so an optimal pair plan
-    against nu needs only one entry per atom of nu, fewer than the
-    K_i + |nu| - 1 basic variables whenever K_i > 1, and a zero-mass basic
-    variable (reduced cost 0) nearly always exists (100 of 100 random
-    families with K_i in 2..4 reported it).  Only families of Dirac
-    marginals reliably report False.
+    feasibility_violation : max over the product of sum_i y_i[t_i] - c(t)
+    support_residual : max over the atoms z of nu of |sum_i psi_i(z)|
+
+    These replace the pair-LP fields variance_raw, variance_shifted,
+    components_per_marginal and degenerate.
     """
 
-    variance_raw: float
-    variance_shifted: float
-    components_per_marginal: tuple
-    degenerate: bool
     feasibility_violation: float
+    support_residual: float
 
 
 def dual_check_potentials(measures, weights, p, cap=_DEFAULT_CAP) -> DualReport:
-    """Extract pair duals against nu_p and test sum_i w_i psi_i = const.
-
-    The pair duals come from the LP in every dimension, so each pair
-    product K_i |nu| must stay within cap (ValidationError otherwise).
-    """
+    """Probe the duals of the multi-marginal LP, solved in every dimension
+    (ValidationError when the support product exceeds cap)."""
     w, p, _ = _check_family(measures, weights, p)
-    plan = solve_mmot(measures, weights, p, cap=cap)
-    nu = barycenter_measure(plan)
-    kn = nu.n_atoms
-    psis, comp_ids, degenerate = [], [], False
-    feas_viol = 0.0
-    for mu in measures:
-        _check_pair_cap(mu, nu, cap)
-        costmat = _pair_cost(mu, nu, p)
-        pi, (phi, psi), _, (_, degen) = _transport_lp(
-            costmat, (mu.masses, nu.masses)
-        )
-        degenerate |= degen
-        feas_viol = max(
-            feas_viol, float((phi[:, None] + psi[None, :] - costmat).max())
-        )
-        km = mu.n_atoms
-        adj = sp.coo_matrix(
-            (np.ones(int((pi > _SPARSITY_TOL).sum())),
-             np.nonzero(pi > _SPARSITY_TOL)),
-            shape=(km, kn),
-        )
-        graph = sp.bmat(
-            [[None, adj], [adj.T, None]], format="csr"
-        )
-        n_comp, labels = connected_components(graph, directed=False)
-        psis.append(psi)
-        comp_ids.append(labels[km:])  # component of each nu atom
-    base = sum(wi * psi for wi, psi in zip(w, psis))
-    mw = nu.masses / nu.masses.sum()
-    mean_raw = float((mw * base).sum())
-    var_raw = float((mw * (base - mean_raw) ** 2).sum())
-
-    # Least-squares constant shifts per (marginal, component), plus a free
-    # global level t:  minimize sum_k m_k (base_k + sum_i w_i s_{i,c_i(k)} - t)^2.
-    cols = []
-    for i, labels in enumerate(comp_ids):
-        for c in np.unique(labels):
-            cols.append(w[i] * (labels == c).astype(float))
-    cols.append(-np.ones(kn))
-    X = np.stack(cols, axis=-1)
-    sw = np.sqrt(mw)
-    sol, *_ = np.linalg.lstsq(sw[:, None] * X, -sw * base, rcond=None)
-    fitted = base + X @ sol
-    var_shift = float((mw * fitted ** 2).sum())
+    cost = cost_tensor(measures, w, p, cap=cap)
+    plan = _solve(measures, w, p, cost)
+    _, psis = _c_transforms(plan, barycenter_measure(plan))
     return DualReport(
-        variance_raw=var_raw,
-        variance_shifted=var_shift,
-        components_per_marginal=tuple(
-            int(np.unique(labels).size) for labels in comp_ids
-        ),
-        degenerate=degenerate,
-        feasibility_violation=feas_viol,
+        feasibility_violation=float(
+            (sum(np.ix_(*plan.duals)) - cost.values).max()),
+        support_residual=float(np.abs(sum(psis)).max()),
     )

@@ -1,6 +1,9 @@
 """Multi-marginal transport: LP solutions, equivalence, duals, monotonicity."""
 
+from dataclasses import replace
 from itertools import permutations
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +24,8 @@ from wbary import (
     verify_c2m_equivalence,
     wp_distance,
 )
-from wbary.mmot import _transport_lp
+from wbary import mmot
+from wbary.mmot import _pair_cost, _transport_lp
 
 
 def test_measure_validation_and_merging():
@@ -50,6 +54,10 @@ def test_merging_groups_atoms_that_are_not_lexicographic_neighbours():
                                rtol=1e-12, atol=1e-25)
     assert chain.atoms[1].tolist() == [2.0, 1.0]
     np.testing.assert_allclose(chain.masses, [0.75, 0.25], rtol=1e-15)
+    # A merged atom is placed by its mean, which can sort after a neighbour.
+    m = DiscreteMeasure([[0.0, 0.0], [4e-13, 3.0], [1e-12, 0.0]], [1 / 3] * 3)
+    np.testing.assert_allclose(m.atoms, [[4e-13, 3.0], [5e-13, 0.0]],
+                               rtol=1e-12, atol=1e-25)
 
 
 def test_measure_drops_zero_mass():
@@ -145,20 +153,23 @@ def test_pair_lp_duals_certify_optimum():
 
 def test_certificate_flags_a_tie_as_degenerate():
     """(0,0), (1,1) against (1,0), (0,1): every pair is at distance 1, so
-    every coupling is optimal and both certificates report degeneracy."""
+    every coupling is optimal and the plan reports degeneracy; the duals
+    still satisfy the Kantorovich characterization."""
     a = DiscreteMeasure([[0.0, 0.0], [1.0, 1.0]], [0.5, 0.5])
     b = DiscreteMeasure([[1.0, 0.0], [0.0, 1.0]], [0.5, 0.5])
     w = np.array([0.5, 0.5])
     plan = solve_mmot([a, b], w, 2.0)
     assert plan.maybe_degenerate
     assert plan.objective == pytest.approx(0.25, rel=1e-12)
-    assert dual_check_potentials([a, b], w, 2.0).degenerate
+    rep = dual_check_potentials([a, b], w, 2.0)
+    assert rep.feasibility_violation <= 1e-12
+    assert rep.support_residual <= 1e-12
 
 
 def test_certificate_passes_a_unique_1d_optimum():
     """Unequal masses on the line: the monotone plan fills the basis
-    (2 + 2 - 1 entries) and is the unique optimum.  Dirac marginals give
-    pair LPs without nonbasic variables."""
+    (2 + 2 - 1 entries) and is the unique optimum.  For Dirac marginals
+    the one coupling is optimal and its duals are exact."""
     a = DiscreteMeasure([[0.0], [1.0]], [0.3, 0.7])
     b = DiscreteMeasure([[0.5], [2.0]], [0.6, 0.4])
     plan = solve_mmot([a, b], np.array([0.5, 0.5]), 2.0)
@@ -166,7 +177,7 @@ def test_certificate_passes_a_unique_1d_optimum():
     assert plan.n_entries == 3 and plan.support_within_basis
     diracs = [DiscreteMeasure([[x]], [1.0]) for x in (0.0, 1.0, 3.0)]
     rep = dual_check_potentials(diracs, np.array([0.5, 0.3, 0.2]), 3.0)
-    assert not rep.degenerate
+    assert rep.support_residual <= 1e-12
     assert rep.feasibility_violation <= 1e-12
 
 
@@ -193,6 +204,21 @@ def test_barycenter_measure_mass():
     assert nu.n_atoms <= len(plan.masses)
 
 
+def test_pushforward_labels_index_the_measure_atoms():
+    """(0, 0) and (1e-9, 0) merge to (5e-10, 0), which sorts after
+    (4e-10, 3); the labels still point every plan entry at its own atom
+    of nu."""
+    plan = SimpleNamespace(
+        barycenters=np.array([[0.0, 0.0], [4e-10, 3.0], [1e-9, 0.0]]),
+        masses=np.array([0.25, 0.5, 0.25]),
+    )
+    nu, labels = mmot._pushforward(plan, merge_tol=1e-9)
+    assert labels.tolist() == [1, 0, 1]
+    np.testing.assert_allclose(nu.atoms, [[4e-10, 3.0], [5e-10, 0.0]],
+                               rtol=0, atol=1e-20)
+    np.testing.assert_allclose(np.bincount(labels, plan.masses), nu.masses)
+
+
 def test_monotonicity_detects_crossing():
     crossed = np.array([[[0.0], [1.0]], [[1.0], [0.0]]])
     rep = check_cp_monotone(crossed, weights=np.array([0.5, 0.5]), p=2.0)
@@ -214,9 +240,10 @@ def test_monotonicity_passes_optimal():
 
 
 def test_dual_potentials_shift_invariance():
-    """Per-component shifts absorb the matching ambiguity; the shifted
-    weighted sum of pair potentials is constant across the barycenter
-    support (or flagged degenerate when the plan graph is disconnected)."""
+    """The multi-marginal duals are defined up to constant shifts summing
+    to zero, which leave sum_i psi_i unchanged; that sum vanishes on the
+    barycenter support, and the duals are feasible on the product.  One LP
+    solves the whole probe."""
     rng = np.random.default_rng(9)
     measures = []
     for K in (3, 2, 4):
@@ -224,10 +251,19 @@ def test_dual_potentials_shift_invariance():
         m = rng.uniform(0.2, 1.0, K)
         measures.append(DiscreteMeasure(pts, m / m.sum()))
     w = np.array([0.5, 0.25, 0.25])
-    rep = dual_check_potentials(measures, w, 2.0)
+    with mock.patch.object(mmot, "_transport_lp",
+                           wraps=mmot._transport_lp) as lp:
+        rep = dual_check_potentials(measures, w, 2.0)
+    assert lp.call_count == 1
+    assert rep.support_residual <= 1e-9
     assert rep.feasibility_violation <= 1e-9
-    assert rep.variance_shifted <= 1e-12 or rep.degenerate
-    assert rep.variance_shifted <= rep.variance_raw + 1e-15
+    plan = solve_mmot(measures, w, 2.0)
+    nu = barycenter_measure(plan)
+    shifted = replace(plan, duals=tuple(
+        y + a for y, a in zip(plan.duals, (1.0, -0.25, -0.75))))
+    np.testing.assert_allclose(sum(mmot._c_transforms(shifted, nu)[1]),
+                               sum(mmot._c_transforms(plan, nu)[1]),
+                               rtol=0, atol=1e-12)
 
 
 def test_family_validation():
@@ -297,6 +333,39 @@ def test_monotone_route_matches_the_lp_1d(seed, p, sizes, equal):
         lp = _lp_value(cost_pair, (mu.masses, nu.masses))
         assert wp_distance(mu, nu, p) ** p == pytest.approx(
             lp, rel=0, abs=1e-9 * (1.0 + lp))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    p=st.floats(1.2, 4.0),
+    sizes=st.lists(st.integers(1, 6), min_size=2, max_size=3),
+)
+def test_pair_bracket_holds_the_pair_lp_value_2d(seed, p, sizes):
+    """In d >= 2 verify_c2m_equivalence solves the multi-marginal LP only;
+    each bracket (L_i, U_i) holds the pair LP value w_i W_p^p(mu_i, nu)."""
+    rng = np.random.default_rng(seed)
+    measures = []
+    for K in sizes:
+        m = rng.uniform(0.2, 1.0, K)
+        measures.append(DiscreteMeasure(rng.normal(size=(K, 2)), m / m.sum()))
+    w = rng.uniform(0.2, 1.0, len(sizes))
+    w = w / w.sum()
+    try:
+        with mock.patch.object(mmot, "_transport_lp",
+                               wraps=mmot._transport_lp) as lp:
+            rep = verify_c2m_equivalence(measures, w, p)
+    except ConvergenceError:
+        # pbary_points' documented float-floor raise near p = 1.2, as in
+        # test_monotone_route_matches_the_lp_1d.
+        reject()
+    assert lp.call_count == 1
+    assert rep.ok, rep.gap
+    C, nu = rep.mmot_value, rep.barycenter
+    for mu, wi, (lower, upper) in zip(measures, w, rep.bracket):
+        W = wi * _lp_value(_pair_cost(mu, nu, p), (mu.masses, nu.masses))
+        assert lower <= W + 1e-9 * (1.0 + C)
+        assert W <= upper + 1e-9 * (1.0 + C)
 
 
 def test_1d_route_has_no_product_cap():
