@@ -24,6 +24,7 @@ import numpy as np
 from .core import (
     P2_TOL,
     _check_exponent,
+    _check_weights,
     _diameters,
     alpha_exponent,
     coincident_mask,
@@ -64,24 +65,17 @@ def compute_D(measures, weights, p, cap=_DEFAULT_CAP) -> float:
     barycenter where the remaining marginals already put it.
     """
     p = _check_exponent(p)
-    w = np.asarray(weights, dtype=float).ravel()
-    reduced = support_product([mu.atoms for mu in measures[1:]], cap)
-    wr = w[1:] / w[1:].sum()
+    w = _check_weights(weights, len(measures))
+    atoms = [mu.atoms for mu in measures]
+    reduced = support_product(atoms[1:], cap)
     if reduced.shape[1] == 1:
         zr = reduced[:, 0, :]
     else:
-        zr = pbary_points(reduced, wr, p)
-    first = measures[0].atoms  # (K1, d)
-    B2 = reduced.shape[0]
-    K1 = first.shape[0]
-    if K1 * B2 * 1.0 > cap:
-        raise ValidationError("full support product exceeds cap")
-    full = np.empty((K1, B2, reduced.shape[1] + 1, reduced.shape[2]))
-    full[:, :, 0, :] = first[:, None, :]
-    full[:, :, 1:, :] = reduced[None, :, :, :]
-    zf = pbary_points(full.reshape(K1 * B2, -1, reduced.shape[2]), w, p)
+        zr = pbary_points(reduced, w[1:] / w[1:].sum(), p)
+    # C order of the multi-index: row k * len(reduced) + b is (x_1k, reduced[b]).
+    zf = pbary_points(support_product(atoms, cap), w, p)
     dist = np.linalg.norm(
-        zf.reshape(K1, B2, -1) - zr[None, :, :], axis=2
+        zf.reshape(len(atoms[0]), reduced.shape[0], -1) - zr[None, :, :], axis=2
     )
     return float(dist.min())
 
@@ -89,7 +83,7 @@ def compute_D(measures, weights, p, cap=_DEFAULT_CAP) -> float:
 def compute_m(measures, weights, p, cap=_DEFAULT_CAP) -> float:
     """Smallest distance between any tuple point and the tuple barycenter."""
     p = _check_exponent(p)
-    w = np.asarray(weights, dtype=float).ravel()
+    w = _check_weights(weights, len(measures))
     pts = support_product([mu.atoms for mu in measures], cap)
     z = pbary_points(pts, w, p)
     dist = np.linalg.norm(pts - z[:, None, :], axis=2)
@@ -219,9 +213,7 @@ def general_lq_bound(f1: GridDensity, maps, weights, p, q) -> GeneralLqReport:
     p = _check_exponent(p)
     if q <= 1.0:
         raise ValidationError(f"q must exceed 1, got {q}")
-    w = np.asarray(weights, dtype=float).ravel()
-    if w.shape[0] != len(maps) + 1:
-        raise ValidationError("need exactly one weight per marginal")
+    w = _check_weights(weights, len(maps) + 1)
     d = f1.dim
     mask = f1.values.ravel() > 0.0
     xs = f1.centers()[mask]
@@ -292,7 +284,7 @@ def local_injectivity_check(points, weights, p, r_init=None,
     if pts.ndim != 3:
         raise ValidationError("support points must be (n, N, d)")
     p = _check_exponent(p)
-    w = np.asarray(weights, dtype=float).ravel()
+    w = _check_weights(weights, pts.shape[1])
     n = pts.shape[0]
     diam = _diameters(pts)
     z, in_S, max_norm, min_lam = _tuple_classes(pts, w, p, diam)

@@ -464,6 +464,11 @@ class MonotonicityReport:
     min_margin : smallest value of c(y1) + c(y2) - c(x1) - c(x2) over all
         support pairs and proper swap patterns; nonnegative (within
         tolerance) for optimal plans
+    n_patterns : swap patterns tested, 2^(N-1) - 1: a pattern and its
+        complement swap the same pair of tuples, so only the patterns that
+        leave the last marginal in place are tested
+    worst_pattern : the marginal indices swapped at the minimum (never
+        containing the last marginal)
     """
 
     min_margin: float
@@ -484,8 +489,10 @@ def check_cp_monotone(plan_or_points, weights=None, p=None,
 
     For every pair of support tuples x1, x2 and every proper subset sigma of
     marginal indices, swapping the sigma-coordinates must not decrease the
-    total cost.  Accepts a TransportPlan or a raw (n, N, d) array of support
-    tuples (with weights and p supplied).
+    total cost.  sigma and its complement give the same swapped pair, so
+    only the subsets without the last marginal are evaluated.  Accepts a
+    TransportPlan or a raw (n, N, d) array of support tuples (with weights
+    and p supplied).
     """
     if isinstance(plan_or_points, TransportPlan):
         pts = plan_or_points.points
@@ -504,7 +511,7 @@ def check_cp_monotone(plan_or_points, weights=None, p=None,
     ia, ib = map(np.array, zip(*combinations(range(n), 2)))
     patterns = [
         tuple(i for i in range(N) if (mask >> i) & 1)
-        for mask in range(1, 2 ** N - 1)
+        for mask in range(1, 2 ** (N - 1))
     ]
     best = np.inf
     worst_pair, worst_pattern = (), ()

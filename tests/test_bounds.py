@@ -161,6 +161,32 @@ def test_injectivity_validation():
         local_injectivity_check(np.zeros((3, 2)), np.array([0.5, 0.5]), 2.0)
 
 
+def test_weights_follow_the_shared_rule():
+    """Weights must number one per marginal and sum to one, as everywhere
+    else in the package; before, a bad sum passed silently (compute_D gave
+    0.99999999999881 for three weights of 0.5) and a bad length raised a
+    bare NumPy error."""
+    measures = [
+        DiscreteMeasure(np.array([[0.0, 0.0]]), [1.0]),
+        DiscreteMeasure(np.array([[1.0, 0.0]]), [1.0]),
+        DiscreteMeasure(np.array([[0.0, 1.0]]), [1.0]),
+    ]
+    f1 = uniform_box(np.array([[-0.5, 0.5]] * 2), resolution=8)
+    maps = constant_maps(np.array([[1.0, 0.0], [0.0, 1.0]]))
+    pts = np.array([[[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]] * 2)
+    pts[1] += 0.1
+    for w in ([0.5, 0.5, 0.5], [0.5, 0.5], [0.2, 0.3, 0.3, 0.2]):
+        with pytest.raises(ValidationError):
+            compute_D(measures, w, 3.0)
+        with pytest.raises(ValidationError):
+            compute_m(measures, w, 3.0)
+        with pytest.raises(ValidationError):
+            general_lq_bound(f1, maps, w, 3.0, 2.0)
+        with pytest.raises(ValidationError):
+            local_injectivity_check(pts, w, 3.0)
+    assert compute_D(measures, [0.4, 0.3, 0.3], 3.0) > 0.0
+
+
 # Pinned reports.  In both inputs the cell centred at (-0.0917, -0.0917)
 # puts the barycenter on (p < 2) or within 1e-8 of (p > 2) the anchor
 # (0.9, 0.2), so its curvature ratio degenerates and the cell is flagged.

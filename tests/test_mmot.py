@@ -25,7 +25,7 @@ from wbary import (
     wp_distance,
 )
 from wbary import mmot
-from wbary.mmot import _pair_cost, _transport_lp
+from wbary.mmot import _pair_cost, _transport_lp, _tuple_costs
 
 
 def test_measure_validation_and_merging():
@@ -223,9 +223,35 @@ def test_monotonicity_detects_crossing():
     crossed = np.array([[[0.0], [1.0]], [[1.0], [0.0]]])
     rep = check_cp_monotone(crossed, weights=np.array([0.5, 0.5]), p=2.0)
     assert not rep.ok
-    # swapping the second coordinates gives tuples (0,0) and (1,1), saving
+    # swapping either coordinate gives tuples (0,0) and (1,1), saving
     # the full 2 x 0.25 barycenter cost
     assert rep.min_margin == pytest.approx(-0.5, rel=1e-12)
+
+
+def test_monotonicity_tests_each_swap_once():
+    """A pattern and its complement swap the same pair of tuples, so the
+    2^(N-1) - 1 patterns without the last marginal give the same minimum
+    as all 2^N - 2 proper patterns."""
+    rng = np.random.default_rng(5)
+    measures = [
+        DiscreteMeasure(rng.normal(size=(3, 2)), np.full(3, 1 / 3))
+        for _ in range(4)
+    ]
+    w = np.array([0.1, 0.2, 0.3, 0.4])
+    plan = solve_mmot(measures, w, 3.0)
+    rep = check_cp_monotone(plan)
+    assert rep.n_patterns == 7 and 3 not in rep.worst_pattern
+    pts, n = plan.points, len(plan.points)
+    ia, ib = np.triu_indices(n, 1)
+    base = _tuple_costs(pts, w, 3.0)[1]
+    margins = []
+    for mask in range(1, 2 ** 4 - 1):
+        sel = ((mask >> np.arange(4)) & 1).astype(bool)[None, :, None]
+        y1 = np.where(sel, pts[ib], pts[ia])
+        y2 = np.where(sel, pts[ia], pts[ib])
+        margins.append((_tuple_costs(y1, w, 3.0)[1] + _tuple_costs(y2, w, 3.0)[1]
+                        - base[ia] - base[ib]).min())
+    assert rep.min_margin == min(margins)
 
 
 def test_monotonicity_passes_optimal():

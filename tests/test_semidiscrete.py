@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings, strategies as st
 
 from wbary import (
+    ConvergenceError,
     DiracConfiguration,
     InsufficientDataError,
     SingularPointError,
@@ -24,6 +26,7 @@ from wbary import (
     uniform_ball,
     uniform_box,
 )
+from wbary.semidiscrete import _density_at, _directions
 
 # Largest band constant observed for the reference p=3 configuration,
 # inflated by 1.5x and frozen as a regression envelope.
@@ -122,6 +125,45 @@ def test_gradient_singularities():
     np.testing.assert_allclose(G, np.eye(1), atol=1e-12)
     with pytest.raises(SingularPointError):
         gbar(cfg15, np.array([1.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    p=st.floats(1.1, 4.0, exclude_min=True),
+    d=st.integers(1, 3),
+    k=st.integers(1, 3),
+)
+def test_inverse_jacobian_spectrum_and_singularities(seed, p, d, k):
+    """The symmetric-similarity spectrum is the spectrum of grad b^{-1},
+    jacobian_det is |det grad b^{-1}|, and for p < 2 the anchors raise."""
+    rng = np.random.default_rng(seed)
+    anchors = rng.normal(size=(k, d))
+    w = rng.uniform(0.2, 1.0, k + 1)
+    cfg = DiracConfiguration(anchors, w / w.sum(), p)
+    try:
+        zbar = cfg.fixed_point
+    except ConvergenceError:
+        reject()  # near-atom float floor of the point solver at p near 1
+    zs = 1.5 * rng.normal(size=(40, d))
+    # keep off zbar, where grad b^{-1} blows up for p > 2
+    zs = zs[np.linalg.norm(zs - zbar, axis=1) > 1e-3]
+    G = grad_b_inverse(cfg, zs)
+    ev = grad_b_inverse_eigs(cfg, zs)
+    dense = np.linalg.eigvals(G)
+    scale = 1.0 + np.abs(ev).max(axis=1, keepdims=True)
+    assert (np.abs(dense.imag) <= 1e-7 * scale).all()
+    np.testing.assert_allclose(
+        ev, np.sort(dense.real, axis=1), rtol=0, atol=1e-9 * scale.max()
+    )
+    np.testing.assert_allclose(
+        jacobian_det(cfg, zs), np.abs(np.linalg.det(G)), rtol=1e-9
+    )
+    if p < 2.0:
+        z = anchors[rng.integers(k)]
+        for fn in (gbar, grad_b_inverse, check_bounds_p_lt2):
+            with pytest.raises(SingularPointError):
+                fn(cfg, z[None, :])
 
 
 def test_bounds_p_ge2_margins_nonnegative(cfg_2d_p3):
@@ -228,6 +270,46 @@ def test_blowup_exponents():
     rep2 = blowup_exponent(cfg15, f1d, np.array([0.1]),
                            np.geomspace(1e-8, 1e-6, 10))
     assert rep2.q0 == pytest.approx(2.0, abs=0.1)
+
+
+def test_batched_sweeps_match_one_radius_or_cell_at_a_time():
+    """Radius sweeps and the singular-cell subgrids are evaluated in one
+    batch; each radius and each cell gives exactly what it gives alone."""
+    cfg3 = DiracConfiguration(np.array([[0.8, 0.1], [-0.7, -0.25]]),
+                              [0.4, 0.3, 0.3], 3.0)
+    band = sharp_band_p_gt2(cfg3, r_max=0.05, n_radii=6)
+    dirs, lam1, a = _directions(2, 32), cfg3.lam1, cfg3.alpha
+    s = [lam1 ** (1 - a) * r ** a
+         * grad_b_inverse_eigs(cfg3, cfg3.fixed_point + r * dirs)
+         for r in band.radii]
+    assert (band.s_min, band.s_max) == (min(x.min() for x in s),
+                                        max(x.max() for x in s))
+
+    f1 = uniform_ball(np.array([0.2, 0.1]), 1.0 / np.sqrt(np.pi), resolution=32)
+    z0 = cfg3.fixed_point
+    rep = blowup_exponent(cfg3, f1, z0, np.geomspace(1e-6, 1e-4, 8))
+    dirs = _directions(2, 64)
+    means = [g[g > 0].mean() for g in (
+        _density_at(cfg3, f1, z0 + r * dirs) for r in rep.radii_used)]
+    assert np.array_equal(rep.annulus_means, means)
+
+    # Center the grid on zbar so that four cells touch it.
+    pf = pushforward_density(cfg3, f1, resolution=32,
+                             target_box=z0[:, None] + [[-0.32, 0.32]])
+    grid = pf.density
+    h, box = grid.cell_widths, grid.box
+    scale = max(cfg3.geometry_scale, float(np.max(box[:, 1] - box[:, 0])))
+    offs = (np.arange(6) + 0.5) / 6
+    sub = np.stack(np.meshgrid(offs, offs, indexing="ij"), -1).reshape(-1, 2)
+    cells = 0
+    for k, c in enumerate(grid.centers()):
+        if np.linalg.norm(c - z0) > 1e-6 * scale + 0.5 * np.linalg.norm(h):
+            continue
+        cells += 1
+        pts = c - 0.5 * h + sub * h
+        pts = pts[np.linalg.norm(pts - z0, axis=1) > 1e-12 * scale]
+        assert grid.values.ravel()[k] == _density_at(cfg3, f1, pts).mean()
+    assert cells == pf.singular_cells == 4
 
 
 def test_blowup_needs_radii_and_signal():
