@@ -9,7 +9,6 @@ transparent.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,14 +116,17 @@ class GridDensity:
         return np.stack([lo, hi], axis=1)
 
     def write_csv(self, path) -> None:
-        """One row per cell: center coordinates then the value."""
-        centers = self.centers()
-        vals = self.values.ravel()
+        """One row per cell: center coordinates then the value.
+
+        Fields are %.17g and lines end in CRLF, the bytes csv.writer writes
+        for these rows, formatted in one pass.
+        """
+        rows = np.column_stack([self.centers(), self.values.ravel()])
+        header = ",".join([f"x{a}" for a in range(self.dim)] + ["value"])
+        line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{a}" for a in range(self.dim)] + ["value"])
-            for c, v in zip(centers, vals):
-                writer.writerow([f"{x:.17g}" for x in c] + [f"{v:.17g}"])
+            fh.write(header + "\r\n"
+                     + (line * rows.shape[0]) % tuple(rows.ravel().tolist()))
 
 
 def uniform_ball(center, radius, box=None, resolution=64) -> GridDensity:

@@ -19,12 +19,17 @@ coupling is the monotone (north-west) one: the quantile t in (0, 1) goes to
 the tuple of the t-quantiles of the marginals.  solve_mmot and wp_distance
 build it directly from the cumulative masses, in O(sum K_i log sum K_i),
 with no support product and no LP.  In higher dimensions all linear
-programs go through _transport_lp, scipy's HiGHS dual simplex, which
-returns vertex solutions (sparse supports) and the equality-constraint
-duals used by the bracket and by dual_check_potentials, which solves the
-multi-marginal LP in every dimension.  The cap argument bounds the sizes of
-these LPs (and of cost_tensor's product) only: the 1-D route never forms a
-product and ignores it.
+programs go through _transport_lp: SciPy's HiGHS dual simplex with presolve
+off and primal and dual feasibility tolerances of 1e-10.  It returns vertex
+solutions (sparse supports) and the equality-constraint duals used by the
+bracket and by dual_check_potentials, which solves the multi-marginal LP in
+every dimension.  Those tolerances sit below what the checks on the result
+ask for: the swap test of check_cp_monotone (1e-9), the dual feasibility of
+dual_check_potentials and the bracket of verify_c2m_equivalence
+(1e-8 (1 + C)).  SciPy is imported only when such an LP runs or when
+near-duplicate atoms are merged, so importing wbary does not load it.  The
+cap argument bounds the sizes of these LPs (and of cost_tensor's product)
+only: the 1-D route never forms a product and ignores it.
 """
 
 from __future__ import annotations
@@ -33,9 +38,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
-from scipy.sparse.csgraph import connected_components
 
 from .core import _check_exponent, _check_weights, pbary_points, support_product
 from .errors import ConvergenceError, ValidationError
@@ -122,6 +124,11 @@ def _merge_close(atoms, masses, tol):
         close = np.all(np.abs(atoms[i] - atoms[j]) <= tol, axis=1)
         if not close.any():
             return atoms, masses, labels
+        # SciPy is loaded only here and in _transport_lp: near-duplicates
+        # are rare, and the d = 1 route never runs an LP.
+        import scipy.sparse as sp
+        from scipy.sparse.csgraph import connected_components
+
         graph = sp.coo_matrix((np.ones(int(close.sum())), (i[close], j[close])),
                               shape=(K, K))
         _, group = connected_components(graph, directed=False)
@@ -231,9 +238,14 @@ def _transport_lp(cost, marginals):
 
     cost : (K_1, ..., K_N) array; marginals : the N mass vectors, of lengths
     K_i.  Solves min <cost, x> over x >= 0 with the marginals of x fixed,
-    once, with HiGHS dual simplex (vertex solutions, so sparse supports);
-    raises ConvergenceError unless HiGHS reports an optimum.  Returns
-    (plan, duals, objective, certificate):
+    once, under one HiGHS contract: dual simplex (vertex solutions, so
+    sparse supports), presolve off, and primal and dual feasibility
+    tolerances of 1e-10 (HiGHS defaults to presolve on and 1e-7).  The
+    checks downstream ask for more than 1e-7: check_cp_monotone's swap test
+    at 1e-9, dual_check_potentials' dual feasibility, and the bracket of
+    verify_c2m_equivalence at 1e-8 (1 + C).  Raises ConvergenceError unless
+    HiGHS reports an optimum.  Returns (plan, duals, objective,
+    certificate):
 
     plan : the nonnegative optimal coupling, shaped like cost
     duals : the N equality-constraint dual vectors, one per marginal
@@ -243,6 +255,9 @@ def _transport_lp(cost, marginals):
         (mass <= 1e-11) has zero reduced cost, i.e. whether the optimal
         plan may not be unique
     """
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
     shape = cost.shape
     idx = np.indices(shape).reshape(len(shape), -1)  # (N, total)
     offsets = np.cumsum((0,) + shape[:-1])
@@ -252,7 +267,10 @@ def _transport_lp(cost, marginals):
                       shape=(sum(shape), cost.size)).tocsr()
     c = cost.ravel()
     b = np.concatenate(marginals)
-    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds")
+    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds",
+                  options={"presolve": False,
+                           "primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
     if res.status != 0:
         raise ConvergenceError(f"transport LP failed: {res.message}")
     x = np.maximum(res.x, 0.0)

@@ -169,18 +169,25 @@ def b_forward(cfg: DiracConfiguration, x1, tol=DEFAULT_TOL,
 def b_inverse(cfg: DiracConfiguration, z) -> np.ndarray:
     """Closed-form inverse of b, with b^{-1}(zbar) = zbar by continuity."""
     zb, single, shape = _as_batch(z, cfg.dim)
-    G = gbar(cfg, zb)
+    out = _b_inverse_at(cfg, zb, _anchor_field(cfg, zb)[0])
+    return out[0] if single else out.reshape(shape)
+
+
+def _b_inverse_at(cfg: DiracConfiguration, zb, G):
+    """b^{-1} at the rows of zb, given G = Gbar(zb)."""
     Gn = np.linalg.norm(G, axis=1)
     out = np.array(zb, copy=True)
     pos = Gn > 0.0
     lam1 = cfg.lam1
     a = cfg.alpha
     out[pos] -= lam1 ** (a - 1.0) * G[pos] * Gn[pos, None] ** (-a)
-    return out[0] if single else out.reshape(shape)
+    return out
 
 
-def _inverse_jacobian(cfg: DiracConfiguration, zb, eigs: bool):
+def _inverse_jacobian(cfg: DiracConfiguration, zb, eigs: bool, field=None):
     """(grad b^{-1} or its ascending spectrum, _anchor_field) at the rows of zb.
+
+    field : _anchor_field(cfg, zb) when already computed, else None.
 
     grad b^{-1} = Id + c A S with c = w1^(alpha-1), S = -grad Gbar / |Gbar|^alpha
     and A = Id - alpha P, P the projector onto Gbar.  It is similar to the
@@ -188,7 +195,9 @@ def _inverse_jacobian(cfg: DiracConfiguration, zb, eigs: bool):
     whose eigvalsh gives the spectrum exactly.  p = 2 gives Id / w1; p < 2 gives
     Id at zbar; for p > 2, zbar and the anchors raise SingularPointError.
     """
-    field = G, negdG, r, _ = _anchor_field(cfg, zb)
+    if field is None:
+        field = _anchor_field(cfg, zb)
+    G, negdG, r, _ = field
     d = cfg.dim
     eye = np.eye(d)[None]
     out = np.empty((zb.shape[0],) + ((d,) if eigs else (d, d)))
@@ -243,12 +252,16 @@ def grad_b_inverse_eigs(cfg: DiracConfiguration, z) -> np.ndarray:
 def jacobian_det(cfg: DiracConfiguration, z) -> np.ndarray:
     """|det grad b^{-1}(z)|, vectorized."""
     zb, single, shape = _as_batch(z, cfg.dim)
-    if abs(cfg.p - 2.0) <= P2_TOL:
-        out = np.full(zb.shape[0], cfg.lam1 ** (-cfg.dim))
-    else:
-        eigs = _inverse_jacobian(cfg, zb, eigs=True)[0]
-        out = np.abs(np.prod(eigs, axis=-1))
+    out = _jacobian_det_at(cfg, zb)
     return float(out[0]) if single else out.reshape(shape[:-1])
+
+
+def _jacobian_det_at(cfg: DiracConfiguration, zb, field=None):
+    """|det grad b^{-1}| at the rows of zb; field as in _inverse_jacobian."""
+    if abs(cfg.p - 2.0) <= P2_TOL:
+        return np.full(zb.shape[0], cfg.lam1 ** (-cfg.dim))
+    eigs = _inverse_jacobian(cfg, zb, eigs=True, field=field)[0]
+    return np.abs(np.prod(eigs, axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -519,12 +532,15 @@ def _image_box(cfg: DiracConfiguration, source_box: np.ndarray) -> np.ndarray:
 
 
 def _density_at(cfg: DiracConfiguration, f1: GridDensity, zs: np.ndarray):
-    x = b_inverse(cfg, zs)
-    vals = f1.evaluate(x)
+    """g_p = f1(b^{-1}) |det grad b^{-1}| at the rows of zs, from one anchor
+    field; the Jacobian is taken only where f1(b^{-1}) > 0."""
+    field = _anchor_field(cfg, zs)
+    vals = f1.evaluate(_b_inverse_at(cfg, zs, field[0]))
     out = np.zeros(zs.shape[0])
     pos = vals > 0.0
     if pos.any():
-        out[pos] = vals[pos] * jacobian_det(cfg, zs[pos])
+        out[pos] = vals[pos] * _jacobian_det_at(
+            cfg, zs[pos], tuple(a[pos] for a in field))
     return out
 
 

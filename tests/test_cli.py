@@ -37,6 +37,41 @@ def test_point_bary_artifacts_and_manifest(tmp_path):
     assert summary["n_configs"] == 64
 
 
+_SCIPY_LOADS_ON_DEMAND = """
+import sys
+import numpy as np
+
+def loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+
+import wbary
+from wbary import cli
+assert not loaded(), "import wbary"
+for kind in sys.argv[2:]:
+    assert cli.main(["run", "--kind", kind, "--out", sys.argv[1] + "/" + kind,
+                     "--grid", "32"]) == 0, kind
+    assert not loaded(), kind
+m = wbary.DiscreteMeasure(np.array([[0.0], [1.0], [1.0 + 1e-15]]),
+                          [0.5, 0.25, 0.25])
+assert m.n_atoms == 2 and loaded()
+mu = wbary.DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), [0.5, 0.5])
+nu = wbary.DiscreteMeasure(np.array([[1.0, 1.0], [0.0, 1.0]]), [0.5, 0.5])
+plan = wbary.solve_mmot([mu, nu], np.array([0.5, 0.5]), 2.0)
+assert abs(plan.objective - 0.25) <= 1e-12, plan.objective
+"""
+
+
+def test_scipy_loads_only_when_needed(tmp_path):
+    """import wbary and the kinds without a 2-D LP never load SciPy; a
+    near-duplicate merge and a 2-D solve_mmot load it on demand."""
+    res = subprocess.run(
+        [sys.executable, "-c", _SCIPY_LOADS_ON_DEMAND, str(tmp_path),
+         "point_bary", "semidiscrete", "bounds", "affine", "counterexample"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stderr
+
+
 def test_reruns_are_bytewise_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):

@@ -1,5 +1,8 @@
 """Grid density container and reference densities."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -69,6 +72,21 @@ def test_write_csv(tmp_path):
     assert len(lines) == 1 + 8
     first = [float(v) for v in lines[1].split(",")]
     assert first[-1] == pytest.approx(float(f.values.max()))
+
+    # Same bytes as one csv.writer row per cell, also for values that
+    # GridDensity itself rejects (NaN, inf), set here past its validation.
+    g = uniform_box(np.array([[0.0, 1.0], [-2.0, 3.0]]), resolution=(3, 4))
+    vals = np.array([[0.0, -0.0, np.nan, np.inf],
+                     [-np.inf, 1e-300, 1.0 / 3.0, -2.5e17],
+                     [5e-324, 1.0, 123456789.125, -1e-5]])
+    object.__setattr__(g, "values", vals)
+    g.write_csv(path)
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(["x0", "x1", "value"])
+    for c, v in zip(g.centers(), vals.ravel()):
+        writer.writerow([f"{x:.17g}" for x in c] + [f"{v:.17g}"])
+    assert path.read_bytes() == ref.getvalue().encode()
 
 
 def test_validation():

@@ -7,9 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, reject, settings, strategies as st
-from scipy.optimize import linprog
 
 from wbary import (
     ConvergenceError,
@@ -301,24 +299,6 @@ def test_family_validation():
         solve_mmot([m], np.array([1.0]), 2.0)  # needs >= 2 marginals
 
 
-def _lp_value(cost, marginals):
-    """Optimal value of the transport LP for a cost array, built here
-    independently of wbary and solved by HiGHS at feasibility tolerances
-    1e-10.  (At the default 1e-7, pair LPs against a barycenter measure
-    were seen to end up to 7.6e-9 above the optimum.)"""
-    idx = np.indices(cost.shape).reshape(cost.ndim, -1)
-    rows = (idx + np.cumsum((0,) + cost.shape[:-1])[:, None]).ravel()
-    cols = np.tile(np.arange(cost.size), cost.ndim)
-    A = sp.coo_matrix((np.ones(rows.size), (rows, cols)),
-                      shape=(sum(cost.shape), cost.size))
-    res = linprog(cost.ravel(), A_eq=A, b_eq=np.concatenate(marginals),
-                  method="highs-ds",
-                  options={"primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
-    assert res.status == 0, res.message
-    return res.fun
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
@@ -348,7 +328,10 @@ def test_monotone_route_matches_the_lp_1d(seed, p, sizes, equal):
         # compare.
         reject()
     C = plan.objective
-    assert C == pytest.approx(_lp_value(cost, marginals), rel=0,
+    # The LP oracle runs at _transport_lp's feasibility tolerances of 1e-10.
+    # (At HiGHS' default 1e-7, pair LPs against a barycenter measure were
+    # seen to end up to 7.6e-9 above the optimum.)
+    assert C == pytest.approx(_transport_lp(cost, marginals)[2], rel=0,
                               abs=1e-9 * (1.0 + C))
     assert plan.marginal_residual <= 1e-12
     assert plan.support_within_basis
@@ -356,7 +339,7 @@ def test_monotone_route_matches_the_lp_1d(seed, p, sizes, equal):
     nu = barycenter_measure(plan)
     for mu in measures:
         cost_pair = np.abs(mu.atoms - nu.atoms.T) ** p
-        lp = _lp_value(cost_pair, (mu.masses, nu.masses))
+        lp = _transport_lp(cost_pair, (mu.masses, nu.masses))[2]
         assert wp_distance(mu, nu, p) ** p == pytest.approx(
             lp, rel=0, abs=1e-9 * (1.0 + lp))
 
@@ -389,9 +372,46 @@ def test_pair_bracket_holds_the_pair_lp_value_2d(seed, p, sizes):
     assert rep.ok, rep.gap
     C, nu = rep.mmot_value, rep.barycenter
     for mu, wi, (lower, upper) in zip(measures, w, rep.bracket):
-        W = wi * _lp_value(_pair_cost(mu, nu, p), (mu.masses, nu.masses))
+        W = wi * _transport_lp(_pair_cost(mu, nu, p),
+                               (mu.masses, nu.masses))[2]
         assert lower <= W + 1e-9 * (1.0 + C)
         assert W <= upper + 1e-9 * (1.0 + C)
+
+
+_TRANSPORT_SIZES = st.one_of(
+    st.lists(st.integers(2, 100), min_size=2, max_size=2),
+    st.lists(st.integers(2, 22), min_size=3, max_size=3),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6), p=st.floats(1.7, 4.0),
+       sizes=_TRANSPORT_SIZES)
+def test_lp_contract_meets_its_consumers_2d(seed, p, sizes):
+    """_transport_lp's feasibility tolerances of 1e-10 serve every check on
+    its result: the marginals, the swap test at its default 1e-9, the dual
+    feasibility and the equivalence bracket, on 2-D families of up to about
+    1e4 product tuples."""
+    rng = np.random.default_rng(seed)
+    measures = []
+    for K in sizes:
+        m = rng.uniform(0.2, 1.0, K)
+        measures.append(DiscreteMeasure(rng.normal(size=(K, 2)), m / m.sum()))
+    w = rng.uniform(0.2, 1.0, len(sizes))
+    w = w / w.sum()
+    try:
+        rep = verify_c2m_equivalence(measures, w, p)
+        mono = check_cp_monotone(rep.plan)
+        dual = dual_check_potentials(measures, w, p)
+        c_max = float(cost_tensor(measures, w, p).values.max())
+    except ConvergenceError:
+        # pbary_points' documented float-floor raise for p < 2, as in
+        # test_monotone_route_matches_the_lp_1d.
+        reject()
+    assert rep.plan.marginal_residual <= 1e-10
+    assert mono.ok, mono.min_margin
+    assert dual.feasibility_violation <= 1e-9 * (1.0 + c_max)
+    assert rep.ok, rep.gap
 
 
 def test_1d_route_has_no_product_cap():
