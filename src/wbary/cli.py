@@ -185,6 +185,8 @@ def _run_mmot(args, outdir: Path) -> int:
         "support_size": len(plan.masses),
         "support_within_basis": bool(plan.support_within_basis),
         "n_barycenter_atoms": nu.n_atoms,
+        "lp_rounds": plan.lp_rounds,
+        "lp_columns": plan.lp_columns,
     })
     return 0 if ok else 3
 

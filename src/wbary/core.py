@@ -267,7 +267,8 @@ def pbary_points(points, weights, p, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
 
     points : (..., N, d); weights : (N,) or broadcastable to (..., N).
     Returns minimizers with shape (..., d).  Raises ValidationError for
-    non-finite points or weights that are not finite and positive, and
+    non-finite points, for weights that are not finite and positive, and
+    for weight rows that do not sum to 1 within WEIGHT_SUM_TOL, and
     ConvergenceError if any batch entry fails to reach
     |residual| <= tol * max(w) * diam^(p-1).
     """
@@ -285,6 +286,13 @@ def pbary_points(points, weights, p, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
     N, d = pts.shape[-2:]
     pts = pts.reshape(-1, N, d)
     w = np.broadcast_to(weights, lead + (N,)).reshape(-1, N)
+    sums = w.sum(axis=1)
+    bad = np.abs(sums - 1.0) > WEIGHT_SUM_TOL
+    if bad.any():
+        raise ValidationError(
+            f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got "
+            f"{sums[bad][0]!r}"
+        )
     z, _, _ = _solve_batch(pts, w, p, tol, max_iter)
     out = z.reshape((lead + (d,)) if not single else (d,))
     return out
@@ -324,6 +332,8 @@ def _solve_batch(pts, w, p, tol, max_iter):
     res = np.linalg.norm(F, axis=1)
     active = ~trivial & (res > tol_abs) & (not closed_form)
     iters = np.zeros(B, int)
+    # The residual at the atoms does not depend on z (used for p < 2 only).
+    r_atoms = _residual_at_atoms(pts, w, p) if floor is not None else None
 
     for _ in range(max_iter):
         if not active.any():
@@ -348,38 +358,41 @@ def _solve_batch(pts, w, p, tol, max_iter):
         # sufficient residual decrease; the latter keeps making progress when
         # the objective is already flat to machine precision near the
         # minimizer, so it must not raise the objective beyond rounding
-        # (otherwise the iterate can cycle between two points).
+        # (otherwise the iterate can cycle between two points).  Each
+        # halving evaluates the pending entries only, and an accepted trial
+        # keeps its evaluation as the new iterate's.
         t = np.ones(len(idx))
-        accepted = np.zeros(len(idx), bool)
-        z_new = np.array(z[idx])
-        res_old = res[idx]
-        obj_cap = _objective_cap(obj[idx])
+        obj_old, res_old = obj[idx], res[idx]
+        obj_cap = _objective_cap(obj_old)
+        pend = np.arange(len(idx))
         for _h in range(_MAX_HALVINGS):
-            trial = z[idx] + t[:, None] * step
-            trial, obj_t, F_t, _ = _eval_batch(pts[idx], w[idx], p, trial, floor_a)
+            sub = idx[pend]
+            trial, obj_t, F_t, H_t = _eval_batch(
+                pts[sub], w[sub], p, z[sub] + t[pend, None] * step[pend],
+                None if floor is None else floor[sub])
             res_t = np.linalg.norm(F_t, axis=1)
-            ok = ~accepted & (
-                (obj_t <= obj[idx] - _ARMIJO_C1 * t * descent)
-                | ((res_t <= (1.0 - _ARMIJO_C1 * t) * res_old)
-                   & (obj_t <= obj_cap))
+            tp = t[pend]
+            ok = (
+                (obj_t <= obj_old[pend] - _ARMIJO_C1 * tp * descent[pend])
+                | ((res_t <= (1.0 - _ARMIJO_C1 * tp) * res_old[pend])
+                   & (obj_t <= obj_cap[pend]))
             )
-            z_new[ok] = trial[ok]
-            accepted |= ok
-            if accepted.all():
+            done = sub[ok]
+            z[done], obj[done] = trial[ok], obj_t[ok]
+            F[done], H[done] = F_t[ok], H_t[ok]
+            pend = pend[~ok]
+            if pend.size == 0:
                 break
-            t[~accepted] *= 0.5
+            t[pend] *= 0.5
         # Entries where the line search failed keep the last tiny trial step:
         # the iteration is then effectively stationary.
-        if not accepted.all():
-            bad = ~accepted
-            z_new[bad] = z[idx][bad] + t[bad, None] * step[bad]
-
-        z[idx] = z_new
+        if pend.size:
+            sub = idx[pend]
+            z[sub], obj[sub], F[sub], H[sub] = _eval_batch(
+                pts[sub], w[sub], p, z[sub] + t[pend, None] * step[pend],
+                None if floor is None else floor[sub])
+        res[idx] = np.linalg.norm(F[idx], axis=1)
         iters[idx] += 1
-        z_idx, obj_i, F_i, H_i = _eval_batch(pts[idx], w[idx], p, z[idx], floor_a)
-        z[idx] = z_idx
-        obj[idx], F[idx], H[idx] = obj_i, F_i, H_i
-        res[idx] = np.linalg.norm(F_i, axis=1)
         if floor is not None:
             # For p < 2 the minimizer may sit extremely close to an atom,
             # where |F| ~ w r^(p-1) makes damped Newton crawl.  Solve the
@@ -389,7 +402,7 @@ def _solve_batch(pts, w, p, tol, max_iter):
             # z = x_j + (|R_j|/w_j)^(1/(p-1)) R_j/|R_j|.
             # Candidates are accepted only when they reduce the residual
             # without raising the objective beyond rounding.
-            zc = _anchored_candidates(pts[idx], w[idx], p, z[idx], F_i)
+            zc = _anchored_candidates(pts[idx], w[idx], p, z[idx], F[idx])
             nb, nN = zc.shape[:2]
             flat = zc.reshape(nb * nN, -1)
             pts_rep = np.repeat(pts[idx], nN, axis=0)
@@ -397,7 +410,7 @@ def _solve_batch(pts, w, p, tol, max_iter):
             zf, of, Ff, Hf = _eval_batch(pts_rep, w_rep, p, flat,
                                          np.repeat(floor_a, nN))
             rf = np.linalg.norm(Ff, axis=1).reshape(nb, nN)
-            rf[of.reshape(nb, nN) > _objective_cap(obj_i)[:, None]] = np.inf
+            rf[of.reshape(nb, nN) > _objective_cap(obj[idx])[:, None]] = np.inf
             best = rf.argmin(axis=1)
             take = rf[np.arange(nb), best] < res[idx]
             if take.any():
@@ -411,7 +424,7 @@ def _solve_batch(pts, w, p, tol, max_iter):
             # vanishes there).  The residual extends continuously to the
             # atoms, so accept an exact atom position when it already meets
             # the tolerance.
-            r_at = _residual_at_atoms(pts[idx], w[idx], p)
+            r_at = r_atoms[idx]
             jbest = r_at.argmin(axis=1)
             hit = r_at[np.arange(len(idx)), jbest] <= tol_abs[idx]
             if hit.any():

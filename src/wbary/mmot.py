@@ -26,10 +26,16 @@ bracket and by dual_check_potentials, which solves the multi-marginal LP in
 every dimension.  Those tolerances sit below what the checks on the result
 ask for: the swap test of check_cp_monotone (1e-9), the dual feasibility of
 dual_check_potentials and the bracket of verify_c2m_equivalence
-(1e-8 (1 + C)).  SciPy is imported only when such an LP runs or when
-near-duplicate atoms are merged, so importing wbary does not load it.  The
-cap argument bounds the sizes of these LPs (and of cost_tensor's product)
-only: the 1-D route never forms a product and ignores it.
+(1e-8 (1 + C)).  An optimal vertex has at most sum K_i - N + 1 positive
+entries, so _transport_lp solves by column generation: HiGHS sees the
+north-west-corner support and the cheapest columns of every slice of the
+cost, and columns of negative reduced cost join until the duals are
+feasible on the whole product within 1e-10, which certifies the optimum
+of the full LP.  Pricing forms the reduced cost on the whole product, so
+the cap argument still bounds the sizes of these LPs (and of cost_tensor's
+product); the 1-D route never forms a product and ignores it.  SciPy is
+imported only when such an LP runs or when near-duplicate atoms are
+merged, so importing wbary does not load it.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ from .errors import ConvergenceError, ValidationError
 _MASS_TOL = 1e-12
 _SPARSITY_TOL = 1e-11
 _DEFAULT_CAP = 10 ** 6
+# Cheapest columns per slice of the cost in _transport_lp's first LP.
+_START_COLUMNS = 16
 
 
 @dataclass(eq=False)
@@ -213,6 +221,8 @@ class TransportPlan:
         the plan do not change that.
     duals : LP route, the N equality-constraint dual vectors y_i, with
         sum_i y_i[t_i] <= c(t) up to the LP tolerance.  1-D route: None.
+    lp_rounds, lp_columns : LP route, the LPs that column generation solved
+        and the columns of the last one.  1-D route: None.
     """
 
     indices: np.ndarray
@@ -227,10 +237,20 @@ class TransportPlan:
     support_within_basis: bool
     maybe_degenerate: bool
     duals: tuple | None
+    lp_rounds: int | None
+    lp_columns: int | None
 
     @property
     def n_entries(self) -> int:
         return self.masses.shape[0]
+
+
+def _slice_columns(values, flat):
+    """For every slice values[..., j, ...] of every axis, as (K_axis, rest):
+    the slice's entries and their flat indices into values."""
+    for axis, K in enumerate(values.shape):
+        yield (np.moveaxis(values, axis, 0).reshape(K, -1),
+               np.moveaxis(flat, axis, 0).reshape(K, -1))
 
 
 def _transport_lp(cost, marginals):
@@ -238,51 +258,96 @@ def _transport_lp(cost, marginals):
 
     cost : (K_1, ..., K_N) array; marginals : the N mass vectors, of lengths
     K_i.  Solves min <cost, x> over x >= 0 with the marginals of x fixed,
-    once, under one HiGHS contract: dual simplex (vertex solutions, so
-    sparse supports), presolve off, and primal and dual feasibility
-    tolerances of 1e-10 (HiGHS defaults to presolve on and 1e-7).  The
-    checks downstream ask for more than 1e-7: check_cp_monotone's swap test
-    at 1e-9, dual_check_potentials' dual feasibility, and the bracket of
-    verify_c2m_equivalence at 1e-8 (1 + C).  Raises ConvergenceError unless
-    HiGHS reports an optimum.  Returns (plan, duals, objective,
-    certificate):
+    by column generation under one HiGHS contract: dual simplex (vertex
+    solutions, so sparse supports), presolve off, and primal and dual
+    feasibility tolerances of 1e-10 (HiGHS defaults to presolve on and
+    1e-7).  The checks downstream ask for more than 1e-7: check_cp_monotone's
+    swap test at 1e-9, dual_check_potentials' dual feasibility, and the
+    bracket of verify_c2m_equivalence at 1e-8 (1 + C).
+
+    The first LP runs on the columns of the north-west-corner coupling
+    (a feasible point, so every restricted LP is feasible) and the
+    _START_COLUMNS cheapest columns of every slice cost[..., j, ...].  After
+    each LP the reduced costs cost - sum_i y_i[t_i] of its duals are formed
+    on the whole product; every slice with a column outside the LP below
+    -1e-10 adds its most negative one, and the LP runs again.  It stops when
+    no column outside the LP is below -1e-10, the dual feasibility tolerance
+    HiGHS holds on the LP's own columns, so the duals are feasible on every
+    column of the product and the restricted optimum is the optimum.  Every
+    round adds a column, so the loop ends.  Small products (slices of at most
+    _START_COLUMNS columns) start from the whole product and take one LP.
+    Raises ConvergenceError unless HiGHS reports an optimum.  Returns
+    (plan, duals, objective, certificate):
 
     plan : the nonnegative optimal coupling, shaped like cost
     duals : the N equality-constraint dual vectors, one per marginal
     objective : the optimal value
-    certificate : (marginal_residual, degenerate), the worst absolute
-        marginal mismatch of plan, and whether a variable off the support
-        (mass <= 1e-11) has zero reduced cost, i.e. whether the optimal
-        plan may not be unique
+    certificate : (marginal_residual, degenerate, rounds, columns), the
+        worst absolute marginal mismatch of plan; whether a variable off
+        the support (mass <= 1e-11) anywhere in the product has zero
+        reduced cost, i.e. whether the optimal plan may not be unique; the
+        number of LPs solved; and the columns of the last one
     """
     import scipy.sparse as sp
     from scipy.optimize import linprog
 
     shape = cost.shape
-    idx = np.indices(shape).reshape(len(shape), -1)  # (N, total)
     offsets = np.cumsum((0,) + shape[:-1])
-    rows = (idx + offsets[:, None]).ravel()
-    cols = np.tile(np.arange(cost.size), len(shape))
-    A = sp.coo_matrix((np.ones(rows.shape[0]), (rows, cols)),
-                      shape=(sum(shape), cost.size)).tocsr()
-    c = cost.ravel()
+    flat = np.arange(cost.size).reshape(shape)
     b = np.concatenate(marginals)
-    res = linprog(c, A_eq=A, b_eq=b, bounds=(0, None), method="highs-ds",
-                  options={"presolve": False,
-                           "primal_feasibility_tolerance": 1e-10,
-                           "dual_feasibility_tolerance": 1e-10})
-    if res.status != 0:
-        raise ConvergenceError(f"transport LP failed: {res.message}")
-    x = np.maximum(res.x, 0.0)
-    y = res.eqlin.marginals
-    residual = float(np.abs(A @ x - b).max())
-    rc = c - A.T @ y
+    start = [np.ravel_multi_index(_monotone_coupling(marginals)[0].T, shape)]
+    for values, index in _slice_columns(cost, flat):
+        k = _START_COLUMNS
+        if k < values.shape[1]:
+            index = np.take_along_axis(
+                index, np.argpartition(values, k - 1, axis=1)[:, :k], axis=1)
+        start.append(index.ravel())
+    cols = np.unique(np.concatenate(start))
+    rounds = 0
+    while True:
+        rounds += 1
+        idx = np.stack(np.unravel_index(cols, shape))  # (N, n)
+        A = sp.coo_matrix(
+            (np.ones(idx.size), ((idx + offsets[:, None]).ravel(),
+                                 np.tile(np.arange(cols.size), len(shape)))),
+            shape=(sum(shape), cols.size)).tocsr()
+        res = linprog(cost.ravel()[cols], A_eq=A, b_eq=b, bounds=(0, None),
+                      method="highs-ds",
+                      options={"presolve": False,
+                               "primal_feasibility_tolerance": 1e-10,
+                               "dual_feasibility_tolerance": 1e-10})
+        if res.status != 0:
+            raise ConvergenceError(f"transport LP failed: {res.message}")
+        duals = tuple(np.split(res.eqlin.marginals, offsets[1:]))
+        rc = cost - sum(np.ix_(*duals))
+        priced = rc.copy()
+        priced.flat[cols] = 0.0  # HiGHS certifies the LP's own columns
+        new = []
+        for values, index in _slice_columns(priced, flat):
+            j = values.argmin(axis=1)
+            rows = np.flatnonzero(values[np.arange(len(j)), j] < -1e-10)
+            new.append(index[rows, j[rows]])
+        new = np.concatenate(new)
+        if new.size == 0:
+            break
+        cols = np.union1d(cols, new)
+    x = np.zeros(cost.size)
+    x[cols] = np.maximum(res.x, 0.0)
+    residual = _marginal_residual(idx.T, x[cols], marginals)
     degenerate = (x <= _SPARSITY_TOL) & (
-        np.abs(rc) <= 1e-9 * (1.0 + np.abs(c).max())
+        np.abs(rc.ravel()) <= 1e-9 * (1.0 + np.abs(cost).max())
     )
-    duals = tuple(np.split(y, offsets[1:]))
     return (x.reshape(shape), duals, float(res.fun),
-            (residual, bool(degenerate.any())))
+            (residual, bool(degenerate.any()), rounds, int(cols.size)))
+
+
+def _marginal_residual(indices, masses, marginals):
+    """Worst absolute marginal mismatch of the coupling with entries
+    masses (n,) at multi-indices indices (n, N)."""
+    return max(
+        float(np.abs(np.bincount(idx, masses, len(m)) - m).max())
+        for idx, m in zip(indices.T, marginals)
+    )
 
 
 def _monotone_coupling(marginals):
@@ -313,8 +378,8 @@ def solve_mmot(measures, weights, p, cap=_DEFAULT_CAP) -> TransportPlan:
 
     d = 1: the monotone (north-west) coupling, with the cost evaluated on
     its at most sum K_i - N + 1 tuples only; cap does not apply.  d >= 2:
-    the LP over the full support product (HiGHS dual simplex), which raises
-    ValidationError when the product exceeds cap.
+    the LP over the full support product (_transport_lp's column
+    generation), which raises ValidationError when the product exceeds cap.
     """
     w, p, d = _check_family(measures, weights, p)
     return _solve(measures, w, p,
@@ -328,15 +393,11 @@ def _solve(measures, w, p, cost):
         indices, masses = _monotone_coupling(marginals)
         z, costs = _tuple_costs(_gather(measures, indices), w, p)
         objective = float(masses @ costs)
-        residual = max(
-            float(np.abs(np.bincount(idx, masses, len(m)) - m).max())
-            for idx, m in zip(indices.T, marginals)
-        )
-        degenerate, duals = False, None
+        residual = _marginal_residual(indices, masses, marginals)
+        degenerate, duals, rounds, columns = False, None, None, None
     else:
-        x, duals, objective, (residual, degenerate) = _transport_lp(
-            cost.values, marginals
-        )
+        x, duals, objective, (residual, degenerate, rounds, columns) = (
+            _transport_lp(cost.values, marginals))
         flat = np.flatnonzero(x > _SPARSITY_TOL)
         indices = np.stack(np.unravel_index(flat, x.shape), axis=-1)
         masses = x.ravel()[flat]
@@ -355,6 +416,8 @@ def _solve(measures, w, p, cost):
         support_within_basis=bool(len(masses) <= basis_bound),
         maybe_degenerate=degenerate,
         duals=duals,
+        lp_rounds=rounds,
+        lp_columns=columns,
     )
 
 
@@ -520,7 +583,7 @@ def check_cp_monotone(plan_or_points, weights=None, p=None,
         pts = np.asarray(plan_or_points, dtype=float)
         if weights is None or p is None:
             raise ValidationError("weights and p required with raw support points")
-        w = np.asarray(weights, dtype=float).ravel()
+        w = _check_weights(weights, pts.shape[1])
         p = _check_exponent(p)
     n, N, d = pts.shape
     if n < 2:

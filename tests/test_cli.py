@@ -92,6 +92,10 @@ def test_mmot_summary_reports_equivalence(tmp_path):
     assert summary["ok"] is True
     assert summary["equivalence_gap"] <= 1e-8
     assert summary["support_within_basis"] is True
+    # Three marginals of 2 to 4 atoms: the LP's start set is the whole
+    # product, so one LP runs on all of its columns.
+    assert summary["lp_rounds"] == 1
+    assert 8 <= summary["lp_columns"] <= 64
     assert (out / "plan.csv").exists()
     assert (out / "barycenter_measure.csv").exists()
 

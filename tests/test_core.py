@@ -18,6 +18,7 @@ from wbary import (
     affine_barycenter,
     alpha_exponent,
     beta_exponent,
+    check_cp_monotone,
     curvature_blocks,
     dbary_dxi,
     el_residual,
@@ -236,6 +237,25 @@ def test_pbary_points_rejects_bad_inputs():
     bad[1, 2, 1] = -np.inf
     with pytest.raises(ValidationError):
         pbary_points(bad, [0.4, 0.3, 0.3], 3.0)
+
+
+def test_pbary_points_rejects_weights_not_summing_to_one():
+    """Unit weights on (0,0), (2,0), (0,2) would give sum_i w_i x_i = (2, 2)
+    on the p = 2 route and (2/3, 2/3) on the scale-invariant Newton route;
+    both raise, as do weight rows of a batch, and the raw-points route of
+    check_cp_monotone."""
+    tri = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
+    for p in (2.0, 3.0):
+        with pytest.raises(ValidationError, match="sum to 1"):
+            pbary_points(tri, [1.0, 1.0, 1.0], p)
+    np.testing.assert_allclose(pbary_points(tri, np.full(3, 1 / 3), 2.0),
+                               [2 / 3, 2 / 3], rtol=1e-15)
+    rows = np.array([[0.2, 0.3, 0.5], [0.2, 0.3, 0.6]])
+    with pytest.raises(ValidationError, match="sum to 1"):
+        pbary_points(np.array([tri, tri]), rows, 3.0)
+    with pytest.raises(ValidationError, match="sum to 1"):
+        check_cp_monotone(np.array([tri[:2], tri[1:]]), weights=[1.0, 1.0],
+                          p=2.0)
 
 
 @pytest.mark.parametrize("N", [2, 3])

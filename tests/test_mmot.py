@@ -1,7 +1,9 @@
 """Multi-marginal transport: LP solutions, equivalence, duals, monotonicity."""
 
+import ast
 from dataclasses import replace
 from itertools import permutations
+from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
@@ -443,3 +445,107 @@ def test_cap_still_bounds_the_lp_in_2d():
     with pytest.raises(ValidationError):
         wp_distance(measures[0], measures[1], 2.0, cap=100)
     assert solve_mmot(measures, w, 2.0, cap=121).support_within_basis
+
+
+def _full_product_lp(cost, marginals):
+    """The transport LP over every column of the product, in one HiGHS call
+    with _transport_lp's options."""
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_matrix
+
+    shape = cost.shape
+    idx = np.indices(shape).reshape(len(shape), -1)
+    rows = (idx + np.cumsum((0,) + shape[:-1])[:, None]).ravel()
+    cols = np.tile(np.arange(cost.size), len(shape))
+    A = coo_matrix((np.ones(rows.size), (rows, cols)),
+                   shape=(sum(shape), cost.size)).tocsr()
+    res = linprog(cost.ravel(), A_eq=A, b_eq=np.concatenate(marginals),
+                  bounds=(0, None), method="highs-ds",
+                  options={"presolve": False,
+                           "primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return res.fun
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    p=st.floats(1.7, 4.0),
+    d=st.sampled_from([2, 3]),
+    sizes=st.lists(st.integers(1, 40), min_size=2, max_size=3),
+    family=st.sampled_from(["generic", "tied", "skewed"]),
+)
+def test_column_generation_matches_the_full_product_lp(seed, p, d, sizes,
+                                                       family):
+    """_transport_lp prices its duals on the whole product, so it reaches
+    the optimum of the LP over all columns: the same value, duals feasible
+    on every column, and the marginals met.  Tied families put distinct
+    integer-grid atoms under equal masses and weights, so costs tie;
+    skewed ones draw masses as cubes of uniforms."""
+    rng = np.random.default_rng(seed)
+    grid = np.indices((5,) * d).reshape(d, -1).T - 2.0
+    measures = []
+    for K in sizes:
+        if family == "tied":
+            K = min(K, len(grid))
+            atoms, m = grid[rng.choice(len(grid), K, replace=False)], np.ones(K)
+        else:
+            atoms = rng.normal(size=(K, d))
+            m = rng.uniform(0.2, 1.0, K) ** (3 if family == "skewed" else 1)
+        measures.append(DiscreteMeasure(atoms, m / m.sum()))
+    N = len(sizes)
+    w = np.full(N, 1.0 / N) if family == "tied" else rng.uniform(0.2, 1.0, N)
+    try:
+        cost = cost_tensor(measures, w / w.sum(), p).values
+    except ConvergenceError:
+        # pbary_points' documented float-floor raise for p < 2, as in
+        # test_monotone_route_matches_the_lp_1d.
+        reject()
+    marginals = [mu.masses for mu in measures]
+    plan, duals, C, (residual, _, rounds, columns) = _transport_lp(cost,
+                                                                   marginals)
+    assert C == pytest.approx(_full_product_lp(cost, marginals), rel=0,
+                              abs=1e-9 * (1.0 + abs(C)))
+    slack = (sum(np.ix_(*duals)) - cost).max()
+    assert slack <= 1e-10 * (1.0 + np.abs(cost).max()), slack
+    assert residual <= 1e-10
+    for axis, m in enumerate(marginals):
+        other = tuple(a for a in range(N) if a != axis)
+        assert np.abs(plan.sum(axis=other) - m).max() <= 1e-10
+    assert rounds >= 1 and columns <= cost.size
+
+
+def _enclosing_function(node, parents):
+    while node in parents:
+        node = parents[node]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            return node.name
+    return None
+
+
+def test_transport_lp_is_the_only_lp():
+    """Across src/wbary there is one linprog( call site, and scipy.optimize
+    is imported only inside _transport_lp."""
+    calls, imports = [], []
+    for path in sorted(Path(mmot.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            where = (path.name, _enclosing_function(node, parents))
+            if isinstance(node, ast.Call) and "linprog" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                calls.append(where)
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(n == "scipy.optimize" or n.startswith("scipy.optimize.")
+                   for n in names):
+                imports.append(where)
+    assert calls == [("mmot.py", "_transport_lp")]
+    assert imports and set(imports) == {("mmot.py", "_transport_lp")}
