@@ -35,7 +35,7 @@ from .bounds import (
     integrability_bound,
     local_injectivity_check,
 )
-from .core import WeightedPointConfig, dbary_dxi, pbary_points
+from .core import WeightedPointConfig, _diameters, dbary_dxi, pbary_points
 from .grid import uniform_ball, uniform_box
 from .mmot import (
     DiscreteMeasure,
@@ -100,6 +100,30 @@ def _fmt(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _disk(resolution):
+    """Uniform density on the unit-area disk around (0.2, 0.1)."""
+    return uniform_ball(np.array([0.2, 0.1]), 1.0 / np.sqrt(np.pi),
+                        resolution=resolution)
+
+
+def _planar_config(p):
+    """Anchors (0.8, 0.1) and (-0.7, -0.25), weights (0.4, 0.3, 0.3)."""
+    return DiracConfiguration(
+        np.array([[0.8, 0.1], [-0.7, -0.25]]), [0.4, 0.3, 0.3], p
+    )
+
+
+def _blowup_fixture(p, resolution):
+    """(cfg, f1, center) of the blow-up checks: for p > 2 the planar anchors,
+    the disk and zbar, else anchors 0.1, -0.3, uniform [-0.5, 0.5] and 0.1."""
+    if p > 2.0:
+        cfg = _planar_config(p)
+        return cfg, _disk(resolution), cfg.fixed_point
+    cfg = DiracConfiguration(np.array([[0.1], [-0.3]]), [0.4, 0.3, 0.3], p)
+    f1 = uniform_box(np.array([[-0.5, 0.5]]), resolution=resolution)
+    return cfg, f1, cfg.anchors[0]
+
+
 def blowup_threshold_p_gt2(fast: bool = False) -> CheckResult:
     """p=3, d=2: density exponent -1 at the interior critical point.
 
@@ -111,13 +135,10 @@ def blowup_threshold_p_gt2(fast: bool = False) -> CheckResult:
     """
     t0 = time.perf_counter()
     res = 128 if fast else 512
-    cfg = DiracConfiguration(
-        np.array([[0.8, 0.1], [-0.7, -0.25]]), [0.4, 0.3, 0.3], 3.0
-    )
-    f1 = uniform_ball(np.array([0.2, 0.1]), 1.0 / np.sqrt(np.pi), resolution=res)
+    cfg, f1, center = _blowup_fixture(3.0, res)
     pf = pushforward_density(cfg, f1, resolution=res)
     radii = np.geomspace(1e-6, 1e-4, 10)
-    rep = blowup_exponent(cfg, f1, cfg.fixed_point, radii, q_values=(1.6, 2.4))
+    rep = blowup_exponent(cfg, f1, center, radii, q_values=(1.6, 2.4))
     seconds = time.perf_counter() - t0
     slope_ok = abs(rep.slope - (-1.0)) <= 0.1
     q0_ok = abs(rep.q0 - 2.0) <= 0.2
@@ -149,10 +170,9 @@ def blowup_threshold_p_lt2(fast: bool = False) -> CheckResult:
     0.2.
     """
     res = 512 if fast else 2048
-    cfg = DiracConfiguration(np.array([[0.1], [-0.3]]), [0.4, 0.3, 0.3], 1.5)
-    f1 = uniform_box(np.array([[-0.5, 0.5]]), resolution=res)
+    cfg, f1, center = _blowup_fixture(1.5, res)
     radii = np.geomspace(1e-8, 1e-6, 10)
-    rep = blowup_exponent(cfg, f1, np.array([0.1]), radii, q_values=(1.5, 2.5))
+    rep = blowup_exponent(cfg, f1, center, radii, q_values=(1.5, 2.5))
     q0_ok = abs(rep.q0 - 2.0) <= 0.2
     flip_ok = rep.verdicts[1.5] and not rep.verdicts[2.5]
     return CheckResult(
@@ -184,7 +204,7 @@ def quadratic_pushforward_exactness(fast: bool = False) -> CheckResult:
     cfg = DiracConfiguration(
         np.array([[1.0, 0.0], [0.0, 1.0]]), [lam1, 0.35, 0.3], 2.0
     )
-    f1 = uniform_ball(np.array([0.2, 0.1]), 1.0 / np.sqrt(np.pi), resolution=res)
+    f1 = _disk(res)
     pf = pushforward_density(cfg, f1, resolution=res)
     rel_grid, rel_cv = {}, {}
     for q in (1.5, 2.0, 4.0):
@@ -304,9 +324,7 @@ def gradient_finite_difference_battery(fast: bool = False) -> CheckResult:
         w = w / w.sum()
         z = pbary_points(pts, w, p, tol=1e-13)
         r = np.linalg.norm(pts - z[:, None, :], axis=2)
-        diam = np.linalg.norm(
-            pts[:, :, None, :] - pts[:, None, :, :], axis=3
-        ).max(axis=(1, 2))
+        diam = _diameters(pts)
         keep = (r.min(axis=1) > 1e-3 * diam) & (diam > 0)
         for k in np.where(keep)[0]:
             if n_done >= n:
@@ -373,9 +391,7 @@ def gradient_finite_difference_battery(fast: bool = False) -> CheckResult:
 def _bound_configs(p):
     return [
         DiracConfiguration(np.array([[1.0], [2.0]]), [1 / 3, 1 / 3, 1 / 3], p),
-        DiracConfiguration(
-            np.array([[0.8, 0.1], [-0.7, -0.25]]), [0.4, 0.3, 0.3], p
-        ),
+        _planar_config(p),
     ]
 
 
@@ -460,6 +476,29 @@ def stated_band_p_lt2(fast: bool = False) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
+def _distant_support_sweep(resolution, q):
+    """Rows (lam1, ||g_3||_q, bound, D) for lam1 in {0.1, ..., 0.9}: f1 uniform
+    on [-0.5, 0.5] (D over 65 atoms of it), anchors 6 and 7.5 at (1-lam1)/2."""
+    p = 3.0
+    anchors = np.array([[6.0], [7.5]])
+    f1 = uniform_box(np.array([[-0.5, 0.5]]), resolution=resolution)
+    supp = np.linspace(-0.5, 0.5, 65)[:, None]
+    support_measures = [
+        DiscreteMeasure(supp, np.ones(65) / 65),
+        DiscreteMeasure(anchors[:1], [1.0]),
+        DiscreteMeasure(anchors[1:], [1.0]),
+    ]
+    rows = []
+    for lam1 in np.arange(0.1, 0.91, 0.1):
+        w = np.array([lam1, (1 - lam1) / 2, (1 - lam1) / 2])
+        norm = lq_via_changevar(DiracConfiguration(anchors, w, p), f1, q)
+        D = compute_D(support_measures, w, p)
+        bound = integrability_bound(f1.lq_norm(q), q, p, lam1, 1, D=D,
+                                    constant=FITTED_DISTANT_CONSTANT)
+        rows.append((lam1, norm, bound, D))
+    return rows
+
+
 def distant_support_bound_sweep(fast: bool = False) -> CheckResult:
     """lam1 sweep of the distant-support estimate at d=1, p=3, q=2.
 
@@ -467,41 +506,22 @@ def distant_support_bound_sweep(fast: bool = False) -> CheckResult:
     frozen fitted-constant bound, and its log-log slope against lam1 must
     match -d(1-alpha)(q-1)/q = -0.25 within 15%.
     """
-    res = 1024 if fast else 4096
-    p, q, d = 3.0, 2.0, 1
-    anchors = np.array([[6.0], [7.5]])
-    f1 = uniform_box(np.array([[-0.5, 0.5]]), resolution=res)
-    supp = np.linspace(-0.5, 0.5, 65)[:, None]
-    support_measures = [
-        DiscreteMeasure(supp, np.ones(65) / 65),
-        DiscreteMeasure(anchors[:1], [1.0]),
-        DiscreteMeasure(anchors[1:], [1.0]),
-    ]
-    lam1s = np.arange(0.1, 0.91, 0.1)
-    measured, margins = [], []
-    for lam1 in lam1s:
-        w = np.array([lam1, (1 - lam1) / 2, (1 - lam1) / 2])
-        cfg = DiracConfiguration(anchors, w, p)
-        norm = lq_via_changevar(cfg, f1, q)
-        D = compute_D(support_measures, w, p)
-        bound = integrability_bound(
-            f1.lq_norm(q), q, p, lam1, d, D=D,
-            constant=FITTED_DISTANT_CONSTANT,
-        )
-        measured.append(norm)
-        margins.append(bound - norm)
+    q, d = 2.0, 1
+    lam1s, measured, bounds, _ = map(np.array, zip(*_distant_support_sweep(
+        1024 if fast else 4096, q)))
+    margin = float((bounds - measured).min())
     slope = float(np.polyfit(np.log(lam1s), np.log(measured), 1)[0])
     target = d * 0.5 * (q - 1) / q
     slope_ok = abs(-slope - target) <= 0.15 * target
-    ok = min(margins) >= 0.0 and slope_ok
+    ok = margin >= 0.0 and slope_ok
     return CheckResult(
         name="distant-support-bound-sweep",
         ok=ok,
         details=(
-            f"min bound margin {_fmt(min(margins))} (C={FITTED_DISTANT_CONSTANT}); "
+            f"min bound margin {_fmt(margin)} (C={FITTED_DISTANT_CONSTANT}); "
             f"scaling slope {_fmt(-slope)} vs {target} (tol 15%)"
         ),
-        metrics={"min_margin": float(min(margins)), "slope": -slope,
+        metrics={"min_margin": margin, "slope": -slope,
                  "target_slope": target},
     )
 
@@ -519,7 +539,7 @@ def general_lq_domination(fast: bool = False) -> CheckResult:
     it must reduce to the integral of f_1^q exactly.
     """
     res = 64 if fast else 128
-    f1 = uniform_ball(np.array([0.2, 0.1]), 1.0 / np.sqrt(np.pi), resolution=res)
+    f1 = _disk(res)
     w2 = np.array([0.4, 0.3, 0.3])
 
     # equality when every marginal coincides with the first
@@ -527,16 +547,15 @@ def general_lq_domination(fast: bool = False) -> CheckResult:
     exact = f1.lq_norm(2.0) ** 2
     eq_ok = abs(rep_id.value - exact) <= 1e-9 * exact
 
-    anchors2 = np.array([[0.8, 0.1], [-0.7, -0.25]])
     cases = [(3.0, 1.6), (3.0, 2.0), (2.5, 1.8)]
     if fast:
         cases = cases[:2]
     dom_ok = True
     worst_ratio = 0.0
     for p, q in cases:
-        cfg = DiracConfiguration(anchors2, w2, p)
+        cfg = _planar_config(p)
         meas = lq_via_changevar(cfg, f1, q) ** q
-        rep = general_lq_bound(f1, constant_maps(anchors2), w2, p, q)
+        rep = general_lq_bound(f1, constant_maps(cfg.anchors), w2, p, q)
         dom_ok &= rep.dominates(meas) and not rep.diverging
         worst_ratio = max(worst_ratio, meas / rep.value)
     # 1-d instance

@@ -26,6 +26,11 @@ from .core import _check_exponent, _check_weights, pbary_points
 from .errors import StructureError, ValidationError
 from .mmot import DiscreteMeasure, barycenter_measure, solve_mmot, wp_distance
 
+# Symmetry and eigenvalue-cluster tolerance of spectrum_optimality.
+_SPECTRUM_TOL = 1e-8
+# Evaluation points per block of p_transform's distance matrix.
+_CHUNK = 2048
+
 
 @dataclass(frozen=True)
 class AffineMap:
@@ -58,11 +63,11 @@ class AffineMap:
 def matrix_pbary(matrices, weights, p) -> np.ndarray:
     """Frobenius p-barycenter of square matrices.
 
-    Solves argmin_Z sum_i w_i ||A_i - Z||_F^p by flattening to vectors in
-    R^(d^2).  Families that are all diagonal with diagonals taking only the
-    values 1 and a per-matrix constant are dispatched to exact per-entry
-    scalar barycenters (same minimizer, cheaper and exact for the common
-    structured case).
+    Solves argmin_Z sum_i w_i ||A_i - Z||_F^p as the p-barycenter of the
+    matrices flattened to vectors in R^(d^2).  For p != 2 the Frobenius
+    p-cost does not split by entry, so diagonal families are solved the same
+    way: their barycenter is diagonal, but its entries are in general not
+    the scalar barycenters of the diagonal entries.
     """
     p = _check_exponent(p)
     mats = np.asarray(matrices, dtype=float)
@@ -72,16 +77,7 @@ def matrix_pbary(matrices, weights, p) -> np.ndarray:
     n, d, _ = mats.shape
     if w.shape[0] != n:
         raise ValidationError("one weight per matrix required")
-
-    offdiag = mats.copy()
-    for k in range(n):
-        np.fill_diagonal(offdiag[k], 0.0)
-    scale = max(1.0, float(np.abs(mats).max()))
-    if np.abs(offdiag).max() <= 1e-12 * scale:
-        diags = np.einsum("nii->ni", mats)  # (n, d)
-        return np.diag(pbary_points(diags.T[:, :, None], w, p)[:, 0])
-    z = pbary_points(mats.reshape(n, d * d), w, p)
-    return z.reshape(d, d)
+    return pbary_points(mats.reshape(n, d * d), w, p).reshape(d, d)
 
 
 @dataclass(frozen=True)
@@ -100,14 +96,14 @@ class SpectrumVerdict:
     reason: str
 
 
-def spectrum_optimality(A, tol: float = 1e-8) -> SpectrumVerdict:
-    """Decide p-optimality of the linear map A from its spectrum."""
+def spectrum_optimality(A) -> SpectrumVerdict:
+    """Decide p-optimality of the linear map A from its spectrum, to 1e-8."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape[0] != A.shape[1]:
         raise ValidationError("matrix must be square")
     scale = max(1.0, float(np.abs(A).max()))
     asym = float(np.abs(A - A.T).max())
-    if asym > tol * scale:
+    if asym > _SPECTRUM_TOL * scale:
         return SpectrumVerdict(
             optimal=False,
             zeta=None,
@@ -115,18 +111,18 @@ def spectrum_optimality(A, tol: float = 1e-8) -> SpectrumVerdict:
             reason=f"not symmetric (|A - A^T| = {asym:.3e})",
         )
     w = np.linalg.eigvalsh(0.5 * (A + A.T))
-    ones = np.abs(w - 1.0) <= tol
+    ones = np.abs(w - 1.0) <= _SPECTRUM_TOL
     rest = w[~ones]
     if rest.size == 0:
         return SpectrumVerdict(True, 1.0, w, "all eigenvalues equal 1")
     spread = float(rest.max() - rest.min())
-    if spread > tol:
+    if spread > _SPECTRUM_TOL:
         return SpectrumVerdict(
             False, None, w,
             f"non-unit eigenvalues spread {spread:.3e} exceeds tolerance",
         )
     zeta = float(rest.mean())
-    if zeta < -tol:
+    if zeta < -_SPECTRUM_TOL:
         return SpectrumVerdict(
             False, None, w, f"non-unit cluster {zeta:.3e} is negative"
         )
@@ -256,8 +252,8 @@ class AffineMmotReport:
         return self.gap <= self.tol
 
 
-def verify_affine_vs_mmot(mu: DiscreteMeasure, maps, weights, p,
-                          cap=10 ** 6) -> AffineMmotReport:
+def verify_affine_vs_mmot(mu: DiscreteMeasure, maps, weights,
+                          p) -> AffineMmotReport:
     """Compare (Abar x + vbar)_# mu against the multi-marginal barycenter.
 
     The marginals are the pushforwards of mu under the maps; the tolerance
@@ -270,9 +266,9 @@ def verify_affine_vs_mmot(mu: DiscreteMeasure, maps, weights, p,
     measures = [
         DiscreteMeasure(mp.apply(mu.atoms), mu.masses) for mp in maps
     ]
-    plan = solve_mmot(measures, weights, p, cap=cap)
+    plan = solve_mmot(measures, weights, p)
     nu_hat = barycenter_measure(plan)
-    gap = wp_distance(nu_aff, nu_hat, p, cap=cap)
+    gap = wp_distance(nu_aff, nu_hat, p)
     if mu.n_atoms > 1:
         diff = np.linalg.norm(
             mu.atoms[:, None, :] - mu.atoms[None, :, :], axis=2
@@ -313,8 +309,7 @@ class PTransformResult:
     boundary_mask: np.ndarray = None
 
 
-def p_transform(points, values, p, eval_points=None,
-                chunk: int = 2048) -> PTransformResult:
+def p_transform(points, values, p, eval_points=None) -> PTransformResult:
     """phi^p(y) = min_x (1/p)|x - y|^p - phi(x) over the sampled x."""
     p = _check_exponent(p)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -332,13 +327,13 @@ def p_transform(points, values, p, eval_points=None,
     ).any(axis=1)
     out = np.empty(ys.shape[0])
     hit = np.zeros(ys.shape[0], dtype=bool)
-    for s in range(0, ys.shape[0], chunk):
-        block = ys[s:s + chunk]
+    for s in range(0, ys.shape[0], _CHUNK):
+        block = ys[s:s + _CHUNK]
         dist = np.linalg.norm(block[:, None, :] - pts[None, :, :], axis=2)
         obj = dist ** p / p - vals[None, :]
         arg = np.argmin(obj, axis=1)
-        out[s:s + chunk] = obj[np.arange(block.shape[0]), arg]
-        hit[s:s + chunk] = near_face[arg]
+        out[s:s + _CHUNK] = obj[np.arange(block.shape[0]), arg]
+        hit[s:s + _CHUNK] = near_face[arg]
     frac = float(hit.mean()) if hit.size else 0.0
     return PTransformResult(values=out, boundary_fraction=frac,
                             degenerate=frac > 0.5, boundary_mask=hit)

@@ -36,7 +36,8 @@ from .core import (
 from .errors import GeometryError, ValidationError
 from .grid import GridDensity
 
-_DEFAULT_CAP = 10 ** 6
+# Radius halvings per base point in local_injectivity_check.
+_MAX_HALVINGS = 40
 
 
 # ---------------------------------------------------------------------------
@@ -57,44 +58,45 @@ class SupportGeometry:
     n_tuples: int
 
 
-def compute_D(measures, weights, p, cap=_DEFAULT_CAP) -> float:
+def compute_D(measures, weights, p) -> float:
     """Smallest displacement of the barycenter caused by the first marginal.
 
     Evaluates |bary(x_1, ..., x_N) - bary(x_2, ..., x_N)| over all support
     tuples and returns the minimum.  Zero means some atom of mu_1 leaves the
-    barycenter where the remaining marginals already put it.
+    barycenter where the remaining marginals already put it.  Raises
+    ValidationError when the product exceeds core.PRODUCT_CAP.
     """
     p = _check_exponent(p)
     w = _check_weights(weights, len(measures))
     atoms = [mu.atoms for mu in measures]
-    reduced = support_product(atoms[1:], cap)
+    reduced = support_product(atoms[1:])
     if reduced.shape[1] == 1:
         zr = reduced[:, 0, :]
     else:
         zr = pbary_points(reduced, w[1:] / w[1:].sum(), p)
     # C order of the multi-index: row k * len(reduced) + b is (x_1k, reduced[b]).
-    zf = pbary_points(support_product(atoms, cap), w, p)
+    zf = pbary_points(support_product(atoms), w, p)
     dist = np.linalg.norm(
         zf.reshape(len(atoms[0]), reduced.shape[0], -1) - zr[None, :, :], axis=2
     )
     return float(dist.min())
 
 
-def compute_m(measures, weights, p, cap=_DEFAULT_CAP) -> float:
+def compute_m(measures, weights, p) -> float:
     """Smallest distance between any tuple point and the tuple barycenter."""
     p = _check_exponent(p)
     w = _check_weights(weights, len(measures))
-    pts = support_product([mu.atoms for mu in measures], cap)
+    pts = support_product([mu.atoms for mu in measures])
     z = pbary_points(pts, w, p)
     dist = np.linalg.norm(pts - z[:, None, :], axis=2)
     return float(dist.min())
 
 
-def compute_geometry(measures, weights, p, cap=_DEFAULT_CAP) -> SupportGeometry:
+def compute_geometry(measures, weights, p) -> SupportGeometry:
     """Both separation quantities over the (capped) support product."""
     return SupportGeometry(
-        D=compute_D(measures, weights, p, cap=cap),
-        m=compute_m(measures, weights, p, cap=cap),
+        D=compute_D(measures, weights, p),
+        m=compute_m(measures, weights, p),
         n_tuples=int(np.prod([mu.n_atoms for mu in measures])),
     )
 
@@ -164,8 +166,9 @@ class GeneralLqReport:
     n_flagged: int
     diverging: bool
 
-    def dominates(self, measured: float, rel_tol: float = 1e-9) -> bool:
-        return measured <= self.value * (1.0 + rel_tol) + rel_tol
+    def dominates(self, measured: float) -> bool:
+        """measured <= value within 1e-9, relative and absolute."""
+        return measured <= self.value * (1.0 + 1e-9) + 1e-9
 
 
 def _tuple_classes(pts, w, p, diam):
@@ -219,7 +222,7 @@ def general_lq_bound(f1: GridDensity, maps, weights, p, q) -> GeneralLqReport:
     xs = f1.centers()[mask]
     vals = f1.values.ravel()[mask]
     coeff, first, flagged = _cell_coefficients(xs, maps, w, p, q, d)
-    contrib = np.where(first, 1.0, coeff) * vals ** q
+    contrib = coeff * vals ** q
     value = float(contrib.sum() * f1.cell_volume)
     return GeneralLqReport(
         value=value,
@@ -273,12 +276,14 @@ class InjectivityReport:
     worst_deficit: float
 
 
-def local_injectivity_check(points, weights, p, r_init=None,
-                            max_halvings=40) -> InjectivityReport:
+def local_injectivity_check(points, weights, p) -> InjectivityReport:
     """Run the shrinking-radius injectivity test on support tuples.
 
     points : (n, N, d) support tuples of a coupling (for a TransportPlan,
         pass plan.points and plan.weights/plan.p)
+
+    The radius starts at 1.01 times the largest product-space distance
+    between tuples and halves up to 40 times.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 3:
@@ -296,8 +301,7 @@ def local_injectivity_check(points, weights, p, r_init=None,
         ((pts[:, None, :, :] - pts[None, :, :, :]) ** 2).sum(axis=(2, 3))
     )
     scale = max(float(diam.max()), 1e-300)
-    if r_init is None:
-        r_init = 1.01 * float(pd_full.max()) if n > 1 else 1.0
+    r_init = 1.01 * float(pd_full.max()) if n > 1 else 1.0
 
     ok = True
     worst = np.inf
@@ -322,7 +326,7 @@ def local_injectivity_check(points, weights, p, r_init=None,
         pairs = np.triu(np.ones(margin.shape, bool), 1)
         r = r_init
         passed = False
-        for halv in range(max_halvings + 1):
+        for halv in range(_MAX_HALVINGS + 1):
             inside = pd_full[k, mates] <= r
             if inside.sum() < 2:
                 vacuous += 1

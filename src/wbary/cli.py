@@ -26,12 +26,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acceptance import run_all
+from .acceptance import (
+    FITTED_DISTANT_CONSTANT,
+    _blowup_fixture,
+    _distant_support_sweep,
+    _spectrum_fixture,
+    run_all,
+)
 from .affine import spectrum_optimality
-from .bounds import compute_D, integrability_bound
 from .core import pbary_solve, WeightedPointConfig
 from .errors import WbaryError
-from .grid import uniform_ball, uniform_box
 from .mmot import DiscreteMeasure, check_cp_monotone, verify_c2m_equivalence
 from .semidiscrete import (
     DiracConfiguration,
@@ -113,19 +117,8 @@ def _run_point_bary(args, outdir: Path) -> int:
 
 
 def _run_semidiscrete(args, outdir: Path) -> int:
-    if args.p > 2.0:
-        cfg = DiracConfiguration(
-            np.array([[0.8, 0.1], [-0.7, -0.25]]), [0.4, 0.3, 0.3], args.p
-        )
-        f1 = uniform_ball(np.array([0.2, 0.1]), 1.0 / np.sqrt(np.pi),
-                          resolution=args.grid)
-        center = cfg.fixed_point
-    else:
-        cfg = DiracConfiguration(np.array([[0.1], [-0.3]]),
-                                 [0.4, 0.3, 0.3], args.p)
-        f1 = uniform_box(np.array([[-0.5, 0.5]]),
-                         resolution=max(args.grid, 256))
-        center = cfg.anchors[0]
+    cfg, f1, center = _blowup_fixture(
+        args.p, args.grid if args.p > 2.0 else max(args.grid, 256))
     pf = pushforward_density(cfg, f1, resolution=args.grid)
     pf.density.write_csv(outdir / "pushforward.csv")
     payload = {
@@ -158,7 +151,7 @@ def _run_mmot(args, outdir: Path) -> int:
         measures.append(DiscreteMeasure(atoms, masses / masses.sum()))
     w = rng.uniform(0.2, 1.0, 3)
     w = w / w.sum()
-    eq = verify_c2m_equivalence(measures, w, args.p, cap=args.cap)
+    eq = verify_c2m_equivalence(measures, w, args.p)
     plan, nu = eq.plan, eq.barycenter
     mono = check_cp_monotone(plan)
     rows = [
@@ -192,42 +185,21 @@ def _run_mmot(args, outdir: Path) -> int:
 
 
 def _run_bounds(args, outdir: Path) -> int:
-    from .acceptance import FITTED_DISTANT_CONSTANT
-
-    p, q = 3.0, args.q
-    anchors = np.array([[6.0], [7.5]])
-    f1 = uniform_box(np.array([[-0.5, 0.5]]), resolution=max(args.grid, 512))
-    supp = np.linspace(-0.5, 0.5, 65)[:, None]
-    support_measures = [
-        DiscreteMeasure(supp, np.ones(65) / 65),
-        DiscreteMeasure(anchors[:1], [1.0]),
-        DiscreteMeasure(anchors[1:], [1.0]),
-    ]
-    rows = []
-    ok = True
-    for lam1 in np.arange(0.1, 0.91, 0.1):
-        w = np.array([lam1, (1 - lam1) / 2, (1 - lam1) / 2])
-        cfg = DiracConfiguration(anchors, w, p)
-        norm = lq_via_changevar(cfg, f1, q)
-        D = compute_D(support_measures, w, p)
-        bound = integrability_bound(f1.lq_norm(q), q, p, lam1, 1, D=D,
-                                    constant=FITTED_DISTANT_CONSTANT)
-        ok &= norm <= bound
-        rows.append((float(lam1), float(norm), float(bound), float(D)))
+    rows = [tuple(map(float, row)) for row in
+            _distant_support_sweep(max(args.grid, 512), args.q)]
+    ok = all(norm <= bound for _, norm, bound, _ in rows)
     _write_csv(outdir / "sweep.csv",
                ["lam1", "measured", "bound", "separation"], rows)
     _write_json(outdir / "summary.json", {
         "ok": bool(ok),
-        "p": p,
-        "q": q,
+        "p": 3.0,
+        "q": args.q,
         "constant": FITTED_DISTANT_CONSTANT,
     })
     return 0 if ok else 3
 
 
 def _run_affine(args, outdir: Path) -> int:
-    from .acceptance import _spectrum_fixture
-
     optimal, not_optimal = _spectrum_fixture()
     rows = []
     ok = True
@@ -316,8 +288,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tol", type=float, default=1e-12,
                      help="solver residual tolerance")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--cap", type=int, default=10 ** 6,
-                     help="largest admissible support product")
 
     st = sub.add_parser("selftest", help="run the verification battery")
     st.add_argument("--fast", action="store_true",
@@ -347,7 +317,7 @@ def main(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     params = {
         "kind": args.kind, "p": args.p, "q": args.q, "grid": args.grid,
-        "tol": args.tol, "seed": args.seed, "cap": args.cap,
+        "tol": args.tol, "seed": args.seed,
     }
     try:
         code = _RUNNERS[args.kind](args, outdir)

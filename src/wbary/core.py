@@ -29,7 +29,9 @@ P2_TOL = 1e-9
 EPS_COINCIDENT = 1e-9
 WEIGHT_SUM_TOL = 1e-12
 DEFAULT_TOL = 1e-12
-DEFAULT_MAX_ITER = 200
+MAX_ITER = 200
+# Largest support product (number of tuples) any routine forms.
+PRODUCT_CAP = 10 ** 6
 
 _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 45
@@ -175,16 +177,17 @@ def coincident_mask(r: np.ndarray, diam) -> np.ndarray:
     return mask | (diam == 0.0)[..., None]
 
 
-def support_product(atom_sets, cap) -> np.ndarray:
+def support_product(atom_sets) -> np.ndarray:
     """All tuples (a_1, ..., a_N) with a_i drawn from atom_sets[i].
 
     atom_sets : sequence of (K_i, d) arrays.  Returns (prod K_i, N, d) in C
-    order of the multi-index; raises ValidationError above cap tuples.
+    order of the multi-index; raises ValidationError above PRODUCT_CAP tuples.
     """
     shape = tuple(len(a) for a in atom_sets)
     total = int(np.prod(shape))
-    if total > cap:
-        raise ValidationError(f"support product size {total} exceeds cap {cap}")
+    if total > PRODUCT_CAP:
+        raise ValidationError(
+            f"support product size {total} exceeds cap {PRODUCT_CAP}")
     idx = np.indices(shape).reshape(len(shape), -1)
     return np.stack([a[i] for a, i in zip(atom_sets, idx)], axis=1)
 
@@ -262,7 +265,7 @@ def _anchored_candidates(pts, w, p, z, F):
     return pts + rstar[..., None] * R / Rn[..., None]
 
 
-def pbary_points(points, weights, p, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
+def pbary_points(points, weights, p, tol=DEFAULT_TOL):
     """Batched p-barycenter of point tuples.
 
     points : (..., N, d); weights : (N,) or broadcastable to (..., N).
@@ -270,7 +273,7 @@ def pbary_points(points, weights, p, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
     non-finite points, for weights that are not finite and positive, and
     for weight rows that do not sum to 1 within WEIGHT_SUM_TOL, and
     ConvergenceError if any batch entry fails to reach
-    |residual| <= tol * max(w) * diam^(p-1).
+    |residual| <= tol * max(w) * diam^(p-1) within MAX_ITER Newton steps.
     """
     p = _check_exponent(p)
     pts = np.asarray(points, dtype=float)
@@ -293,12 +296,12 @@ def pbary_points(points, weights, p, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER)
             f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got "
             f"{sums[bad][0]!r}"
         )
-    z, _, _ = _solve_batch(pts, w, p, tol, max_iter)
+    z, _, _ = _solve_batch(pts, w, p, tol)
     out = z.reshape((lead + (d,)) if not single else (d,))
     return out
 
 
-def _solve_batch(pts, w, p, tol, max_iter):
+def _solve_batch(pts, w, p, tol):
     """Core batched solve.  pts (B,N,d), w (B,N) normalized rows.
 
     Returns (z, iterations, residual_norm) arrays; raises ConvergenceError
@@ -335,7 +338,7 @@ def _solve_batch(pts, w, p, tol, max_iter):
     # The residual at the atoms does not depend on z (used for p < 2 only).
     r_atoms = _residual_at_atoms(pts, w, p) if floor is not None else None
 
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         if not active.any():
             break
         idx = np.where(active)[0]
@@ -440,7 +443,7 @@ def _solve_batch(pts, w, p, tol, max_iter):
         k = int(np.where(active)[0][0])
         raise ConvergenceError(
             f"{int(active.sum())} of {B} barycenter solves did not reach "
-            f"tolerance {tol:g} within {max_iter} iterations "
+            f"tolerance {tol:g} within {MAX_ITER} iterations "
             f"(worst residual {res[active].max():.3e}, scale {scale[k]:.3e})",
             best=z,
             residual=res,
@@ -448,12 +451,12 @@ def _solve_batch(pts, w, p, tol, max_iter):
     return z, iters, res
 
 
-def pbary_solve(config: WeightedPointConfig, tol=DEFAULT_TOL,
-                max_iter=DEFAULT_MAX_ITER) -> BarycenterSolution:
+def pbary_solve(config: WeightedPointConfig,
+                tol=DEFAULT_TOL) -> BarycenterSolution:
     """Solve for the weighted p-barycenter of a validated configuration."""
     pts = config.points[None]
     w = config.weights[None]
-    z, iters, res = _solve_batch(pts, w, config.p, tol, max_iter)
+    z, iters, res = _solve_batch(pts, w, config.p, tol)
     z0 = z[0]
     diam = config.diameter
     r = np.linalg.norm(config.points - z0[None, :], axis=1)

@@ -32,10 +32,11 @@ north-west-corner support and the cheapest columns of every slice of the
 cost, and columns of negative reduced cost join until the duals are
 feasible on the whole product within 1e-10, which certifies the optimum
 of the full LP.  Pricing forms the reduced cost on the whole product, so
-the cap argument still bounds the sizes of these LPs (and of cost_tensor's
-product); the 1-D route never forms a product and ignores it.  SciPy is
-imported only when such an LP runs or when near-duplicate atoms are
-merged, so importing wbary does not load it.
+core.PRODUCT_CAP, the one product cap of the package, still bounds the
+sizes of these LPs (and of cost_tensor's product); the 1-D route never
+forms a product and is not capped.  SciPy is imported only when such an
+LP runs or when near-duplicate atoms are merged, so importing wbary does
+not load it.
 """
 
 from __future__ import annotations
@@ -45,12 +46,14 @@ from itertools import combinations
 
 import numpy as np
 
+from . import core
 from .core import _check_exponent, _check_weights, pbary_points, support_product
 from .errors import ConvergenceError, ValidationError
 
 _MASS_TOL = 1e-12
 _SPARSITY_TOL = 1e-11
-_DEFAULT_CAP = 10 ** 6
+# Tolerance of the swap test in check_cp_monotone.
+_MONOTONE_TOL = 1e-9
 # Cheapest columns per slice of the cost in _transport_lp's first LP.
 _START_COLUMNS = 16
 
@@ -186,11 +189,12 @@ def _pair_cost(mu, nu, p):
                           axis=2) ** p
 
 
-def cost_tensor(measures, weights, p, cap=_DEFAULT_CAP) -> CostTensor:
-    """Evaluate c(x_1..x_N) and the barycenters on the full support product."""
+def cost_tensor(measures, weights, p) -> CostTensor:
+    """Evaluate c(x_1..x_N) and the barycenters on the full support product
+    (ValidationError above core.PRODUCT_CAP tuples)."""
     w, p, d = _check_family(measures, weights, p)
     shape = tuple(mu.n_atoms for mu in measures)
-    z, cost = _tuple_costs(support_product([mu.atoms for mu in measures], cap),
+    z, cost = _tuple_costs(support_product([mu.atoms for mu in measures]),
                            w, p)
     return CostTensor(
         values=cost.reshape(shape),
@@ -373,17 +377,17 @@ def _monotone_coupling(marginals):
     return indices, masses
 
 
-def solve_mmot(measures, weights, p, cap=_DEFAULT_CAP) -> TransportPlan:
+def solve_mmot(measures, weights, p) -> TransportPlan:
     """Solve the multi-marginal problem exactly.
 
     d = 1: the monotone (north-west) coupling, with the cost evaluated on
-    its at most sum K_i - N + 1 tuples only; cap does not apply.  d >= 2:
-    the LP over the full support product (_transport_lp's column
-    generation), which raises ValidationError when the product exceeds cap.
+    its at most sum K_i - N + 1 tuples only; no cap applies.  d >= 2: the
+    LP over the full support product (_transport_lp's column generation),
+    which raises ValidationError when the product exceeds core.PRODUCT_CAP.
     """
     w, p, d = _check_family(measures, weights, p)
     return _solve(measures, w, p,
-                  cost_tensor(measures, w, p, cap=cap) if d > 1 else None)
+                  cost_tensor(measures, w, p) if d > 1 else None)
 
 
 def _solve(measures, w, p, cost):
@@ -428,14 +432,14 @@ def _gather(measures, indices):
     )
 
 
-def barycenter_measure(plan: TransportPlan, merge_tol=None) -> DiscreteMeasure:
+def barycenter_measure(plan: TransportPlan) -> DiscreteMeasure:
     """Pushforward of the plan through the barycenter map, atoms merged.
 
-    Barycenter points closer than merge_tol (default 1e-9 times the overall
-    support diameter) are merged with mass-weighted positions.  Masses are
-    renormalized to absorb the plan's marginal residual (<= 1e-9).
+    Barycenter points closer than 1e-9 times the overall support diameter
+    are merged with mass-weighted positions.  Masses are renormalized to
+    absorb the plan's marginal residual (<= 1e-9).
     """
-    return _pushforward(plan, merge_tol)[0]
+    return _pushforward(plan)[0]
 
 
 def _pushforward(plan, merge_tol=None):
@@ -453,12 +457,12 @@ def _pushforward(plan, merge_tol=None):
     return DiscreteMeasure(atoms, masses / masses.sum()), labels
 
 
-def wp_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p,
-                cap=_DEFAULT_CAP) -> float:
+def wp_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p) -> float:
     """p-Wasserstein distance between discrete measures, exactly.
 
-    d = 1: from the monotone (north-west) coupling; cap does not apply.
-    d >= 2: the pair LP, which raises ValidationError when K_mu K_nu > cap.
+    d = 1: from the monotone (north-west) coupling; no cap applies.  d >= 2:
+    the pair LP, which raises ValidationError when K_mu K_nu exceeds
+    core.PRODUCT_CAP.
     """
     p = _check_exponent(p)
     if mu.dim != nu.dim:
@@ -468,7 +472,7 @@ def wp_distance(mu: DiscreteMeasure, nu: DiscreteMeasure, p,
         i, j = indices.T
         value = float(masses @ np.abs(mu.atoms[i, 0] - nu.atoms[j, 0]) ** p)
     else:
-        if mu.n_atoms * nu.n_atoms > cap:
+        if mu.n_atoms * nu.n_atoms > core.PRODUCT_CAP:
             raise ValidationError("pair support product exceeds cap")
         _, _, value, _ = _transport_lp(_pair_cost(mu, nu, p),
                                        (mu.masses, nu.masses))
@@ -509,11 +513,10 @@ class EquivalenceReport:
         return self.gap <= self.tol
 
 
-def verify_c2m_equivalence(measures, weights, p,
-                           cap=_DEFAULT_CAP) -> EquivalenceReport:
+def verify_c2m_equivalence(measures, weights, p) -> EquivalenceReport:
     """Check C_MM = sum_i w_i W_p^p(mu_i, nu_p) with one solve_mmot."""
     w, p, d = _check_family(measures, weights, p)
-    plan = solve_mmot(measures, weights, p, cap=cap)
+    plan = solve_mmot(measures, weights, p)
     nu, labels = _pushforward(plan)
     if d == 1:
         bracket = [(v, v) for v in (float(wi * wp_distance(mu, nu, p) ** p)
@@ -564,16 +567,16 @@ class MonotonicityReport:
         return self.min_margin >= -self.tol
 
 
-def check_cp_monotone(plan_or_points, weights=None, p=None,
-                      tol=1e-9) -> MonotonicityReport:
+def check_cp_monotone(plan_or_points, weights=None,
+                      p=None) -> MonotonicityReport:
     """Test cyclical monotonicity of a support under coordinate swaps.
 
     For every pair of support tuples x1, x2 and every proper subset sigma of
     marginal indices, swapping the sigma-coordinates must not decrease the
-    total cost.  sigma and its complement give the same swapped pair, so
-    only the subsets without the last marginal are evaluated.  Accepts a
-    TransportPlan or a raw (n, N, d) array of support tuples (with weights
-    and p supplied).
+    total cost by more than 1e-9.  sigma and its complement give the same
+    swapped pair, so only the subsets without the last marginal are
+    evaluated.  Accepts a TransportPlan or a raw (n, N, d) array of support
+    tuples (with weights and p supplied).
     """
     if isinstance(plan_or_points, TransportPlan):
         pts = plan_or_points.points
@@ -587,7 +590,7 @@ def check_cp_monotone(plan_or_points, weights=None, p=None,
         p = _check_exponent(p)
     n, N, d = pts.shape
     if n < 2:
-        return MonotonicityReport(0.0, 0, 0, (), (), tol)
+        return MonotonicityReport(0.0, 0, 0, (), (), _MONOTONE_TOL)
     base = _tuple_costs(pts, w, p)[1]
     ia, ib = map(np.array, zip(*combinations(range(n), 2)))
     patterns = [
@@ -616,7 +619,7 @@ def check_cp_monotone(plan_or_points, weights=None, p=None,
         n_patterns=len(patterns),
         worst_pair=worst_pair,
         worst_pattern=worst_pattern,
-        tol=tol,
+        tol=_MONOTONE_TOL,
     )
 
 
@@ -640,11 +643,11 @@ class DualReport:
     support_residual: float
 
 
-def dual_check_potentials(measures, weights, p, cap=_DEFAULT_CAP) -> DualReport:
+def dual_check_potentials(measures, weights, p) -> DualReport:
     """Probe the duals of the multi-marginal LP, solved in every dimension
-    (ValidationError when the support product exceeds cap)."""
+    (ValidationError when the support product exceeds core.PRODUCT_CAP)."""
     w, p, _ = _check_family(measures, weights, p)
-    cost = cost_tensor(measures, w, p, cap=cap)
+    cost = cost_tensor(measures, w, p)
     plan = _solve(measures, w, p, cost)
     _, psis = _c_transforms(plan, barycenter_measure(plan))
     return DualReport(

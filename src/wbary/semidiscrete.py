@@ -32,8 +32,6 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
     P2_TOL,
     alpha_exponent,
     beta_exponent,
@@ -54,6 +52,9 @@ _GBAR_ZERO = 1e-300
 # Refinement of the cells next to a singular point (see pushforward_density).
 _SINGULAR_RADIUS_REL = 1e-6
 _SUBSAMPLE = 6
+# Directions per radius and fewest usable radii in blowup_exponent.
+_BLOWUP_DIRECTIONS = 64
+_MIN_USABLE_RADII = 4
 
 
 @dataclass(eq=False)
@@ -154,15 +155,14 @@ def gbar(cfg: DiracConfiguration, z) -> np.ndarray:
     return G[0] if single else G.reshape(shape)
 
 
-def b_forward(cfg: DiracConfiguration, x1, tol=DEFAULT_TOL,
-              max_iter=DEFAULT_MAX_ITER) -> np.ndarray:
+def b_forward(cfg: DiracConfiguration, x1) -> np.ndarray:
     """b(x_1): the full barycenter with the first point at x_1, vectorized."""
     xb, single, shape = _as_batch(x1, cfg.dim)
     B = xb.shape[0]
     pts = np.empty((B, cfg.n_marginals, cfg.dim))
     pts[:, 0, :] = xb
     pts[:, 1:, :] = cfg.anchors[None, :, :]
-    z = pbary_points(pts, cfg.weights, cfg.p, tol=tol, max_iter=max_iter)
+    z = pbary_points(pts, cfg.weights, cfg.p)
     return z[0] if single else z.reshape(shape)
 
 
@@ -682,33 +682,32 @@ class BlowupReport:
 
 
 def blowup_exponent(cfg: DiracConfiguration, f1: GridDensity, center,
-                    radii, q_values=(), n_directions=64,
-                    min_usable=4) -> BlowupReport:
+                    radii, q_values=()) -> BlowupReport:
     """Fit the local power-law exponent of g_p around a singular center.
 
-    For each radius, g_p is evaluated at deterministic points on the sphere
-    of that radius and averaged; radii where fewer than 90% of the samples
-    carry positive density (the preimage left spt f1) are discarded.  An
-    ordinary least-squares line through (log r, log mean) gives the local
-    exponent; fewer than min_usable usable radii raise
+    For each radius, g_p is evaluated at 64 deterministic points on the
+    sphere of that radius (2 in d = 1) and averaged; radii where fewer than
+    90% of the samples carry positive density (the preimage left spt f1) are
+    discarded.  An ordinary least-squares line through (log r, log mean)
+    gives the local exponent; fewer than 4 usable radii raise
     InsufficientDataError.
     """
     center = np.asarray(center, dtype=float).ravel()
     radii = np.asarray(radii, dtype=float).ravel()
     if radii.size < 6:
         raise ValidationError("supply at least 6 candidate radii")
-    dirs = _directions(cfg.dim, n_directions)
+    dirs = _directions(cfg.dim, _BLOWUP_DIRECTIONS)
     zs = center[None, None, :] + radii[:, None, None] * dirs[None]
     g = _density_at(cfg, f1, zs.reshape(-1, cfg.dim)).reshape(radii.size, -1)
     pos = g > 0.0
     usable = pos.sum(axis=1) >= 0.9 * len(dirs)
     used = radii[usable]
     means = _row_means(g[usable][pos[usable]], pos[usable])
-    if len(used) < min_usable:
+    if len(used) < _MIN_USABLE_RADII:
         raise InsufficientDataError(
             f"only {len(used)} of {radii.size} annuli usable "
-            f"(need {min_usable}); center likely too close to the boundary "
-            "of the image region"
+            f"(need {_MIN_USABLE_RADII}); center likely too close to the "
+            "boundary of the image region"
         )
     slope = float(np.polyfit(np.log(used), np.log(means), 1)[0])
     q0 = cfg.dim / abs(slope) if slope < -1e-12 else math.inf

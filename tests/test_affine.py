@@ -42,21 +42,28 @@ class TestMatrixPbary:
         assert Z[1, 1] == pytest.approx(ref, abs=1e-9)
 
     def test_general_family_matches_direct_minimization(self):
+        """A random family, and a diagonal one whose Frobenius barycenter
+        is not the per-entry scalar barycenters (p = 3: diagonal
+        (1.17671, 1.10769), not (1.17382, 1.10813))."""
         rng = np.random.default_rng(3)
-        mats = rng.normal(size=(3, 2, 2))
-        w = np.array([0.4, 0.35, 0.25])
-        p = 2.5
-        Z = matrix_pbary(mats, w, p)
+        diagonal = np.stack([np.diag([1.0, 0.5]), np.diag([2.0, 3.0]),
+                             np.diag([0.2, -1.0])])
+        cases = [
+            (rng.normal(size=(3, 2, 2)), np.array([0.4, 0.35, 0.25]), 2.5),
+            (diagonal, np.array([0.5, 0.3, 0.2]), 3.0),
+            (diagonal, np.array([0.5, 0.3, 0.2]), 1.5),
+        ]
+        for mats, w, p in cases:
+            Z = matrix_pbary(mats, w, p)
 
-        def obj(flat):
-            M = flat.reshape(2, 2)
-            return float(
-                (w * np.linalg.norm(mats - M[None], axis=(1, 2)) ** p).sum()
-            )
+            def obj(flat):
+                r = np.linalg.norm(mats - flat.reshape(1, 2, 2), axis=(1, 2))
+                return float((w * r ** p).sum())
 
-        res = minimize(obj, mats.mean(axis=0).ravel(), method="Nelder-Mead",
-                       options={"xatol": 1e-11, "fatol": 1e-13})
-        assert np.abs(Z - res.x.reshape(2, 2)).max() < 1e-6
+            res = minimize(obj, mats.mean(axis=0).ravel(),
+                           method="Nelder-Mead",
+                           options={"xatol": 1e-11, "fatol": 1e-13})
+            assert np.abs(Z - res.x.reshape(2, 2)).max() < 1e-6, (p, Z)
 
     def test_quadratic_case_is_weighted_mean(self):
         rng = np.random.default_rng(4)

@@ -12,19 +12,23 @@ import pytest
 from hypothesis import given, reject, settings, strategies as st
 
 from wbary import (
+    AffineMap,
     ConvergenceError,
     DiscreteMeasure,
     ValidationError,
     barycenter_measure,
     check_cp_monotone,
+    compute_D,
+    compute_m,
     cost_tensor,
     dual_check_potentials,
     pbary_points,
     solve_mmot,
+    verify_affine_vs_mmot,
     verify_c2m_equivalence,
     wp_distance,
 )
-from wbary import mmot
+from wbary import core, mmot
 from wbary.mmot import _pair_cost, _transport_lp, _tuple_costs
 
 
@@ -433,18 +437,31 @@ def test_1d_route_has_no_product_cap():
     assert rep.plan.marginal_residual <= 1e-12
 
 
-def test_cap_still_bounds_the_lp_in_2d():
+def test_cap_still_bounds_the_lp_in_2d(monkeypatch):
+    """core.PRODUCT_CAP is the one cap of every support product: the MMOT
+    LP, the cost tensor, the pair LP, the separation quantities and the
+    affine check all read it when called."""
     rng = np.random.default_rng(4)
     measures = [DiscreteMeasure(rng.normal(size=(11, 2)), np.full(11, 1 / 11))
                 for _ in range(2)]
     w = np.array([0.5, 0.5])
-    with pytest.raises(ValidationError):
-        solve_mmot(measures, w, 2.0, cap=100)
-    with pytest.raises(ValidationError):
-        verify_c2m_equivalence(measures, w, 2.0, cap=100)
-    with pytest.raises(ValidationError):
-        wp_distance(measures[0], measures[1], 2.0, cap=100)
-    assert solve_mmot(measures, w, 2.0, cap=121).support_within_basis
+    maps = [AffineMap.identity(2), AffineMap(np.diag([1.0, 0.5]), np.zeros(2))]
+    monkeypatch.setattr(core, "PRODUCT_CAP", 100)
+    calls = [
+        lambda: solve_mmot(measures, w, 2.0),
+        lambda: verify_c2m_equivalence(measures, w, 2.0),
+        lambda: wp_distance(measures[0], measures[1], 2.0),
+        lambda: cost_tensor(measures, w, 2.0),
+        lambda: dual_check_potentials(measures, w, 2.0),
+        lambda: compute_D(measures, w, 2.0),
+        lambda: compute_m(measures, w, 2.0),
+        lambda: verify_affine_vs_mmot(measures[0], maps, w, 2.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="exceeds cap"):
+            call()
+    monkeypatch.setattr(core, "PRODUCT_CAP", 121)
+    assert solve_mmot(measures, w, 2.0).support_within_basis
 
 
 def _full_product_lp(cost, marginals):
@@ -549,3 +566,38 @@ def test_transport_lp_is_the_only_lp():
                 imports.append(where)
     assert calls == [("mmot.py", "_transport_lp")]
     assert imports and set(imports) == {("mmot.py", "_transport_lp")}
+
+
+def _is_product_cap_value(node):
+    """Whether node is the literal 10 ** 6 (or a constant equal to it)."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        parts = (node.left, node.right)
+        return (all(isinstance(x, ast.Constant) for x in parts)
+                and node.left.value ** node.right.value == 10 ** 6)
+    return isinstance(node, ast.Constant) and node.value == 10 ** 6
+
+
+def test_product_cap_is_one_constant():
+    """No function in src/wbary takes a cap or max_iter argument, and the
+    product cap's value is written once, as core.PRODUCT_CAP."""
+    params, values, cap_names = [], [], []
+    for path in sorted(Path(mmot.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+                a = node.args
+                params += [
+                    (path.name, getattr(node, "name", "<lambda>"), arg.arg)
+                    for arg in a.posonlyargs + a.args + a.kwonlyargs
+                    if arg.arg in ("cap", "max_iter")
+                ]
+            if _is_product_cap_value(node):
+                values.append(path.name)
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                cap_names += [(path.name, t.id) for t in targets
+                              if isinstance(t, ast.Name) and "CAP" in t.id]
+    assert params == []
+    assert values == ["core.py"]
+    assert cap_names == [("core.py", "PRODUCT_CAP")]
