@@ -269,14 +269,16 @@ def mmot_equivalence_battery(fast: bool = False) -> CheckResult:
         scale = 1.0 + abs(rep.mmot_value)
         worst = max(worst, rep.gap / scale)
         if d == 1:
+            cost = cost_tensor(measures, w, p).values
             gaps = [rep.mmot_value - _transport_lp(
-                cost_tensor(measures, w, p).values,
-                [mu.masses for mu in measures])[2]]
+                cost, [mu.masses for mu in measures], cost.take)[2]]
         else:
-            gaps = [b - wi * _transport_lp(_pair_cost(mu, nu, p),
-                                           (mu.masses, nu.masses))[2]
-                    for mu, wi, bounds in zip(measures, w, rep.bracket)
-                    for b in bounds]
+            gaps = []
+            for mu, wi, bounds in zip(measures, w, rep.bracket):
+                cost = _pair_cost(mu, nu, p)
+                W = wi * _transport_lp(cost, (mu.masses, nu.masses),
+                                       cost.take)[2]
+                gaps += [b - W for b in bounds]
         lp_gap = max(map(abs, gaps)) / scale
         worst_lp[d] = max(worst_lp[d], lp_gap)
         failures += 0 if rep.ok and lp_gap <= 1e-8 else 1

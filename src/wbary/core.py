@@ -16,6 +16,7 @@ Newton iteration on phi, batched over many configurations at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -177,6 +178,15 @@ def coincident_mask(r: np.ndarray, diam) -> np.ndarray:
     return mask | (diam == 0.0)[..., None]
 
 
+def check_product(shape) -> None:
+    """Raise ValidationError when a support product of this shape has more
+    than PRODUCT_CAP tuples."""
+    total = math.prod(shape)
+    if total > PRODUCT_CAP:
+        raise ValidationError(
+            f"support product size {total} exceeds cap {PRODUCT_CAP}")
+
+
 def support_product(atom_sets) -> np.ndarray:
     """All tuples (a_1, ..., a_N) with a_i drawn from atom_sets[i].
 
@@ -184,10 +194,7 @@ def support_product(atom_sets) -> np.ndarray:
     order of the multi-index; raises ValidationError above PRODUCT_CAP tuples.
     """
     shape = tuple(len(a) for a in atom_sets)
-    total = int(np.prod(shape))
-    if total > PRODUCT_CAP:
-        raise ValidationError(
-            f"support product size {total} exceeds cap {PRODUCT_CAP}")
+    check_product(shape)
     idx = np.indices(shape).reshape(len(shape), -1)
     return np.stack([a[i] for a, i in zip(atom_sets, idx)], axis=1)
 
@@ -269,7 +276,8 @@ def pbary_points(points, weights, p, tol=DEFAULT_TOL):
     """Batched p-barycenter of point tuples.
 
     points : (..., N, d); weights : (N,) or broadcastable to (..., N).
-    Returns minimizers with shape (..., d).  Raises ValidationError for
+    Returns minimizers with shape (..., d); an empty batch (0, N, d) gives
+    (0, d).  Raises ValidationError for tuples of zero points, for
     non-finite points, for weights that are not finite and positive, and
     for weight rows that do not sum to 1 within WEIGHT_SUM_TOL, and
     ConvergenceError if any batch entry fails to reach
@@ -287,6 +295,8 @@ def pbary_points(points, weights, p, tol=DEFAULT_TOL):
         pts = pts[None]
     lead = pts.shape[:-2]
     N, d = pts.shape[-2:]
+    if N == 0:
+        raise ValidationError("pbary_points needs at least one point per tuple")
     pts = pts.reshape(-1, N, d)
     w = np.broadcast_to(weights, lead + (N,)).reshape(-1, N)
     sums = w.sum(axis=1)

@@ -72,14 +72,19 @@ class DiracConfiguration:
     p: float
 
     def __post_init__(self):
-        anchors = np.atleast_2d(np.asarray(self.anchors, dtype=float))
+        # Private read-only copies: fixed_point is cached, so a later write
+        # through the caller's arrays must not reach the configuration.
+        anchors = np.atleast_2d(np.array(self.anchors, dtype=float))
         self.anchors = anchors
         self.p = _check_exponent(self.p)
         if anchors.ndim != 2 or anchors.shape[0] < 1:
             raise ValidationError("anchors must be a nonempty (N-1, d) array")
         if not np.all(np.isfinite(anchors)):
             raise ValidationError("anchors contain non-finite entries")
-        self.weights = _check_weights(self.weights, anchors.shape[0] + 1)
+        self.weights = np.array(_check_weights(self.weights,
+                                               anchors.shape[0] + 1))
+        anchors.setflags(write=False)
+        self.weights.setflags(write=False)
 
     @property
     def lam1(self) -> float:

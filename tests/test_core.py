@@ -84,6 +84,18 @@ def test_batch_shapes():
     assert (res <= 1e-10 * 0.25 * diam ** 2).all()
 
 
+def test_empty_inputs():
+    """A tuple of zero points has no barycenter and raises; an empty batch
+    of tuples returns an empty (0, d) array on every route."""
+    with pytest.raises(ValidationError, match="at least one point"):
+        pbary_points(np.zeros((0, 2)), [], 3.0)
+    with pytest.raises(ValidationError, match="at least one point"):
+        pbary_points(np.zeros((5, 0, 2)), [], 3.0)
+    for p in (1.5, 2.0, 3.0):
+        z = pbary_points(np.zeros((0, 3, 2)), [0.2, 0.3, 0.5], p)
+        assert z.shape == (0, 2)
+
+
 def test_translation_and_scaling_equivariance():
     rng = np.random.default_rng(2)
     pts = rng.normal(size=(4, 2))

@@ -147,7 +147,8 @@ def test_pair_lp_duals_certify_optimum():
     mu = DiscreteMeasure(np.array([[0.0], [1.0]]), [0.5, 0.5])
     nu = DiscreteMeasure(np.array([[2.0], [3.0]]), [0.5, 0.5])
     cost = (mu.atoms[:, None, 0] - nu.atoms[None, :, 0]) ** 2
-    plan, (phi, psi), value, _ = _transport_lp(cost, (mu.masses, nu.masses))
+    plan, (phi, psi), value, _ = _transport_lp(cost, (mu.masses, nu.masses),
+                                               cost.take)
     assert value == pytest.approx(4.0, rel=1e-12)
     assert phi @ mu.masses + psi @ nu.masses == pytest.approx(value, rel=1e-10)
     slack = cost - phi[:, None] - psi[None, :]
@@ -337,15 +338,16 @@ def test_monotone_route_matches_the_lp_1d(seed, p, sizes, equal):
     # The LP oracle runs at _transport_lp's feasibility tolerances of 1e-10.
     # (At HiGHS' default 1e-7, pair LPs against a barycenter measure were
     # seen to end up to 7.6e-9 above the optimum.)
-    assert C == pytest.approx(_transport_lp(cost, marginals)[2], rel=0,
-                              abs=1e-9 * (1.0 + C))
+    assert C == pytest.approx(_transport_lp(cost, marginals, cost.take)[2],
+                              rel=0, abs=1e-9 * (1.0 + C))
     assert plan.marginal_residual <= 1e-12
     assert plan.support_within_basis
     assert mono.ok, mono.min_margin
     nu = barycenter_measure(plan)
     for mu in measures:
         cost_pair = np.abs(mu.atoms - nu.atoms.T) ** p
-        lp = _transport_lp(cost_pair, (mu.masses, nu.masses))[2]
+        lp = _transport_lp(cost_pair, (mu.masses, nu.masses),
+                           cost_pair.take)[2]
         assert wp_distance(mu, nu, p) ** p == pytest.approx(
             lp, rel=0, abs=1e-9 * (1.0 + lp))
 
@@ -378,8 +380,8 @@ def test_pair_bracket_holds_the_pair_lp_value_2d(seed, p, sizes):
     assert rep.ok, rep.gap
     C, nu = rep.mmot_value, rep.barycenter
     for mu, wi, (lower, upper) in zip(measures, w, rep.bracket):
-        W = wi * _transport_lp(_pair_cost(mu, nu, p),
-                               (mu.masses, nu.masses))[2]
+        cost = _pair_cost(mu, nu, p)
+        W = wi * _transport_lp(cost, (mu.masses, nu.masses), cost.take)[2]
         assert lower <= W + 1e-9 * (1.0 + C)
         assert W <= upper + 1e-9 * (1.0 + C)
 
@@ -520,8 +522,8 @@ def test_column_generation_matches_the_full_product_lp(seed, p, d, sizes,
         # test_monotone_route_matches_the_lp_1d.
         reject()
     marginals = [mu.masses for mu in measures]
-    plan, duals, C, (residual, _, rounds, columns) = _transport_lp(cost,
-                                                                   marginals)
+    plan, duals, C, (residual, rounds, columns) = _transport_lp(
+        cost, marginals, cost.take)
     assert C == pytest.approx(_full_product_lp(cost, marginals), rel=0,
                               abs=1e-9 * (1.0 + abs(C)))
     slack = (sum(np.ix_(*duals)) - cost).max()
@@ -531,6 +533,136 @@ def test_column_generation_matches_the_full_product_lp(seed, p, d, sizes,
         other = tuple(a for a in range(N) if a != axis)
         assert np.abs(plan.sum(axis=other) - m).max() <= 1e-10
     assert rounds >= 1 and columns <= cost.size
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    p=st.floats(1.1, 4.0, exclude_min=True),
+    N=st.integers(2, 4),
+    d=st.integers(1, 3),
+    log_scale=st.floats(-6.0, 6.0),
+    log_gap=st.floats(-9.0, -3.0),
+    copies=st.lists(st.sampled_from(["exact", "near", "free"]),
+                    min_size=3, max_size=3),
+)
+def test_cost_bound_is_below_the_computed_cost(seed, p, N, d, log_scale,
+                                               log_gap, copies):
+    """The scaled two-point bound lies at or below the cost _tuple_costs
+    computes on every tuple of the product, and for N = 2, where the bound
+    is the cost itself, the two agree within 1e-11 wherever the float
+    barycenter resolves the minimum.  Marginals after the first are exact
+    copies of its atoms (coincident tuples), copies moved by 1e-9 to 1e-3
+    of their size (near-coincident ones), or free; coordinates span 1e-6
+    to 1e6."""
+    rng = np.random.default_rng(seed)
+    base = rng.normal(size=(4, d))
+    atoms = [base] + [
+        base + (copy != "exact") * 10.0 ** log_gap * rng.normal(size=(4, d))
+        if copy != "free" else rng.normal(size=(4, d))
+        for copy in copies[:N - 1]
+    ]
+    measures = [DiscreteMeasure(10.0 ** log_scale * a, np.full(4, 0.25))
+                for a in atoms]
+    w = rng.uniform(0.05, 1.0, N)
+    w = w / w.sum()
+    lower, upper = mmot._cost_bounds(measures, w, p)
+    pts = core.support_product([mu.atoms for mu in measures])
+    try:
+        z, cost = _tuple_costs(pts, w, p)
+    except ConvergenceError:
+        # pbary_points' documented float-floor raise for p < 2, as in
+        # test_monotone_route_matches_the_lp_1d.
+        reject()
+    lower = lower.ravel()
+    assert (lower <= cost).all(), (lower - cost).max()
+    assert cost.max() <= upper
+    if N == 2:
+        # Near p = 1 with unequal weights z sits within a few ulps of the
+        # heavier point, and a step of z by one ulp moves the cost by more
+        # than 1e-12 of itself: the float cost cannot resolve the minimum
+        # to 1e-11 there.  Everywhere else the two must agree.
+        step = np.spacing(np.abs(z)).max(axis=1, keepdims=True)
+        moved = [(w * np.linalg.norm(pts - (z + s * step * e)[:, None, :],
+                                     axis=2) ** p).sum(axis=1)
+                 for e in np.eye(d) for s in (-1.0, 1.0)]
+        resolved = np.all([np.abs(c - cost) <= 1e-12 * cost for c in moved],
+                          axis=0)
+        np.testing.assert_allclose(lower[resolved], cost[resolved],
+                                   rtol=1e-11, atol=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    p=st.sampled_from([1.7, 2.0, 3.0]),
+    d=st.sampled_from([2, 3]),
+    sizes=st.lists(st.integers(1, 12), min_size=2, max_size=3),
+    tied=st.booleans(),
+)
+def test_lazy_route_matches_the_full_product_oracle(seed, p, d, sizes, tied):
+    """solve_mmot prices with the two-point bound and solves tuples only
+    where the bound cannot price a column out.  Against cost_tensor and
+    _transport_lp on the exact product: the same optimum, duals feasible on
+    every column, the same barycenters, the degeneracy flag set whenever
+    the full-product rule sets it for the same plan and duals, and the same
+    violation from dual_check_potentials.  Tied families put integer-grid
+    atoms under equal masses and weights, so costs tie."""
+    rng = np.random.default_rng(seed)
+    grid = np.indices((5,) * d).reshape(d, -1).T - 2.0
+    measures = []
+    for K in sizes:
+        if tied:
+            atoms, m = grid[rng.choice(len(grid), K, replace=False)], np.ones(K)
+        else:
+            atoms, m = rng.normal(size=(K, d)), rng.uniform(0.2, 1.0, K)
+        measures.append(DiscreteMeasure(atoms, m / m.sum()))
+    N = len(sizes)
+    w = np.full(N, 1.0 / N) if tied else rng.uniform(0.2, 1.0, N)
+    w = w / w.sum()
+    try:
+        plan = solve_mmot(measures, w, p)
+        dual = dual_check_potentials(measures, w, p)
+        ct = cost_tensor(measures, w, p)
+    except ConvergenceError:
+        # pbary_points' documented float-floor raise for p < 2, as in
+        # test_monotone_route_matches_the_lp_1d.
+        reject()
+    cost = ct.values
+    C = _transport_lp(cost, [mu.masses for mu in measures], cost.take)[2]
+    assert abs(plan.objective - C) <= 1e-12 * (1.0 + C)
+    excess = sum(np.ix_(*plan.duals)) - cost
+    assert excess.max() <= 1e-9
+    support = tuple(plan.indices.T)
+    np.testing.assert_array_equal(plan.barycenters, ct.barycenters[support])
+    off = np.ones(cost.shape, bool)
+    off[support] = False
+    assert plan.maybe_degenerate or not (
+        off & (np.abs(excess) <= 1e-9 * (1.0 + cost.max()))).any()
+    assert dual.feasibility_violation == excess.max()
+
+
+def test_lazy_route_solves_a_minority_of_the_product():
+    """On a transport-sized family (N = 3, K = 22, d = 2, p = 1.7) the LP
+    route runs the point solver on fewer than half of the 10 648 tuples,
+    and forms neither the cost tensor nor the support tuples."""
+    rng = np.random.default_rng(31)
+    measures = []
+    for _ in range(3):
+        m = rng.uniform(0.2, 1.0, 22)
+        measures.append(DiscreteMeasure(rng.normal(size=(22, 2)), m / m.sum()))
+    w = rng.uniform(0.2, 1.0, 3)
+    with mock.patch.object(mmot, "pbary_points",
+                           wraps=mmot.pbary_points) as solver, \
+            mock.patch.object(mmot, "cost_tensor",
+                              wraps=mmot.cost_tensor) as tensor, \
+            mock.patch.object(mmot, "support_product",
+                              wraps=mmot.support_product) as product:
+        plan = solve_mmot(measures, w / w.sum(), 1.7)
+    solved = sum(call.args[0].shape[0] for call in solver.call_args_list)
+    assert 0 < solved < 22 ** 3 / 2
+    assert tensor.call_count == 0 and product.call_count == 0
+    assert plan.support_within_basis and plan.marginal_residual <= 1e-10
 
 
 def _enclosing_function(node, parents):

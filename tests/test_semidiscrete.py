@@ -56,6 +56,23 @@ def test_fixed_point_is_anchor_barycenter(cfg_1d_p3):
     assert np.linalg.norm(gbar(cfg_1d_p3, z)) <= 1e-12
 
 
+def test_configuration_keeps_its_own_anchors():
+    """fixed_point is cached, so the configuration copies the caller's
+    arrays: a later write to them changes neither the anchors nor zbar."""
+    a = np.array([[0.8, 0.1], [-0.7, -0.25]])
+    w = np.array([0.4, 0.3, 0.3])
+    cfg = DiracConfiguration(a, w, 3.0)
+    zbar = cfg.fixed_point
+    a[0, 0] += 1.0
+    w[:] = [0.2, 0.6, 0.2]
+    np.testing.assert_array_equal(cfg.anchors, [[0.8, 0.1], [-0.7, -0.25]])
+    np.testing.assert_array_equal(cfg.weights, [0.4, 0.3, 0.3])
+    assert np.linalg.norm(gbar(cfg, cfg.fixed_point)) <= 1e-12
+    np.testing.assert_array_equal(cfg.fixed_point, zbar)
+    with pytest.raises(ValueError):
+        cfg.anchors[0, 0] = 0.0
+
+
 def test_inverse_map_closed_form(cfg_1d_p3):
     # b^{-1}(0) = 0 - lam1^(alpha-1) Gbar |Gbar|^(-alpha) = -sqrt(5)
     x = b_inverse(cfg_1d_p3, np.array([0.0]))
