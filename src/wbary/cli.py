@@ -180,6 +180,7 @@ def _run_mmot(args, outdir: Path) -> int:
         "n_barycenter_atoms": nu.n_atoms,
         "lp_rounds": plan.lp_rounds,
         "lp_columns": plan.lp_columns,
+        "lp_iterations": plan.lp_iterations,
     })
     return 0 if ok else 3
 

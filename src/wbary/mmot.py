@@ -19,27 +19,28 @@ coupling is the monotone (north-west) one: the quantile t in (0, 1) goes to
 the tuple of the t-quantiles of the marginals.  solve_mmot and wp_distance
 build it directly from the cumulative masses, in O(sum K_i log sum K_i),
 with no support product and no LP.  In higher dimensions all linear
-programs go through _transport_lp: SciPy's HiGHS dual simplex with presolve
-off and primal and dual feasibility tolerances of 1e-10.  It returns vertex
-solutions (sparse supports) and the equality-constraint duals used by the
-bracket and by dual_check_potentials, which solves the multi-marginal LP in
-every dimension.  Those tolerances sit below what the checks on the result
-ask for: the swap test of check_cp_monotone (1e-9), the dual feasibility of
-dual_check_potentials and the bracket of verify_c2m_equivalence
-(1e-8 (1 + C)).  An optimal vertex has at most sum K_i - N + 1 positive
-entries, so _transport_lp solves by column generation, and the barycentric
-cost is needed exactly only on the columns that pricing cannot rule out.
-The multi-marginal LP therefore prices with the closed-form two-point lower
-bound of _cost_bounds, formed on the whole product, and runs the point
-solver only on the columns HiGHS sees and on those whose reduced cost by
-the bound is negative (_LazyCost); the full cost tensor is never built.
-The bound is at most the cost, so duals feasible against it on the whole
-product within 1e-10 still certify the optimum of the full LP.  The bound
-spans the product, so core.PRODUCT_CAP, the one product cap of the package,
-still bounds these LPs (and cost_tensor's product); the 1-D route never
-forms a product and is not capped.  SciPy is imported only when such an
-LP runs or when near-duplicate atoms are merged, so importing wbary does
-not load it.
+programs go through _transport_lp: HiGHS dual simplex, through SciPy's
+bindings, with presolve off and primal and dual feasibility tolerances of
+1e-10, on one model per call whose rounds start from the last optimal
+basis.  It returns vertex solutions (sparse supports) and the
+equality-constraint duals used by the bracket and by dual_check_potentials,
+which solves the multi-marginal LP in every dimension.  Those tolerances
+sit below what the checks on the result ask for: the swap test of
+check_cp_monotone (1e-9), the dual feasibility of dual_check_potentials and
+the bracket of verify_c2m_equivalence (1e-8 (1 + C)).  An optimal vertex
+has at most sum K_i - N + 1 positive entries, so _transport_lp solves by
+column generation, and the barycentric cost is needed exactly only on the
+columns that pricing cannot rule out.  The multi-marginal LP therefore
+prices with the closed-form two-point lower bound of _cost_bounds, formed
+on the whole product, and runs the point solver only on the columns HiGHS
+sees and on those whose reduced cost by the bound is negative (_LazyCost);
+the full cost tensor is never built.  The bound is at most the cost, so
+duals feasible against it on the whole product within 1e-10 still certify
+the optimum of the full LP.  The bound spans the product, so
+core.PRODUCT_CAP, the one product cap of the package, still bounds these
+LPs (and cost_tensor's product); the 1-D route never forms a product and is
+not capped.  SciPy is imported only when such an LP runs or when
+near-duplicate atoms are merged, so importing wbary does not load it.
 """
 
 from __future__ import annotations
@@ -186,9 +187,27 @@ class CostTensor:
     p: float
 
 
+def _pair_weight(wi, wj, p):
+    """kappa = w_i w_j / (w_i^(1/(p-1)) + w_j^(1/(p-1)))^(p-1), the minimum
+    over z of w_i |x_i - z|^p + w_j |x_j - z|^p for |x_i - x_j| = 1; written
+    without the negative powers (w_i^(-1/(p-1)) + ...)^(-(p-1)), which
+    overflow for small weights near p = 1."""
+    return wi * wj / (wi ** (1.0 / (p - 1.0)) + wj ** (1.0 / (p - 1.0))) ** (
+        p - 1.0)
+
+
 def _tuple_costs(pts, w, p):
-    """Barycenters z and costs sum_i w_i |x_i - z|^p of tuples pts (n, N, d)."""
+    """Barycenters z and costs sum_i w_i |x_i - z|^p of tuples pts (n, N, d).
+
+    For N = 2 the cost is the closed form kappa |x_1 - x_2|^p of
+    _pair_weight, exact to rounding: near p = 1 with unequal weights the
+    minimizer sits within a few ulps of the heavier point, where the cost
+    at the float z comes out up to ~4e-11 relative high.
+    """
     z = pbary_points(pts, w, p)
+    if pts.shape[1] == 2:
+        dist = np.linalg.norm(pts[:, 0] - pts[:, 1], axis=1)
+        return z, _pair_weight(w[0], w[1], p) * dist ** p
     return z, (w * np.linalg.norm(pts - z[:, None, :], axis=2) ** p).sum(axis=1)
 
 
@@ -225,7 +244,8 @@ def _cost_bounds(measures, w, p):
         kappa_ij = w_i w_j / (w_i^(1/(p-1)) + w_j^(1/(p-1)))^(p-1)
                  = (w_i^(-1/(p-1)) + w_j^(-1/(p-1)))^(-(p-1)),
 
-    with equality for N = 2.  lower is this bound scaled by
+    with equality for N = 2, where _tuple_costs evaluates the same
+    _pair_weight in closed form.  lower is this bound scaled by
     1 - _BOUND_MARGIN, shape (K_1, ..., K_N); it takes N(N-1)/2 broadcasts
     of K_i x K_j pair matrices.  upper = sum_{i>=2} w_i max |x_1 - x_i|^p,
     the largest cost of a tuple at z = x_1.  Raises ValidationError above
@@ -233,7 +253,6 @@ def _cost_bounds(measures, w, p):
     """
     shape = tuple(mu.n_atoms for mu in measures)
     core.check_product(shape)
-    t = w ** (1.0 / (p - 1.0))
     lower = np.zeros(shape)
     upper = 0.0
     for i, j in combinations(range(len(shape)), 2):
@@ -242,8 +261,8 @@ def _cost_bounds(measures, w, p):
             upper += w[j] * float(dist.max())
         axes = [1] * len(shape)
         axes[i], axes[j] = shape[i], shape[j]
-        kappa = w[i] * w[j] / (t[i] + t[j]) ** (p - 1.0)
-        np.maximum(lower, kappa * dist.reshape(axes), out=lower)
+        np.maximum(lower, _pair_weight(w[i], w[j], p) * dist.reshape(axes),
+                   out=lower)
     return lower * (1.0 - _BOUND_MARGIN), upper
 
 
@@ -303,6 +322,9 @@ class TransportPlan:
         sum_i y_i[t_i] <= c(t) up to the LP tolerance.  1-D route: None.
     lp_rounds, lp_columns : LP route, the LPs that column generation solved
         and the columns of the last one.  1-D route: None.
+    lp_iterations : LP route, the HiGHS simplex iterations of each of the
+        lp_rounds LPs; every LP after the first starts from the basis of the
+        one before.  1-D route: None.
     """
 
     indices: np.ndarray
@@ -319,6 +341,7 @@ class TransportPlan:
     duals: tuple | None
     lp_rounds: int | None
     lp_columns: int | None
+    lp_iterations: tuple | None
 
     @property
     def n_entries(self) -> int:
@@ -341,12 +364,19 @@ def _transport_lp(bound, marginals, exact):
     flat indices into bound to the exact costs of those columns.  Callers
     that hold the exact cost array pass it as bound and its take as exact.
     Solves min <c, x> over x >= 0 with the marginals of x fixed, by column
-    generation under one HiGHS contract: dual simplex (vertex solutions, so
-    sparse supports), presolve off, and primal and dual feasibility
-    tolerances of 1e-10 (HiGHS defaults to presolve on and 1e-7).  The
-    checks downstream ask for more than 1e-7: check_cp_monotone's swap test
-    at 1e-9, dual_check_potentials' dual feasibility, and the bracket of
-    verify_c2m_equivalence at 1e-8 (1 + C).
+    generation on one HiGHS model under one contract: dual simplex (vertex
+    solutions, so sparse supports), presolve off, and primal and dual
+    feasibility tolerances of 1e-10 (HiGHS defaults to presolve on and
+    1e-7).  The checks downstream ask for more than 1e-7: check_cp_monotone's
+    swap test at 1e-9, dual_check_potentials' dual feasibility, and the
+    bracket of verify_c2m_equivalence at 1e-8 (1 + C).
+
+    The model is built once per call: one equality row per atom of every
+    marginal, then the columns of each round added to the same model, so
+    every LP after the first starts from the optimal basis of the one
+    before.  That basis stays primal feasible, as the new columns enter at
+    zero, so later rounds take far fewer simplex iterations than a cold
+    start.  The model is dropped when the call returns.
 
     Columns are priced by the bound until exact gives their cost, and every
     column HiGHS sees has its exact cost.  The first LP runs on the columns
@@ -362,18 +392,18 @@ def _transport_lp(bound, marginals, exact):
     the dual feasibility tolerance HiGHS holds on the LP's own columns.  The
     bound is at most c, so the duals are then feasible on every column of
     the product and the restricted optimum is the optimum.  Every round adds
-    a column, so the loop ends.  Raises ConvergenceError unless HiGHS
-    reports an optimum.  Returns (plan, duals, objective, certificate):
+    a column, so the loop ends.  Raises ConvergenceError, naming HiGHS's
+    model status, unless HiGHS reports an optimum.  Returns (plan, duals,
+    objective, certificate):
 
     plan : the nonnegative optimal coupling, shaped like bound
     duals : the N equality-constraint dual vectors, one per marginal
     objective : the optimal value
-    certificate : (marginal_residual, rounds, columns), the worst absolute
-        marginal mismatch of plan, the number of LPs solved and the columns
-        of the last one
+    certificate : (marginal_residual, rounds, columns, iterations), the
+        worst absolute marginal mismatch of plan, the number of LPs solved,
+        the columns of the last one and the simplex iterations of each LP
     """
-    import scipy.sparse as sp
-    from scipy.optimize import linprog
+    from scipy.optimize._highspy import _core as highs
 
     shape = bound.shape
     offsets = np.cumsum((0,) + shape[:-1])
@@ -386,25 +416,38 @@ def _transport_lp(bound, marginals, exact):
             index = np.take_along_axis(
                 index, np.argpartition(values, k - 1, axis=1)[:, :k], axis=1)
         start.append(index.ravel())
-    cols = np.unique(np.concatenate(start))
+    new = np.unique(np.concatenate(start))
     cost = np.array(bound, dtype=float).ravel()
-    cost[cols] = exact(cols)
-    rounds = 0
+    cost[new] = exact(new)
+    lp = highs._Highs()
+    # simplex_strategy 1 is dual simplex, as linprog's "highs-ds" sets it.
+    for option, value in (("output_flag", False), ("presolve", "off"),
+                          ("solver", "simplex"), ("simplex_strategy", 1),
+                          ("primal_feasibility_tolerance", 1e-10),
+                          ("dual_feasibility_tolerance", 1e-10)):
+        lp.setOptionValue(option, value)
+    none = np.zeros(0, np.int32)
+    lp.addRows(b.size, b, b, 0, none, none, np.zeros(0))
+    cols = np.zeros(0, dtype=np.intp)
+    iterations = []
     while True:
-        rounds += 1
-        idx = np.stack(np.unravel_index(cols, shape))  # (N, n)
-        A = sp.coo_matrix(
-            (np.ones(idx.size), ((idx + offsets[:, None]).ravel(),
-                                 np.tile(np.arange(cols.size), len(shape)))),
-            shape=(sum(shape), cols.size)).tocsr()
-        res = linprog(cost[cols], A_eq=A, b_eq=b, bounds=(0, None),
-                      method="highs-ds",
-                      options={"presolve": False,
-                               "primal_feasibility_tolerance": 1e-10,
-                               "dual_feasibility_tolerance": 1e-10})
-        if res.status != 0:
-            raise ConvergenceError(f"transport LP failed: {res.message}")
-        duals = tuple(np.split(res.eqlin.marginals, offsets[1:]))
+        # Column t has a 1 in row offsets[i] + t_i of every marginal i.
+        entries = (np.stack(np.unravel_index(new, shape), axis=1)
+                   + offsets).astype(np.int32).ravel()
+        starts = np.arange(0, entries.size, len(shape), dtype=np.int32)
+        lp.addCols(new.size, cost[new], np.zeros(new.size),
+                   np.full(new.size, highs.kHighsInf), entries.size, starts,
+                   entries, np.ones(entries.size))
+        cols = np.concatenate((cols, new))
+        lp.run()
+        status = lp.getModelStatus()
+        if status != highs.HighsModelStatus.kOptimal:
+            raise ConvergenceError("transport LP failed: HiGHS model status "
+                                   f"is {lp.modelStatusToString(status)}")
+        info = lp.getInfo()
+        iterations.append(int(info.simplex_iteration_count))
+        solution = lp.getSolution()
+        duals = tuple(np.split(np.array(solution.row_dual), offsets[1:]))
         sy = sum(np.ix_(*duals)).ravel()
         rc = cost - sy
         below = np.flatnonzero(rc < -1e-10)
@@ -416,15 +459,16 @@ def _transport_lp(bound, marginals, exact):
             j = values.argmin(axis=1)
             rows = np.flatnonzero(values[np.arange(len(j)), j] < -1e-10)
             new.append(index[rows, j[rows]])
-        new = np.concatenate(new)
+        # A column can be the most negative of two slices.
+        new = np.unique(np.concatenate(new))
         if new.size == 0:
             break
-        cols = np.union1d(cols, new)
     x = np.zeros(bound.size)
-    x[cols] = np.maximum(res.x, 0.0)
-    residual = _marginal_residual(idx.T, x[cols], marginals)
-    return (x.reshape(shape), duals, float(res.fun),
-            (residual, rounds, int(cols.size)))
+    x[cols] = np.maximum(np.array(solution.col_value), 0.0)
+    residual = _marginal_residual(np.stack(np.unravel_index(cols, shape), 1),
+                                  x[cols], marginals)
+    return (x.reshape(shape), duals, float(info.objective_function_value),
+            (residual, len(iterations), int(cols.size), tuple(iterations)))
 
 
 def _marginal_residual(indices, masses, marginals):
@@ -483,11 +527,12 @@ def _solve(measures, w, p, lp):
         z, c = _tuple_costs(_gather(measures, indices), w, p)
         objective = float(masses @ c)
         residual = _marginal_residual(indices, masses, marginals)
-        degenerate, duals, rounds, columns = False, None, None, None
+        degenerate, duals = False, None
+        rounds, columns, iterations = None, None, None
     else:
         costs = _LazyCost(measures, w, p)
-        x, duals, objective, (residual, rounds, columns) = _transport_lp(
-            costs.lower, marginals, costs)
+        x, duals, objective, (residual, rounds, columns, iterations) = (
+            _transport_lp(costs.lower, marginals, costs))
         x = x.ravel()
         flat = np.flatnonzero(x > _SPARSITY_TOL)
         indices = np.stack(np.unravel_index(flat, costs.lower.shape), axis=-1)
@@ -516,6 +561,7 @@ def _solve(measures, w, p, lp):
         duals=duals,
         lp_rounds=rounds,
         lp_columns=columns,
+        lp_iterations=iterations,
     ), costs
 
 

@@ -96,6 +96,7 @@ def test_mmot_summary_reports_equivalence(tmp_path):
     # product, so one LP runs on all of its columns.
     assert summary["lp_rounds"] == 1
     assert 8 <= summary["lp_columns"] <= 64
+    assert len(summary["lp_iterations"]) == summary["lp_rounds"]
     assert (out / "plan.csv").exists()
     assert (out / "barycenter_measure.csv").exists()
 

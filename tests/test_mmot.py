@@ -522,7 +522,7 @@ def test_column_generation_matches_the_full_product_lp(seed, p, d, sizes,
         # test_monotone_route_matches_the_lp_1d.
         reject()
     marginals = [mu.masses for mu in measures]
-    plan, duals, C, (residual, rounds, columns) = _transport_lp(
+    plan, duals, C, (residual, rounds, columns, iterations) = _transport_lp(
         cost, marginals, cost.take)
     assert C == pytest.approx(_full_product_lp(cost, marginals), rel=0,
                               abs=1e-9 * (1.0 + abs(C)))
@@ -533,6 +533,7 @@ def test_column_generation_matches_the_full_product_lp(seed, p, d, sizes,
         other = tuple(a for a in range(N) if a != axis)
         assert np.abs(plan.sum(axis=other) - m).max() <= 1e-10
     assert rounds >= 1 and columns <= cost.size
+    assert len(iterations) == rounds
 
 
 @settings(max_examples=150, deadline=None)
@@ -550,11 +551,10 @@ def test_cost_bound_is_below_the_computed_cost(seed, p, N, d, log_scale,
                                                log_gap, copies):
     """The scaled two-point bound lies at or below the cost _tuple_costs
     computes on every tuple of the product, and for N = 2, where the bound
-    is the cost itself, the two agree within 1e-11 wherever the float
-    barycenter resolves the minimum.  Marginals after the first are exact
-    copies of its atoms (coincident tuples), copies moved by 1e-9 to 1e-3
-    of their size (near-coincident ones), or free; coordinates span 1e-6
-    to 1e6."""
+    is the cost itself, the two agree within 1e-11 on every tuple.
+    Marginals after the first are exact copies of its atoms (coincident
+    tuples), copies moved by 1e-9 to 1e-3 of their size (near-coincident
+    ones), or free; coordinates span 1e-6 to 1e6."""
     rng = np.random.default_rng(seed)
     base = rng.normal(size=(4, d))
     atoms = [base] + [
@@ -569,7 +569,7 @@ def test_cost_bound_is_below_the_computed_cost(seed, p, N, d, log_scale,
     lower, upper = mmot._cost_bounds(measures, w, p)
     pts = core.support_product([mu.atoms for mu in measures])
     try:
-        z, cost = _tuple_costs(pts, w, p)
+        cost = _tuple_costs(pts, w, p)[1]
     except ConvergenceError:
         # pbary_points' documented float-floor raise for p < 2, as in
         # test_monotone_route_matches_the_lp_1d.
@@ -578,18 +578,33 @@ def test_cost_bound_is_below_the_computed_cost(seed, p, N, d, log_scale,
     assert (lower <= cost).all(), (lower - cost).max()
     assert cost.max() <= upper
     if N == 2:
-        # Near p = 1 with unequal weights z sits within a few ulps of the
-        # heavier point, and a step of z by one ulp moves the cost by more
-        # than 1e-12 of itself: the float cost cannot resolve the minimum
-        # to 1e-11 there.  Everywhere else the two must agree.
-        step = np.spacing(np.abs(z)).max(axis=1, keepdims=True)
-        moved = [(w * np.linalg.norm(pts - (z + s * step * e)[:, None, :],
-                                     axis=2) ** p).sum(axis=1)
-                 for e in np.eye(d) for s in (-1.0, 1.0)]
-        resolved = np.all([np.abs(c - cost) <= 1e-12 * cost for c in moved],
-                          axis=0)
-        np.testing.assert_allclose(lower[resolved], cost[resolved],
-                                   rtol=1e-11, atol=0)
+        np.testing.assert_allclose(lower, cost, rtol=1e-11, atol=0)
+
+
+def test_two_point_cost_is_exact_near_p_one():
+    """For N = 2 the cost is kappa |x_1 - x_2|^p to rounding, also where
+    the minimizer lies within a few ulps of the heavier point and the cost
+    at the float barycenter comes out up to 1e-9 relative high: p near 1,
+    unequal weights, points 6e-8 apart at magnitude 1.  The reference is
+    the closed form in 50-digit decimal arithmetic."""
+    import decimal
+
+    p, w = 1.109375, np.array([0.882, 0.118])
+    rng = np.random.default_rng(1)
+    heads = np.array([1.0, 0.0]) + 0.3 * rng.normal(size=(20, 2))
+    steps = rng.normal(size=(20, 2))
+    steps /= np.linalg.norm(steps, axis=1, keepdims=True)
+    pts = np.stack([heads, heads + 6e-8 * steps], axis=1)
+    cost = _tuple_costs(pts, w, p)[1]
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        e = 1 / (D(p) - 1)
+        kappa = D(w[0]) * D(w[1]) / (D(w[0]) ** e + D(w[1]) ** e) ** (D(p) - 1)
+        for (a, b), c in zip(pts, cost):
+            dist = sum((D(s) - D(t)) ** 2 for s, t in zip(a, b)).sqrt()
+            ref = kappa * dist ** D(p)
+            assert abs((D(c) - ref) / ref) <= D("1e-14")
 
 
 @settings(max_examples=60, deadline=None)
@@ -665,6 +680,39 @@ def test_lazy_route_solves_a_minority_of_the_product():
     assert plan.support_within_basis and plan.marginal_residual <= 1e-10
 
 
+def test_transport_lp_names_the_highs_status_when_infeasible():
+    """Marginals whose totals differ admit no coupling: _transport_lp raises
+    ConvergenceError with HiGHS's model status in the message."""
+    rng = np.random.default_rng(5)
+    mu = DiscreteMeasure(rng.normal(size=(5, 2)), np.full(5, 0.2))
+    nu = DiscreteMeasure(rng.normal(size=(4, 2)), np.full(4, 0.25))
+    cost = _pair_cost(mu, nu, 2.0)
+    with pytest.raises(ConvergenceError, match="Infeasible"):
+        _transport_lp(cost, (mu.masses, 1.5 * nu.masses), cost.take)
+
+
+def test_warm_rounds_are_deterministic():
+    """On a transport-sized family (N = 3, K = 22, d = 2, p = 1.7) whose
+    column generation takes several rounds on one HiGHS model, two solves
+    give bit-identical plans, duals and objectives, and one iteration count
+    per round."""
+    rng = np.random.default_rng(5)
+    measures = []
+    for _ in range(3):
+        m = rng.uniform(0.2, 1.0, 22)
+        measures.append(DiscreteMeasure(rng.normal(size=(22, 2)), m / m.sum()))
+    w = rng.uniform(0.2, 1.0, 3)
+    first, second = (solve_mmot(measures, w / w.sum(), 1.7) for _ in range(2))
+    assert first.lp_rounds >= 2
+    assert len(first.lp_iterations) == first.lp_rounds
+    for a, b in [(first.indices, second.indices),
+                 (first.masses, second.masses),
+                 *zip(first.duals, second.duals)]:
+        assert a.tobytes() == b.tobytes()
+    assert first.objective == second.objective
+    assert first.lp_iterations == second.lp_iterations
+
+
 def _enclosing_function(node, parents):
     while node in parents:
         node = parents[node]
@@ -674,19 +722,25 @@ def _enclosing_function(node, parents):
 
 
 def test_transport_lp_is_the_only_lp():
-    """Across src/wbary there is one linprog( call site, and scipy.optimize
+    """Across src/wbary there is one HiGHS model construction, _Highs(,
+    inside _transport_lp; linprog is never named, so no second LP path runs
+    beside it; and scipy.optimize, its private _highspy bindings included,
     is imported only inside _transport_lp."""
-    calls, imports = [], []
+    models, linprogs, imports = [], [], []
     for path in sorted(Path(mmot.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text())
         parents = {child: node for node in ast.walk(tree)
                    for child in ast.iter_child_nodes(node)}
         for node in ast.walk(tree):
             where = (path.name, _enclosing_function(node, parents))
-            if isinstance(node, ast.Call) and "linprog" in (
+            if isinstance(node, ast.Call) and "_Highs" in (
                     getattr(node.func, "id", None),
                     getattr(node.func, "attr", None)):
-                calls.append(where)
+                models.append(where)
+            if "linprog" in (getattr(node, "id", None),
+                             getattr(node, "attr", None),
+                             getattr(node, "name", None)):
+                linprogs.append(where)
             if isinstance(node, ast.Import):
                 names = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
@@ -696,7 +750,8 @@ def test_transport_lp_is_the_only_lp():
             if any(n == "scipy.optimize" or n.startswith("scipy.optimize.")
                    for n in names):
                 imports.append(where)
-    assert calls == [("mmot.py", "_transport_lp")]
+    assert models == [("mmot.py", "_transport_lp")]
+    assert linprogs == []
     assert imports and set(imports) == {("mmot.py", "_transport_lp")}
 
 
