@@ -15,7 +15,7 @@ counts for a quick smoke run without changing any tolerance.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -83,12 +83,14 @@ FITTED_DISTANT_CONSTANT = 3.05
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of one battery check."""
+    """Outcome of one battery check; seconds is its wall time, set by
+    run_all."""
 
     name: str
     ok: bool
     details: str
     metrics: dict = field(default_factory=dict)
+    seconds: float | None = None
 
 
 def _fmt(x: float) -> str:
@@ -328,26 +330,26 @@ def gradient_finite_difference_battery(fast: bool = False) -> CheckResult:
         r = np.linalg.norm(pts - z[:, None, :], axis=2)
         diam = _diameters(pts)
         keep = (r.min(axis=1) > 1e-3 * diam) & (diam > 0)
-        for k in np.where(keep)[0]:
-            if n_done >= n:
-                break
-            i = int(rng.integers(0, 3))
-            axis = int(rng.integers(0, 2))
-            cfg = WeightedPointConfig(pts[k], w, p)
-            M = dbary_dxi(cfg, i, z=z[k])
-            step = h * diam[k]
-            plus = pts[k].copy()
-            plus[i, axis] += step
-            minus = pts[k].copy()
-            minus[i, axis] -= step
-            zp = pbary_points(plus, w, p, tol=1e-13)
-            zm = pbary_points(minus, w, p, tol=1e-13)
-            fd = (zp - zm) / (2 * step)
-            err = np.linalg.norm(fd - M[:, axis]) / max(
+        ks = np.flatnonzero(keep)[: n - n_done]
+        # Draw every probe's point and axis first, then solve all the
+        # perturbed tuples of the batch in one call.
+        i, axis = np.array([(rng.integers(0, 3), rng.integers(0, 2))
+                            for _ in ks], dtype=int).reshape(-1, 2).T
+        step = h * diam[ks]
+        moved = np.repeat(pts[ks][None], 2, axis=0)
+        moved[0, np.arange(ks.size), i, axis] += step
+        moved[1, np.arange(ks.size), i, axis] -= step
+        zp, zm = pbary_points(moved.reshape(-1, 3, 2), w, p,
+                              tol=1e-13).reshape(2, ks.size, 2)
+        fd = (zp - zm) / (2 * step[:, None])
+        for m, k in enumerate(ks):
+            M = dbary_dxi(WeightedPointConfig(pts[k], w, p), int(i[m]),
+                          z=z[k])
+            err = np.linalg.norm(fd[m] - M[:, axis[m]]) / max(
                 np.linalg.norm(M), 1e-12
             )
             worst_bary = max(worst_bary, float(err))
-            n_done += 1
+        n_done += ks.size
 
     # -- gradient of the explicit inverse map
     cfgs = [
@@ -775,12 +777,14 @@ ALL_CHECKS = (
 
 
 def run_all(fast: bool = False) -> list:
-    """Execute the battery in order; crashes become failed results."""
+    """Execute the battery in order, timing each check; crashes become
+    failed results."""
     out = []
     for name, fn in ALL_CHECKS:
+        t0 = time.perf_counter()
         try:
-            out.append(fn(fast=fast))
+            res = fn(fast=fast)
         except Exception as exc:  # pragma: no cover - defensive
-            out.append(CheckResult(name=name, ok=False,
-                                   details=f"crashed: {exc!r}"))
+            res = CheckResult(name=name, ok=False, details=f"crashed: {exc!r}")
+        out.append(replace(res, seconds=time.perf_counter() - t0))
     return out

@@ -302,7 +302,8 @@ def main(argv=None) -> int:
     if args.command == "selftest":
         results = run_all(fast=args.fast)
         for r in results:
-            print(("PASS" if r.ok else "FAIL") + f"  {r.name}: {r.details}")
+            print(("PASS" if r.ok else "FAIL")
+                  + f"  {r.name}: {r.details}  [{r.seconds:.2f} s]")
         n_ok = sum(r.ok for r in results)
         print(f"{n_ok}/{len(results)} checks passed")
         return 0 if n_ok == len(results) else 3

@@ -39,12 +39,20 @@ duals feasible against it on the whole product within 1e-10 still certify
 the optimum of the full LP.  The bound spans the product, so
 core.PRODUCT_CAP, the one product cap of the package, still bounds these
 LPs (and cost_tensor's product); the 1-D route never forms a product and is
-not capped.  SciPy is imported only when such an LP runs or when
-near-duplicate atoms are merged, so importing wbary does not load it.
+not capped.  SciPy is loaded only when such an LP runs or when
+near-duplicate atoms are merged, so importing wbary does not load it.  The
+LP loads SciPy's HiGHS extension alone, from its file, without
+scipy.optimize and the subpackages that imports; merging loads
+scipy.sparse.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import threading
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -65,6 +73,8 @@ _START_COLUMNS = 16
 # it is at least the minimum up to a few ulps; the bound's own rounding is a
 # few ulps too, and 1e-12 keeps the bound below.
 _BOUND_MARGIN = 1e-12
+# Held while _transport_lp looks up or loads SciPy's HiGHS extension.
+_HIGHS_LOCK = threading.Lock()
 
 
 @dataclass(eq=False)
@@ -393,8 +403,13 @@ def _transport_lp(bound, marginals, exact):
     bound is at most c, so the duals are then feasible on every column of
     the product and the restricted optimum is the optimum.  Every round adds
     a column, so the loop ends.  Raises ConvergenceError, naming HiGHS's
-    model status, unless HiGHS reports an optimum.  Returns (plan, duals,
-    objective, certificate):
+    model status, unless HiGHS reports an optimum.
+
+    HiGHS comes from SciPy's compiled extension, which the first call loads
+    from its file and registers under its module name; scipy.optimize,
+    imported before or after, uses the same module.  Raises ImportError,
+    naming the directories searched, when the file is not there.  Returns
+    (plan, duals, objective, certificate):
 
     plan : the nonnegative optimal coupling, shaped like bound
     duals : the N equality-constraint dual vectors, one per marginal
@@ -403,7 +418,29 @@ def _transport_lp(bound, marginals, exact):
         worst absolute marginal mismatch of plan, the number of LPs solved,
         the columns of the last one and the simplex iterations of each LP
     """
-    from scipy.optimize._highspy import _core as highs
+    # Importing the extension through its package would first run
+    # scipy/optimize/__init__.py, which loads scipy.linalg, sparse, special,
+    # spatial and fft.  Loaded under a second name, the pybind11 extension
+    # fails with "type already registered", hence the one canonical name
+    # and the lock around the first load.
+    name = "scipy.optimize._highspy._core"
+    with _HIGHS_LOCK:
+        highs = sys.modules.get(name)
+        if highs is None:
+            import scipy
+
+            where = [os.path.join(d, "optimize", "_highspy")
+                     for d in scipy.__path__]
+            spec = importlib.machinery.PathFinder.find_spec(name, where)
+            if spec is None:
+                raise ImportError(f"{name} not found in {', '.join(where)}")
+            highs = importlib.util.module_from_spec(spec)
+            sys.modules[name] = highs
+            try:
+                spec.loader.exec_module(highs)
+            except BaseException:
+                del sys.modules[name]
+                raise
 
     shape = bound.shape
     offsets = np.cumsum((0,) + shape[:-1])

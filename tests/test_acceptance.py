@@ -2,7 +2,9 @@
 
 Each test runs a single check from ``wbary.acceptance`` at full size, so
 ``pytest -v`` prints one pass/fail line per check with the check's own
-details in the failure message.  Eleven tests assert a passing verdict.
+details in the failure message.  Eleven tests assert a passing verdict;
+one more checks the finite-difference battery's batched solve against
+one solve per probe.
 
 ``test_stated_band_p_lt2`` asserts the documented counterexample instead:
 for p < 2 the stated r^(2-p) lower envelope on the eigenvalue gap is
@@ -12,9 +14,13 @@ check itself is unchanged, so the battery and ``wbary selftest`` still
 report ``stated-band-p-lt2`` as FAIL; a weakened check fails this test.
 """
 
+from unittest import mock
+
+import numpy as np
 import pytest
 
 from wbary import acceptance
+from wbary.core import WeightedPointConfig, _diameters, dbary_dxi, pbary_points
 
 
 def _check(fn):
@@ -40,6 +46,57 @@ def test_mmot_equivalence_battery():
 
 def test_gradient_finite_difference_battery():
     _check(acceptance.gradient_finite_difference_battery)
+
+
+def _per_probe_worst_bary(n, solve):
+    """The battery's dbary_dxi probes, one solve call per perturbed tuple:
+    the reference for its batched solve."""
+    rng = np.random.default_rng(11)
+    worst, n_done, h = 0.0, 0, 1e-5
+    while n_done < n:
+        p = float(rng.choice([1.5, 2.0, 2.5, 3.0]))
+        pts = rng.normal(size=(min(n - n_done, 100), 3, 2))
+        w = rng.uniform(0.2, 1.0, 3)
+        w = w / w.sum()
+        z = solve(pts, w, p, tol=1e-13)
+        r = np.linalg.norm(pts - z[:, None, :], axis=2)
+        diam = _diameters(pts)
+        for k in np.flatnonzero((r.min(axis=1) > 1e-3 * diam) & (diam > 0)):
+            if n_done >= n:
+                break
+            i, axis = int(rng.integers(0, 3)), int(rng.integers(0, 2))
+            M = dbary_dxi(WeightedPointConfig(pts[k], w, p), i, z=z[k])
+            step = h * diam[k]
+            plus, minus = pts[k].copy(), pts[k].copy()
+            plus[i, axis] += step
+            minus[i, axis] -= step
+            fd = (solve(plus, w, p, tol=1e-13)
+                  - solve(minus, w, p, tol=1e-13)) / (2 * step)
+            worst = max(worst, float(np.linalg.norm(fd - M[:, axis])
+                                     / max(np.linalg.norm(M), 1e-12)))
+            n_done += 1
+    return worst
+
+
+def test_finite_difference_probes_match_one_solve_per_tuple():
+    """Solving a batch's perturbed tuples in one call solves the same
+    tuples, to the same bits, and gives the same worst error as one call
+    per tuple."""
+    solved = {"batched": [], "per tuple": []}
+
+    def spy(key):
+        def solve(pts, w, p, tol):
+            z = pbary_points(pts, w, p, tol=tol)
+            rows = zip(np.reshape(pts, (-1, 3, 2)), np.reshape(z, (-1, 2)))
+            solved[key] += [(a.tobytes(), b.tobytes()) for a, b in rows]
+            return z
+        return solve
+
+    with mock.patch.object(acceptance, "pbary_points", spy("batched")):
+        res = acceptance.gradient_finite_difference_battery(fast=True)
+    worst = _per_probe_worst_bary(200, spy("per tuple"))
+    assert sorted(solved["batched"]) == sorted(solved["per tuple"])
+    assert res.metrics["worst_bary"] == worst
 
 
 def test_unit_lower_bound_p_ge2():

@@ -51,25 +51,126 @@ for kind in sys.argv[2:]:
     assert cli.main(["run", "--kind", kind, "--out", sys.argv[1] + "/" + kind,
                      "--grid", "32"]) == 0, kind
     assert not loaded(), kind
-m = wbary.DiscreteMeasure(np.array([[0.0], [1.0], [1.0 + 1e-15]]),
-                          [0.5, 0.25, 0.25])
-assert m.n_atoms == 2 and loaded()
 mu = wbary.DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), [0.5, 0.5])
 nu = wbary.DiscreteMeasure(np.array([[1.0, 1.0], [0.0, 1.0]]), [0.5, 0.5])
 plan = wbary.solve_mmot([mu, nu], np.array([0.5, 0.5]), 2.0)
 assert abs(plan.objective - 0.25) <= 1e-12, plan.objective
+assert cli.main(["run", "--kind", "mmot", "--out", sys.argv[1] + "/mmot"]) == 0
+assert "scipy.optimize._highspy._core" in sys.modules
+heavy = [m for m in ("scipy.optimize", "scipy.optimize._optimize",
+                     "scipy.optimize._linprog", "scipy.sparse", "scipy.linalg",
+                     "scipy.special") if m in sys.modules]
+assert heavy == [], heavy
+m = wbary.DiscreteMeasure(np.array([[0.0], [1.0], [1.0 + 1e-15]]),
+                          [0.5, 0.25, 0.25])
+assert m.n_atoms == 2 and "scipy.sparse.csgraph" in sys.modules
 """
 
 
 def test_scipy_loads_only_when_needed(tmp_path):
-    """import wbary and the kinds without a 2-D LP never load SciPy; a
-    near-duplicate merge and a 2-D solve_mmot load it on demand."""
+    """import wbary and the kinds without a 2-D LP never load SciPy; a 2-D
+    solve_mmot and the mmot kind load its HiGHS extension alone, without
+    scipy.optimize and what that imports; a near-duplicate merge loads
+    scipy.sparse's graph routines on demand."""
     res = subprocess.run(
         [sys.executable, "-c", _SCIPY_LOADS_ON_DEMAND, str(tmp_path),
          "point_bary", "semidiscrete", "bounds", "affine", "counterexample"],
         capture_output=True, text=True, timeout=300,
     )
     assert res.returncode == 0, res.stderr
+
+
+_SHARED_HIGHS = """
+import sys
+import numpy as np
+
+NAME = "scipy.optimize._highspy._core"
+
+def wbary_lp():
+    import wbary
+    mu = wbary.DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), [0.5, 0.5])
+    nu = wbary.DiscreteMeasure(np.array([[1.0, 1.0], [0.0, 1.0]]), [0.5, 0.5])
+    plan = wbary.solve_mmot([mu, nu], np.array([0.5, 0.5]), 2.0)
+    assert abs(plan.objective - 0.25) <= 1e-12, plan.objective
+
+def scipy_lp():
+    from scipy.optimize import linprog
+    res = linprog([1.0, 2.0], A_eq=[[1.0, 1.0]], b_eq=[1.0], method="highs")
+    assert res.status == 0 and abs(res.fun - 1.0) <= 1e-12, res
+
+if sys.argv[1] == "wbary-first":
+    wbary_lp()
+    first = sys.modules[NAME]
+    scipy_lp()
+elif sys.argv[1] == "scipy-first":
+    import scipy.optimize
+    first = sys.modules[NAME]
+    wbary_lp()
+    scipy_lp()
+else:
+    import threading
+    sys.setswitchinterval(1e-6)
+    errors = []
+
+    def run():
+        try:
+            wbary_lp()
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+    assert not any(t.is_alive() for t in threads) and errors == [], errors
+    first = sys.modules[NAME]
+    scipy_lp()
+import scipy.optimize
+import scipy.optimize._highspy._core as core
+assert core is first and sys.modules[NAME] is first
+assert core.__file__.startswith(scipy.optimize.__path__[0]), core.__file__
+"""
+
+
+@pytest.mark.parametrize("order", ["wbary-first", "scipy-first", "threads"])
+def test_highs_extension_is_shared_with_scipy_optimize(order):
+    """Whichever loads it first, wbary's LP and scipy.optimize.linprog run
+    on the one HiGHS extension module, also when four threads start their
+    first LP at once; a load under a second name would fail on its type
+    registrations."""
+    res = subprocess.run([sys.executable, "-c", _SHARED_HIGHS, order],
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+
+
+def test_highs_extension_is_found_on_every_scipy_path_entry(tmp_path):
+    """The LP searches every entry of scipy.__path__ for the extension.
+    Where none holds it, the ImportError names every directory searched
+    and nothing falls back to scipy.optimize; an entry without it before
+    the real one does not stop the load."""
+    empty = [str(tmp_path / "a"), str(tmp_path / "b")]
+    script = (
+        "import sys, numpy as np, scipy, wbary\n"
+        "real = list(scipy.__path__)\n"
+        f"scipy.__path__ = {empty!r}\n"
+        "mu = wbary.DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]),"
+        " [0.5, 0.5])\n"
+        "try:\n"
+        "    wbary.solve_mmot([mu, mu], np.array([0.5, 0.5]), 2.0)\n"
+        "except ImportError as exc:\n"
+        "    print(exc)\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+        f"scipy.__path__ = [{empty[0]!r}] + real\n"
+        "plan = wbary.solve_mmot([mu, mu], np.array([0.5, 0.5]), 2.0)\n"
+        "assert plan.objective == 0.0, plan.objective\n"
+        "assert 'scipy.optimize' not in sys.modules\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+    for name in "ab":
+        assert str(tmp_path / name / "optimize" / "_highspy") in res.stdout
 
 
 def test_reruns_are_bytewise_identical(tmp_path):
@@ -167,3 +268,11 @@ def test_selftest_fast_reports_known_failure():
     fails = [ln for ln in lines if ln.startswith("FAIL")]
     assert len(fails) == 1 and "stated-band-p-lt2" in fails[0]
     assert sum(1 for ln in lines if ln.startswith("PASS")) == 11
+    # Each check line ends with its wall seconds, after the details; the
+    # name still follows "PASS  " or "FAIL  " and ends with a colon.
+    checks = [ln for ln in lines if ln.startswith(("PASS", "FAIL"))]
+    assert [ln.split()[1].rstrip(":") for ln in fails] == ["stated-band-p-lt2"]
+    for ln in checks:
+        assert ln[4:6] == "  " and ln.split()[1].endswith(":"), ln
+        seconds = ln.rsplit("  [", 1)[1]
+        assert seconds.endswith(" s]") and float(seconds[:-3]) >= 0.0, ln

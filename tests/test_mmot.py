@@ -724,13 +724,22 @@ def _enclosing_function(node, parents):
 def test_transport_lp_is_the_only_lp():
     """Across src/wbary there is one HiGHS model construction, _Highs(,
     inside _transport_lp; linprog is never named, so no second LP path runs
-    beside it; and scipy.optimize, its private _highspy bindings included,
-    is imported only inside _transport_lp."""
-    models, linprogs, imports = [], [], []
+    beside it; no import statement names scipy.optimize; and the HiGHS
+    extension's module name appears only inside _transport_lp, which loads
+    the extension from its file: every line holding _highspy, and every
+    string that is a module name under scipy.optimize, lies inside it."""
+    models, linprogs, imports, names = [], [], [], []
     for path in sorted(Path(mmot.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
+        text = path.read_text()
+        tree = ast.parse(text)
         parents = {child: node for node in ast.walk(tree)
                    for child in ast.iter_child_nodes(node)}
+        spans = [(node.lineno, node.end_lineno) for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "_transport_lp"]
+        names += [(path.name, any(a <= n <= b for a, b in spans))
+                  for n, line in enumerate(text.splitlines(), 1)
+                  if "_highspy" in line]
         for node in ast.walk(tree):
             where = (path.name, _enclosing_function(node, parents))
             if isinstance(node, ast.Call) and "_Highs" in (
@@ -741,18 +750,24 @@ def test_transport_lp_is_the_only_lp():
                              getattr(node, "attr", None),
                              getattr(node, "name", None)):
                 linprogs.append(where)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if (node.value == "scipy.optimize"
+                        or node.value.startswith("scipy.optimize.")):
+                    names.append((path.name, where[1] == "_transport_lp"))
+                continue
             if isinstance(node, ast.Import):
-                names = [a.name for a in node.names]
+                modules = [a.name for a in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [f"{node.module}.{a.name}" for a in node.names]
+                modules = [f"{node.module}.{a.name}" for a in node.names]
             else:
                 continue
             if any(n == "scipy.optimize" or n.startswith("scipy.optimize.")
-                   for n in names):
+                   for n in modules):
                 imports.append(where)
     assert models == [("mmot.py", "_transport_lp")]
     assert linprogs == []
-    assert imports and set(imports) == {("mmot.py", "_transport_lp")}
+    assert imports == []
+    assert names and set(names) == {("mmot.py", True)}
 
 
 def _is_product_cap_value(node):
