@@ -152,7 +152,7 @@ def blowup_threshold_p_gt2(fast: bool = False) -> CheckResult:
         details=(
             f"slope={_fmt(rep.slope)} (target -1 +-10%), q0={_fmt(rep.q0)} "
             f"(target 2 +-0.2), verdicts 1.6/2.4={rep.verdicts[1.6]}/"
-            f"{rep.verdicts[2.4]}, mass={_fmt(pf.mass)}, {seconds:.1f}s"
+            f"{rep.verdicts[2.4]}, mass={_fmt(pf.mass)}"
         ),
         metrics={
             "slope": rep.slope,
@@ -293,7 +293,7 @@ def mmot_equivalence_battery(fast: bool = False) -> CheckResult:
             f"{n_inst - failures}/{n_inst} instances within 1e-8(1+C); "
             f"worst normalized gap {_fmt(worst)}; worst 1-D LP gap "
             f"{_fmt(worst_lp[1])}; worst 2-D pair LP gap "
-            f"{_fmt(worst_lp[2])}; {seconds:.1f}s"
+            f"{_fmt(worst_lp[2])}"
         ),
         metrics={"worst_gap": worst, "worst_lp_gap_1d": worst_lp[1],
                  "worst_pair_lp_gap_2d": worst_lp[2],

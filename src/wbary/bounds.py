@@ -22,7 +22,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    P2_TOL,
     _check_exponent,
     _check_weights,
     _diameters,
@@ -125,7 +124,7 @@ def integrability_bound(f1_lq, q, p, lam1, d, D=None, m=None,
     if d < 1:
         raise ValidationError("dimension must be at least 1")
     a = alpha_exponent(p)
-    if abs(p - 2.0) <= P2_TOL:
+    if p == 2.0:
         prefactor = lam1 ** d
     elif p > 2.0:
         if D is None or D <= 0.0:

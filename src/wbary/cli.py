@@ -34,7 +34,7 @@ from .acceptance import (
     run_all,
 )
 from .affine import spectrum_optimality
-from .core import pbary_solve, WeightedPointConfig
+from .core import _check_exponent, pbary_solve, WeightedPointConfig
 from .errors import WbaryError
 from .mmot import DiscreteMeasure, check_cp_monotone, verify_c2m_equivalence
 from .semidiscrete import (
@@ -281,7 +281,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--kind", choices=KINDS, required=True)
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--p", type=float, default=3.0,
-                     help="power exponent (> 1)")
+                     help="power exponent (> 1; within 1e-9 of 2 is 2)")
     run.add_argument("--q", type=float, default=2.0,
                      help="integrability exponent")
     run.add_argument("--grid", type=int, default=128,
@@ -308,8 +308,10 @@ def main(argv=None) -> int:
         print(f"{n_ok}/{len(results)} checks passed")
         return 0 if n_ok == len(results) else 3
 
-    if args.p <= 1.0:
-        print("error: --p must exceed 1", file=sys.stderr)
+    try:
+        args.p = _check_exponent(args.p)
+    except WbaryError as exc:
+        print(f"error: --p: {exc}", file=sys.stderr)
         return 2
     if args.grid < 8 or args.grid > 4096:
         print("error: --grid out of range [8, 4096]", file=sys.stderr)

@@ -23,7 +23,8 @@ import numpy as np
 
 from .errors import ConvergenceError, SingularBlockError, ValidationError
 
-# Route |p - 2| below this to the exact weighted-mean formula.
+# _check_exponent, which every entry point calls, returns exactly 2.0 for
+# any p within this of 2, so code downstream compares p with 2.0 exactly.
 P2_TOL = 1e-9
 # Relative coincidence threshold: x_i counts as sitting on the barycenter
 # when |x_i - z| <= EPS_COINCIDENT * diameter.
@@ -52,7 +53,7 @@ def _check_exponent(p) -> float:
     p = float(p)
     if not np.isfinite(p) or p <= 1.0:
         raise ValidationError(f"exponent p must lie in (1, inf), got {p}")
-    return p
+    return 2.0 if abs(p - 2.0) <= P2_TOL else p
 
 
 def _check_weights(weights, n) -> np.ndarray:
@@ -329,8 +330,8 @@ def _solve_batch(pts, w, p, tol):
     # every route.
     trivial = diam == 0.0
 
-    closed_form = abs(p - 2.0) <= P2_TOL or N == 2
-    if abs(p - 2.0) <= P2_TOL:
+    closed_form = p == 2.0 or N == 2
+    if p == 2.0:
         z = (w[..., None] * pts).sum(axis=1)
         F = (w[..., None] * (pts - z[:, None, :])).sum(axis=1)
     elif N == 2:
@@ -491,12 +492,10 @@ def curvature_kernel(rvec, w, p):
     rvec : (..., N, d) offsets between the points and z (either sign);
     w : weight array broadcastable to (..., N).  u_i = rvec_i / r_i.  At r_i = 0
     the block takes the limit of the formula: 0 for p > 2, w_i Id at p = 2
-    and, for p < 2, the finite stand-in w_i 1e300 Id.  |p - 2| <= P2_TOL
-    counts as p = 2.  Returns (H, r, fac): the (..., N, d, d) blocks, the
-    distances r_i and the radial factors fac_i = r_i^(p-2).
+    and, for p < 2, the finite stand-in w_i 1e300 Id.  Returns (H, r, fac):
+    the (..., N, d, d) blocks, the distances r_i and the radial factors
+    fac_i = r_i^(p-2).
     """
-    if abs(p - 2.0) <= P2_TOL:
-        p = 2.0
     r = np.linalg.norm(rvec, axis=-1)
     rpos = np.maximum(r, 1e-300)
     fac = rpos ** (p - 2.0)
@@ -559,7 +558,7 @@ def curvature_blocks(config: WeightedPointConfig, z=None) -> CurvatureBlocks:
     z = np.asarray(z, dtype=float).ravel()
     H, r, _ = curvature_kernel(config.points - z[None, :], config.weights, p)
     coincident = tuple(np.flatnonzero(coincident_mask(r, config.diameter)).tolist())
-    if p < 2.0 - P2_TOL and coincident:
+    if p < 2.0 and coincident:
         raise SingularBlockError(
             f"curvature block unbounded for p={p} at coincident point(s) "
             f"{coincident}"

@@ -129,7 +129,7 @@ class GridDensity:
                      + (line * rows.shape[0]) % tuple(rows.ravel().tolist()))
 
 
-def uniform_ball(center, radius, box=None, resolution=64) -> GridDensity:
+def uniform_ball(center, radius, resolution=64) -> GridDensity:
     """Uniform probability density on a Euclidean ball, sampled at cell centers.
 
     Cells whose center lies in the (closed) ball get a constant value; the
@@ -140,9 +140,8 @@ def uniform_ball(center, radius, box=None, resolution=64) -> GridDensity:
     radius = float(radius)
     if radius <= 0:
         raise ValidationError("radius must be positive")
-    if box is None:
-        pad = 1.1 * radius
-        box = np.stack([center - pad, center + pad], axis=1)
+    pad = 1.1 * radius
+    box = np.stack([center - pad, center + pad], axis=1)
     dens = _from_indicator(
         box, resolution, d,
         lambda pts: np.linalg.norm(pts - center[None, :], axis=1) <= radius,
@@ -150,14 +149,13 @@ def uniform_ball(center, radius, box=None, resolution=64) -> GridDensity:
     return dens.normalized()
 
 
-def uniform_box(support_box, box=None, resolution=64) -> GridDensity:
+def uniform_box(support_box, resolution=64) -> GridDensity:
     """Uniform probability density on a sub-box, renormalized on the grid."""
     sb = np.atleast_2d(np.asarray(support_box, dtype=float))
     d = sb.shape[0]
-    if box is None:
-        mid = sb.mean(axis=1)
-        half = 0.55 * (sb[:, 1] - sb[:, 0])
-        box = np.stack([mid - half, mid + half], axis=1)
+    mid = sb.mean(axis=1)
+    half = 0.55 * (sb[:, 1] - sb[:, 0])
+    box = np.stack([mid - half, mid + half], axis=1)
     dens = _from_indicator(
         box, resolution, d,
         lambda pts: np.all((pts >= sb[:, 0]) & (pts <= sb[:, 1]), axis=1),
@@ -165,15 +163,13 @@ def uniform_box(support_box, box=None, resolution=64) -> GridDensity:
     return dens.normalized()
 
 
-def radial_bump(center, radius, box=None, resolution=64) -> GridDensity:
+def radial_bump(center, radius, resolution=64) -> GridDensity:
     """C^1 bump (1 - (r/R)^2)^2 on a ball, renormalized on the grid."""
     center = np.asarray(center, dtype=float).ravel()
     d = center.shape[0]
     radius = float(radius)
-    if box is None:
-        pad = 1.1 * radius
-        box = np.stack([center - pad, center + pad], axis=1)
-    box = np.atleast_2d(np.asarray(box, dtype=float))
+    pad = 1.1 * radius
+    box = np.stack([center - pad, center + pad], axis=1)
     res = _res_tuple(resolution, d)
     dens = GridDensity(box, np.zeros(res))
     pts = dens.centers()
@@ -192,7 +188,6 @@ def _res_tuple(resolution, d) -> tuple:
 
 
 def _from_indicator(box, resolution, d, indicator) -> GridDensity:
-    box = np.atleast_2d(np.asarray(box, dtype=float))
     res = _res_tuple(resolution, d)
     shell = GridDensity(box, np.zeros(res))
     mask = indicator(shell.centers())

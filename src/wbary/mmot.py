@@ -283,7 +283,7 @@ class _LazyCost:
     cost : flat over the product, the exact cost of every solved tuple and
         lower elsewhere
     solved : flat mask of the solved tuples
-    barycenters : flat index -> barycenter, for the solved tuples
+    barycenters : (size, d) flat like cost: each solved tuple's barycenter
 
     Calling it with flat indices returns their exact costs: the tuples not
     solved before go through the point solver in one batch.
@@ -294,7 +294,7 @@ class _LazyCost:
         self.lower, self.upper = _cost_bounds(measures, w, p)
         self.cost = self.lower.ravel().copy()
         self.solved = np.zeros(self.cost.size, bool)
-        self.barycenters = {}
+        self.barycenters = np.empty((self.cost.size, measures[0].dim))
 
     def __call__(self, flat):
         new = flat[~self.solved[flat]]
@@ -303,7 +303,7 @@ class _LazyCost:
             indices = np.stack(np.unravel_index(new, self.lower.shape), axis=-1)
             z, self.cost[new] = _tuple_costs(_gather(measures, indices), w, p)
             self.solved[new] = True
-            self.barycenters.update(zip(new.tolist(), z))
+            self.barycenters[new] = z
         return self.cost[flat]
 
 
@@ -574,7 +574,7 @@ def _solve(measures, w, p, lp):
         flat = np.flatnonzero(x > _SPARSITY_TOL)
         indices = np.stack(np.unravel_index(flat, costs.lower.shape), axis=-1)
         masses = x[flat]
-        z = np.array([costs.barycenters[k] for k in flat.tolist()])
+        z = costs.barycenters[flat]
         # The bound's reduced cost is at most the exact one, so only the
         # columns at or below the tolerance by the bound can have a zero
         # reduced cost; those are made exact.
@@ -619,16 +619,15 @@ def barycenter_measure(plan: TransportPlan) -> DiscreteMeasure:
     return _pushforward(plan)[0]
 
 
-def _pushforward(plan, merge_tol=None):
+def _pushforward(plan):
     """barycenter_measure(plan) and, for each plan entry, its atom index.
 
-    The merged atoms come sorted and farther apart than merge_tol, so the
-    labels index nu.atoms whenever merge_tol is at least DiscreteMeasure's
-    own merge tolerance, 1e-12 times the diameter of nu.  The default is
-    1e-9 times the diameter of the supports, whose hull contains nu.
+    Atoms merge within 1e-9 times the diameter of the supports, whose hull
+    contains nu.  The merged atoms come sorted and farther apart than that,
+    which is at least DiscreteMeasure's own merge tolerance, 1e-12 times the
+    diameter of nu, so the labels index nu.atoms.
     """
-    if merge_tol is None:
-        merge_tol = _span_tol(np.vstack([mu.atoms for mu in plan.measures]), 1e-9)
+    merge_tol = _span_tol(np.vstack([mu.atoms for mu in plan.measures]), 1e-9)
     atoms, masses, labels = _merge_close(plan.barycenters, plan.masses,
                                          merge_tol)
     return DiscreteMeasure(atoms, masses / masses.sum()), labels

@@ -32,7 +32,6 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    P2_TOL,
     alpha_exponent,
     beta_exponent,
     _check_exponent,
@@ -143,7 +142,7 @@ def _anchor_field(cfg: DiracConfiguration, zb):
     """
     rvec = cfg.anchors[None, :, :] - zb[:, None, :]
     H, r, fac = curvature_kernel(rvec, cfg.weights[1:], cfg.p)
-    if cfg.p < 2.0 - P2_TOL and np.any(r == 0.0):
+    if cfg.p < 2.0 and np.any(r == 0.0):
         raise SingularPointError("Gbar undefined at an anchor for p < 2")
     wfac = cfg.weights[1:][None, :] * fac
     G = (wfac[..., None] * rvec).sum(axis=1)
@@ -206,7 +205,7 @@ def _inverse_jacobian(cfg: DiracConfiguration, zb, eigs: bool, field=None):
     d = cfg.dim
     eye = np.eye(d)[None]
     out = np.empty((zb.shape[0],) + ((d,) if eigs else (d, d)))
-    if abs(cfg.p - 2.0) <= P2_TOL:
+    if cfg.p == 2.0:
         out[:] = (1.0 if eigs else eye) / cfg.lam1
         return out, field
     Gn = np.linalg.norm(G, axis=1)
@@ -263,7 +262,7 @@ def jacobian_det(cfg: DiracConfiguration, z) -> np.ndarray:
 
 def _jacobian_det_at(cfg: DiracConfiguration, zb, field=None):
     """|det grad b^{-1}| at the rows of zb; field as in _inverse_jacobian."""
-    if abs(cfg.p - 2.0) <= P2_TOL:
+    if cfg.p == 2.0:
         return np.full(zb.shape[0], cfg.lam1 ** (-cfg.dim))
     eigs = _inverse_jacobian(cfg, zb, eigs=True, field=field)[0]
     return np.abs(np.prod(eigs, axis=-1))
@@ -322,7 +321,7 @@ def check_bounds_p_ge2(cfg: DiracConfiguration, z) -> EigBoundReportPGe2:
     with M(z) the largest anchor distance.  At p = 2 all four margins are
     zero: every bound collapses to the exact value 1/w1.
     """
-    if cfg.p < 2.0 - P2_TOL:
+    if cfg.p < 2.0:
         raise ValidationError("check_bounds_p_ge2 requires p >= 2")
     zb, _, _ = _as_batch(z, cfg.dim)
     eigs, (G, _, r_anchor, A) = _inverse_jacobian(cfg, zb, eigs=True)
@@ -331,7 +330,7 @@ def check_bounds_p_ge2(cfg: DiracConfiguration, z) -> EigBoundReportPGe2:
     Gn = np.linalg.norm(G, axis=1)
     with np.errstate(divide="ignore"):
         ratio = A / (lam1 ** (1.0 - a) * np.maximum(Gn, _GBAR_ZERO) ** a)
-    ratio = np.where(Gn == 0.0, np.inf if p > 2.0 + P2_TOL else A / lam1, ratio)
+    ratio = np.where(Gn == 0.0, np.inf if p > 2.0 else A / lam1, ratio)
 
     low_local = 1.0 + (1.0 - a) * ratio
     up_local = 1.0 + (p - 1.0) * ratio
@@ -342,7 +341,7 @@ def check_bounds_p_ge2(cfg: DiracConfiguration, z) -> EigBoundReportPGe2:
         up_explicit = 1.0 + nonsharp_constant(p) * (
             (1.0 - lam1) / lam1
         ) ** (1.0 - a) * (M / np.maximum(r_fix, _GBAR_ZERO)) ** (p - 2.0)
-    up_explicit = np.where(r_fix == 0.0, np.inf if p > 2.0 + P2_TOL else
+    up_explicit = np.where(r_fix == 0.0, np.inf if p > 2.0 else
                            up_explicit, up_explicit)
 
     m_low = emin - low_local
@@ -402,7 +401,7 @@ def check_bounds_p_lt2(cfg: DiracConfiguration, z) -> EigBoundReportPLt2:
     which is strictly faster than the (2-p) rate the stated bound assumes.
     The local band holds everywhere.
     """
-    if cfg.p >= 2.0 - P2_TOL:
+    if cfg.p >= 2.0:
         raise ValidationError("check_bounds_p_lt2 requires p < 2")
     zb, _, _ = _as_batch(z, cfg.dim)
     eigs, (G, _, r_anchor, At) = _inverse_jacobian(cfg, zb, eigs=True)
@@ -451,21 +450,21 @@ class SharpBandReport:
         return self.s_max <= C and self.s_min >= 1.0 / C
 
 
-def sharp_band_p_gt2(cfg: DiracConfiguration, r_max: float, n_radii: int = 20,
-                     n_directions: int = 32) -> SharpBandReport:
-    """Sweep radii r_max * 2^(-k), k = 1..n_radii, around the fixed point.
+def sharp_band_p_gt2(cfg: DiracConfiguration, r_max: float,
+                     n_radii: int = 20) -> SharpBandReport:
+    """Sweep 32 directions at radii r_max 2^(-k), k = 1..n_radii, around zbar.
 
     Verifies the compact-set two-sided behavior for p > 2 when zbar is not an
     anchor: eigenvalues grow like |z - zbar|^(-alpha), so the scaled family
     s(z) is bounded above and below.  Returns the observed extremes; callers
     freeze an acceptable band constant.
     """
-    if cfg.p <= 2.0 + P2_TOL:
+    if cfg.p <= 2.0:
         raise ValidationError("sharp band sweep requires p > 2")
-    dirs = _directions(cfg.dim, n_directions)
+    dirs = _directions(cfg.dim, 32)
     radii = r_max * 2.0 ** (-np.arange(1, n_radii + 1, dtype=float))
     zs = cfg.fixed_point[None, None, :] + radii[:, None, None] * dirs[None]
-    eigs = grad_b_inverse_eigs(cfg, zs)  # (n_radii, n_directions, d)
+    eigs = grad_b_inverse_eigs(cfg, zs)  # (n_radii, directions, d)
     lam1, a = cfg.lam1, cfg.alpha
     # Scalar pow per radius: the vectorized power can differ in the last bit.
     scale = np.array([lam1 ** (1.0 - a) * r ** a for r in radii])
@@ -501,9 +500,9 @@ class PushforwardResult:
 
 
 def _singular_points(cfg: DiracConfiguration):
-    if cfg.p > 2.0 + P2_TOL:
+    if cfg.p > 2.0:
         return cfg.fixed_point[None, :]
-    if cfg.p < 2.0 - P2_TOL:
+    if cfg.p < 2.0:
         return cfg.anchors
     return np.empty((0, cfg.dim))
 
@@ -511,7 +510,7 @@ def _singular_points(cfg: DiracConfiguration):
 def _image_box(cfg: DiracConfiguration, source_box: np.ndarray) -> np.ndarray:
     """Bounding box of b(source box) via boundary sampling (exact for p=2)."""
     d = cfg.dim
-    if abs(cfg.p - 2.0) <= P2_TOL:
+    if cfg.p == 2.0:
         shift = (cfg.weights[1:, None] * cfg.anchors).sum(axis=0)
         return cfg.lam1 * source_box + shift[:, None]
     if d == 1:

@@ -4,7 +4,8 @@ Each test runs a single check from ``wbary.acceptance`` at full size, so
 ``pytest -v`` prints one pass/fail line per check with the check's own
 details in the failure message.  Eleven tests assert a passing verdict;
 one more checks the finite-difference battery's batched solve against
-one solve per probe.
+one solve per probe, and another that the timed checks keep their wall
+seconds out of ``details``.
 
 ``test_stated_band_p_lt2`` asserts the documented counterexample instead:
 for p < 2 the stated r^(2-p) lower envelope on the eigenvalue gap is
@@ -14,6 +15,7 @@ check itself is unchanged, so the battery and ``wbary selftest`` still
 report ``stated-band-p-lt2`` as FAIL; a weakened check fails this test.
 """
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -42,6 +44,16 @@ def test_quadratic_pushforward_exactness():
 
 def test_mmot_equivalence_battery():
     _check(acceptance.mmot_equivalence_battery)
+
+
+@pytest.mark.parametrize("check", [acceptance.blowup_threshold_p_gt2,
+                                   acceptance.mmot_equivalence_battery])
+def test_timed_checks_keep_seconds_out_of_details(check):
+    """The 60 s gate's timer goes to metrics["seconds"] only: details stay
+    the same from run to run, and wbary selftest prints the seconds."""
+    res = check(fast=True)
+    assert "seconds" in res.metrics
+    assert not re.search(r"\d+\.\d+s\s*$", res.details), res.details
 
 
 def test_gradient_finite_difference_battery():

@@ -185,6 +185,23 @@ def test_reruns_are_bytewise_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("kind", ["counterexample", "semidiscrete"])
+def test_exponent_within_tolerance_of_2_runs_as_2(tmp_path, kind):
+    """--p within 1e-9 of 2 picks the p = 2 fixture and exponent and writes
+    the bytes of --p 2, manifest and recorded p included."""
+    outs = [tmp_path / p for p in ("2", "1.9999999995", "2.0000000005")]
+    for out in outs:
+        res = _run("run", "--kind", kind, "--out", str(out), "--p", out.name)
+        assert res.returncode == 0, res.stderr
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert "manifest.json" in names
+    for out in outs[1:]:
+        assert sorted(p.name for p in out.iterdir()) == names
+        for name in names:
+            assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), (
+                out.name, name)
+
+
 def test_mmot_summary_reports_equivalence(tmp_path):
     out = tmp_path / "m"
     res = _run("run", "--kind", "mmot", "--out", str(out), "--seed", "3")

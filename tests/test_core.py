@@ -1,6 +1,8 @@
 """Solver and derivative tests for the weighted point barycenter."""
 
+import ast
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from wbary import (
     WeightedPointConfig,
     affine_barycenter,
     alpha_exponent,
+    b_inverse,
     beta_exponent,
+    check_bounds_p_ge2,
     check_cp_monotone,
     curvature_blocks,
     dbary_dxi,
@@ -25,6 +29,7 @@ from wbary import (
     pbary_points,
     pbary_solve,
     solve_mmot,
+    wp_distance,
 )
 from wbary.core import curvature_kernel, mixed_spectrum
 
@@ -298,6 +303,57 @@ def test_weight_rule_is_shared():
             solve_mmot(measures, weights, 3.0)
         with pytest.raises(ValidationError):
             affine_barycenter(maps, weights, 3.0)
+
+
+@pytest.mark.parametrize("p", [2.0 - 5e-10, 2.0 + 5e-10])
+def test_exponent_within_tolerance_of_2_is_2(p):
+    """An exponent within core.P2_TOL of 2 is validated to exactly 2.0, so
+    every result below carries the bits of the p = 2 result, and the p >= 2
+    eigenvalue bounds hold with the zero margins of p = 2."""
+    def bits(x):
+        return np.asarray(x, dtype=float).tobytes()
+
+    def results(p):
+        cfg = DiracConfiguration(np.array([[0.8, 0.1], [-0.7, -0.25]]),
+                                 [0.4, 0.3, 0.3], p)
+        zs = np.random.default_rng(8).uniform(-1, 1, (50, 2))
+        rng = np.random.default_rng(9)
+        mu, nu = (DiscreteMeasure(rng.normal(size=(3, 2)), [0.2, 0.3, 0.5])
+                  for _ in range(2))
+        rep = check_bounds_p_ge2(cfg, zs)
+        assert rep.ok
+        return {
+            "p": bits(cfg.p),
+            "alpha": bits(cfg.alpha),
+            "b_inverse": bits(b_inverse(cfg, zs)),
+            "el_residual": bits(el_residual(rng.normal(size=(4, 2)),
+                                            [0.1, 0.2, 0.3, 0.4], p,
+                                            np.array([0.3, -0.2]))),
+            "wp_distance": bits(wp_distance(mu, nu, p)),
+            "mmot": bits(solve_mmot([mu, nu], np.array([0.5, 0.5]),
+                                    p).objective),
+            "bounds": {k: bits(v) for k, v in vars(rep).items()},
+        }
+
+    assert results(p) == results(2.0)
+
+
+def test_p2_tolerance_is_named_once():
+    """P2_TOL is named only in core.py, where it is defined and in
+    _check_exponent: the decision which p counts as 2 is made in one place,
+    and no other module compares p with 2 up to a tolerance."""
+    uses = []
+    for path in sorted(Path(wbary.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            owner = getattr(top, "name", "<module>")
+            uses += [
+                (path.name, owner) for node in ast.walk(top)
+                if "P2_TOL" in (getattr(node, "id", None),
+                                getattr(node, "attr", None),
+                                getattr(node, "name", None),
+                                getattr(node, "asname", None))
+            ]
+    assert uses == [("core.py", "<module>"), ("core.py", "_check_exponent")]
 
 
 def test_package_exports_no_modules():

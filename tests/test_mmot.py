@@ -210,14 +210,15 @@ def test_barycenter_measure_mass():
 
 
 def test_pushforward_labels_index_the_measure_atoms():
-    """(0, 0) and (1e-9, 0) merge to (5e-10, 0), which sorts after
-    (4e-10, 3); the labels still point every plan entry at its own atom
-    of nu."""
+    """Supports of diameter 1 give a merge tolerance of 1e-9, so (0, 0) and
+    (1e-9, 0) merge to (5e-10, 0), which sorts after (4e-10, 3); the labels
+    still point every plan entry at its own atom of nu."""
     plan = SimpleNamespace(
         barycenters=np.array([[0.0, 0.0], [4e-10, 3.0], [1e-9, 0.0]]),
         masses=np.array([0.25, 0.5, 0.25]),
+        measures=[SimpleNamespace(atoms=np.array([[0.0, 0.0], [0.0, 1.0]]))],
     )
-    nu, labels = mmot._pushforward(plan, merge_tol=1e-9)
+    nu, labels = mmot._pushforward(plan)
     assert labels.tolist() == [1, 0, 1]
     np.testing.assert_allclose(nu.atoms, [[4e-10, 3.0], [5e-10, 0.0]],
                                rtol=0, atol=1e-20)
