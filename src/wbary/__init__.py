@@ -21,7 +21,6 @@ from .semidiscrete import (
     EigBoundReportPGe2,
     EigBoundReportPLt2,
     PushforwardResult,
-    SharpBandReport,
     b_forward,
     b_inverse,
     blowup_exponent,
@@ -31,23 +30,19 @@ from .semidiscrete import (
     grad_b_inverse,
     grad_b_inverse_eigs,
     jacobian_det,
-    lq_power_via_changevar,
     lq_via_changevar,
     nonsharp_constant,
     pushforward_density,
-    sharp_band_p_gt2,
 )
 from .mmot import (
     CostTensor,
     DiscreteMeasure,
-    DualReport,
     EquivalenceReport,
     MonotonicityReport,
     TransportPlan,
     barycenter_measure,
     check_cp_monotone,
     cost_tensor,
-    dual_check_potentials,
     solve_mmot,
     verify_c2m_equivalence,
     wp_distance,
@@ -55,9 +50,7 @@ from .mmot import (
 from .bounds import (
     GeneralLqReport,
     InjectivityReport,
-    SupportGeometry,
     compute_D,
-    compute_geometry,
     compute_m,
     constant_maps,
     general_lq_bound,
@@ -74,7 +67,6 @@ from .affine import (
     SpectrumVerdict,
     affine_barycenter,
     homogeneous_transform_coefficient,
-    matrix_pbary,
     p_concavity_check,
     p_transform,
     spectrum_optimality,

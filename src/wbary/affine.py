@@ -34,16 +34,18 @@ _CHUNK = 2048
 
 @dataclass(frozen=True)
 class AffineMap:
-    """T(x) = A x + v."""
+    """T(x) = A x + v, with A and v read-only copies of the inputs."""
 
     A: np.ndarray
     v: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.asarray(self.A, dtype=float))
-        v = np.asarray(self.v, dtype=float).ravel()
+        A = np.atleast_2d(np.array(self.A, dtype=float))
+        v = np.array(self.v, dtype=float).ravel()
         if A.shape[0] != A.shape[1] or A.shape[0] != v.shape[0]:
             raise ValidationError(f"incompatible affine shapes {A.shape}, {v.shape}")
+        A.setflags(write=False)
+        v.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "v", v)
 
@@ -58,26 +60,6 @@ class AffineMap:
     @classmethod
     def identity(cls, d: int) -> "AffineMap":
         return cls(np.eye(d), np.zeros(d))
-
-
-def matrix_pbary(matrices, weights, p) -> np.ndarray:
-    """Frobenius p-barycenter of square matrices.
-
-    Solves argmin_Z sum_i w_i ||A_i - Z||_F^p as the p-barycenter of the
-    matrices flattened to vectors in R^(d^2).  For p != 2 the Frobenius
-    p-cost does not split by entry, so diagonal families are solved the same
-    way: their barycenter is diagonal, but its entries are in general not
-    the scalar barycenters of the diagonal entries.
-    """
-    p = _check_exponent(p)
-    mats = np.asarray(matrices, dtype=float)
-    if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-        raise ValidationError("matrices must be (N, d, d)")
-    w = np.asarray(weights, dtype=float).ravel()
-    n, d, _ = mats.shape
-    if w.shape[0] != n:
-        raise ValidationError("one weight per matrix required")
-    return pbary_points(mats.reshape(n, d * d), w, p).reshape(d, d)
 
 
 @dataclass(frozen=True)
@@ -369,16 +351,16 @@ class ConcavityReport:
         return not self.degenerate and self.max_deviation <= self.tol
 
 
-def p_concavity_check(points, values, p, interior_mask=None) -> ConcavityReport:
-    """Compare (phi^p)^p with phi on the grid's interior points."""
+def p_concavity_check(points, values, p) -> ConcavityReport:
+    """Compare (phi^p)^p with phi on the grid's interior points: those in the
+    middle half of the sample box along every axis."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     vals = np.asarray(values, dtype=float).ravel()
     t1 = p_transform(pts, vals, p)
     t2 = p_transform(pts, t1.values, p)
-    if interior_mask is None:
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        mid, half = 0.5 * (lo + hi), 0.25 * (hi - lo)
-        interior_mask = np.all(np.abs(pts - mid[None, :]) <= half[None, :], axis=1)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    mid, half = 0.5 * (lo + hi), 0.25 * (hi - lo)
+    interior_mask = np.all(np.abs(pts - mid[None, :]) <= half[None, :], axis=1)
     dev = float(np.abs(t2.values[interior_mask] - vals[interior_mask]).max())
     h = _grid_spacing(pts)
     diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))

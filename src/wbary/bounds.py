@@ -44,19 +44,6 @@ _MAX_HALVINGS = 40
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SupportGeometry:
-    """Exhaustively computed separation quantities of discrete supports.
-
-    D : min |bary(x_1..x_N) - bary(x_2..x_N)| over the support product
-    m : min over i of |x_i - bary(x_1..x_N)| over the support product
-    """
-
-    D: float
-    m: float
-    n_tuples: int
-
-
 def compute_D(measures, weights, p) -> float:
     """Smallest displacement of the barycenter caused by the first marginal.
 
@@ -82,22 +69,16 @@ def compute_D(measures, weights, p) -> float:
 
 
 def compute_m(measures, weights, p) -> float:
-    """Smallest distance between any tuple point and the tuple barycenter."""
+    """Smallest distance between any tuple point and the tuple barycenter.
+
+    This is the separation m that integrability_bound needs for p < 2.
+    """
     p = _check_exponent(p)
     w = _check_weights(weights, len(measures))
     pts = support_product([mu.atoms for mu in measures])
     z = pbary_points(pts, w, p)
     dist = np.linalg.norm(pts - z[:, None, :], axis=2)
     return float(dist.min())
-
-
-def compute_geometry(measures, weights, p) -> SupportGeometry:
-    """Both separation quantities over the (capped) support product."""
-    return SupportGeometry(
-        D=compute_D(measures, weights, p),
-        m=compute_m(measures, weights, p),
-        n_tuples=int(np.prod([mu.n_atoms for mu in measures])),
-    )
 
 
 # ---------------------------------------------------------------------------

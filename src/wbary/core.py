@@ -40,13 +40,18 @@ _MAX_HALVINGS = 45
 
 
 def alpha_exponent(p: float) -> float:
-    """alpha_p = (p - 2)/(p - 1); negative for p < 2, in [0, 1) for p >= 2."""
+    """alpha_p = (p - 2)/(p - 1); negative for p < 2, in [0, 1) for p >= 2.
+
+    p goes through _check_exponent: ValidationError outside (1, inf), and
+    0.0 for every p that counts as 2.
+    """
+    p = _check_exponent(p)
     return (p - 2.0) / (p - 1.0)
 
 
 def beta_exponent(p: float) -> float:
     """beta_p = (2 - p)/(p - 1) = -alpha_p; positive for p in (1, 2)."""
-    return (2.0 - p) / (p - 1.0)
+    return -alpha_exponent(p)
 
 
 def _check_exponent(p) -> float:
@@ -77,6 +82,7 @@ class WeightedPointConfig:
     points : (N, d) array, finite entries
     weights : (N,) array, strictly positive, summing to 1 within 1e-12
     p : exponent in (1, inf)
+    points and weights are stored as read-only copies of the inputs.
     """
 
     points: np.ndarray
@@ -84,8 +90,10 @@ class WeightedPointConfig:
     p: float
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        w = np.asarray(self.weights, dtype=float).ravel()
+        pts = np.atleast_2d(np.array(self.points, dtype=float))
+        w = np.array(self.weights, dtype=float).ravel()
+        pts.setflags(write=False)
+        w.setflags(write=False)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "p", _check_exponent(self.p))
@@ -110,9 +118,6 @@ class WeightedPointConfig:
     def diameter(self) -> float:
         return float(_diameters(self.points))
 
-    def el_residual(self, z) -> np.ndarray:
-        return el_residual(self.points, self.weights, self.p, z)
-
 
 @dataclass(frozen=True)
 class BarycenterSolution:
@@ -135,6 +140,8 @@ class BarycenterSolution:
 
 def el_residual(points, weights, p, z) -> np.ndarray:
     """Euler-Lagrange residual  sum_i w_i |x_i - z|^(p-2) (x_i - z).
+
+    The reference oracle the tests check pbary_points against.
 
     Accepts raw arrays; only shapes and p > 1 are validated (the weights are
     not required to sum to one here).  Terms with x_i = z contribute zero:

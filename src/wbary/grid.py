@@ -22,14 +22,17 @@ class GridDensity:
 
     box : (d, 2) array of [lo, hi] per axis, lo < hi
     values : d-dimensional array, shape = cells per axis, C order
+    Both are stored as read-only copies of the inputs.
     """
 
     box: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        box = np.atleast_2d(np.asarray(self.box, dtype=float))
-        vals = np.asarray(self.values, dtype=float)
+        box = np.atleast_2d(np.array(self.box, dtype=float))
+        vals = np.array(self.values, dtype=float)
+        box.setflags(write=False)
+        vals.setflags(write=False)
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "values", vals)
         if box.ndim != 2 or box.shape[1] != 2:

@@ -23,14 +23,12 @@ programs go through _transport_lp: HiGHS dual simplex, through SciPy's
 bindings, with presolve off and primal and dual feasibility tolerances of
 1e-10, on one model per call whose rounds start from the last optimal
 basis.  It returns vertex solutions (sparse supports) and the
-equality-constraint duals used by the bracket and by dual_check_potentials,
-which solves the multi-marginal LP in every dimension.  Those tolerances
-sit below what the checks on the result ask for: the swap test of
-check_cp_monotone (1e-9), the dual feasibility of dual_check_potentials and
-the bracket of verify_c2m_equivalence (1e-8 (1 + C)).  An optimal vertex
-has at most sum K_i - N + 1 positive entries, so _transport_lp solves by
-column generation, and the barycentric cost is needed exactly only on the
-columns that pricing cannot rule out.  The multi-marginal LP therefore
+equality-constraint duals used by the bracket.  Those tolerances sit below
+what the checks on the result ask for: the swap test of check_cp_monotone
+(1e-9) and the bracket of verify_c2m_equivalence (1e-8 (1 + C)).  An optimal
+vertex has at most sum K_i - N + 1 positive entries, so _transport_lp
+solves by column generation, and the barycentric cost is needed exactly
+only on the columns that pricing cannot rule out.  The multi-marginal LP therefore
 prices with the closed-form two-point lower bound of _cost_bounds, formed
 on the whole product, and runs the point solver only on the columns HiGHS
 sees and on those whose reduced cost by the bound is negative (_LazyCost);
@@ -378,8 +376,8 @@ def _transport_lp(bound, marginals, exact):
     solutions, so sparse supports), presolve off, and primal and dual
     feasibility tolerances of 1e-10 (HiGHS defaults to presolve on and
     1e-7).  The checks downstream ask for more than 1e-7: check_cp_monotone's
-    swap test at 1e-9, dual_check_potentials' dual feasibility, and the
-    bracket of verify_c2m_equivalence at 1e-8 (1 + C).
+    swap test at 1e-9 and the bracket of verify_c2m_equivalence at
+    1e-8 (1 + C).
 
     The model is built once per call: one equality row per atom of every
     marginal, then the columns of each round added to the same model, so
@@ -551,15 +549,8 @@ def solve_mmot(measures, weights, p) -> TransportPlan:
     ValidationError when the product exceeds core.PRODUCT_CAP.
     """
     w, p, d = _check_family(measures, weights, p)
-    return _solve(measures, w, p, lp=d > 1)[0]
-
-
-def _solve(measures, w, p, lp):
-    """(plan, costs): the monotone plan and None (lp False, d = 1), or the
-    LP plan and the _LazyCost it was priced with."""
     marginals = [mu.masses for mu in measures]
-    if not lp:
-        costs = None
+    if d == 1:
         indices, masses = _monotone_coupling(marginals)
         z, c = _tuple_costs(_gather(measures, indices), w, p)
         objective = float(masses @ c)
@@ -599,7 +590,7 @@ def _solve(measures, w, p, lp):
         lp_rounds=rounds,
         lp_columns=columns,
         lp_iterations=iterations,
-    ), costs
+    )
 
 
 def _gather(measures, indices):
@@ -796,46 +787,4 @@ def check_cp_monotone(plan_or_points, weights=None,
         worst_pair=worst_pair,
         worst_pattern=worst_pattern,
         tol=_MONOTONE_TOL,
-    )
-
-
-@dataclass(frozen=True)
-class DualReport:
-    """Probe of the Kantorovich characterization on a finite instance.
-
-    The duals y_i of the multi-marginal LP are optimal potentials when
-    sum_i y_i[t_i] <= c(t) on the support product and their c-transforms
-    psi_i sum to zero on the support of nu.  Shifts of the y_i by constants
-    summing to zero leave both unchanged.
-
-    feasibility_violation : max over the product of sum_i y_i[t_i] - c(t)
-    support_residual : max over the atoms z of nu of |sum_i psi_i(z)|
-
-    These replace the pair-LP fields variance_raw, variance_shifted,
-    components_per_marginal and degenerate.
-    """
-
-    feasibility_violation: float
-    support_residual: float
-
-
-def dual_check_potentials(measures, weights, p) -> DualReport:
-    """Probe the duals of the multi-marginal LP, solved in every dimension
-    (ValidationError when the support product exceeds core.PRODUCT_CAP).
-
-    The violation is exact on the whole product, but the point solver runs
-    only where it can matter: sum_i y_i[t_i] minus the lower bound caps the
-    violation of an unsolved column, so only the unsolved columns whose cap
-    exceeds the largest violation among the solved ones are solved.
-    """
-    w, p, _ = _check_family(measures, weights, p)
-    plan, costs = _solve(measures, w, p, lp=True)
-    _, psis = _c_transforms(plan, barycenter_measure(plan))
-    sy = sum(np.ix_(*plan.duals)).ravel()
-    excess = sy - costs.cost
-    above = np.flatnonzero(excess > excess[costs.solved].max())
-    excess[above] = sy[above] - costs(above)
-    return DualReport(
-        feasibility_violation=float(excess.max()),
-        support_residual=float(np.abs(sum(psis)).max()),
     )

@@ -152,6 +152,7 @@ def _anchor_field(cfg: DiracConfiguration, zb):
 def gbar(cfg: DiracConfiguration, z) -> np.ndarray:
     """Gbar(z) = sum_{i>=2} w_i |xh_i - z|^(p-2) (xh_i - z), vectorized.
 
+    The reference oracle the tests check fixed_point and b_inverse against.
     For p < 2 the summand is undefined at the anchors themselves.
     """
     zb, single, shape = _as_batch(z, cfg.dim)
@@ -434,51 +435,6 @@ def check_bounds_p_lt2(cfg: DiracConfiguration, z) -> EigBoundReportPLt2:
     )
 
 
-@dataclass(frozen=True)
-class SharpBandReport:
-    """Scaled eigenvalues s(z) = w1^(1-alpha) |z-zbar|^alpha eig(grad b^{-1})
-    over a dyadic radius sweep toward the fixed point (p > 2, anchors away
-    from zbar).  The family must stay inside a fixed band [1/C, C]."""
-
-    radii: np.ndarray
-    s_min: float
-    s_max: float
-    band_constant: float
-    n_directions: int
-
-    def within(self, C: float) -> bool:
-        return self.s_max <= C and self.s_min >= 1.0 / C
-
-
-def sharp_band_p_gt2(cfg: DiracConfiguration, r_max: float,
-                     n_radii: int = 20) -> SharpBandReport:
-    """Sweep 32 directions at radii r_max 2^(-k), k = 1..n_radii, around zbar.
-
-    Verifies the compact-set two-sided behavior for p > 2 when zbar is not an
-    anchor: eigenvalues grow like |z - zbar|^(-alpha), so the scaled family
-    s(z) is bounded above and below.  Returns the observed extremes; callers
-    freeze an acceptable band constant.
-    """
-    if cfg.p <= 2.0:
-        raise ValidationError("sharp band sweep requires p > 2")
-    dirs = _directions(cfg.dim, 32)
-    radii = r_max * 2.0 ** (-np.arange(1, n_radii + 1, dtype=float))
-    zs = cfg.fixed_point[None, None, :] + radii[:, None, None] * dirs[None]
-    eigs = grad_b_inverse_eigs(cfg, zs)  # (n_radii, directions, d)
-    lam1, a = cfg.lam1, cfg.alpha
-    # Scalar pow per radius: the vectorized power can differ in the last bit.
-    scale = np.array([lam1 ** (1.0 - a) * r ** a for r in radii])
-    s = scale[:, None, None] * eigs
-    s_lo, s_hi = float(s.min()), float(s.max())
-    return SharpBandReport(
-        radii=radii,
-        s_min=s_lo,
-        s_max=s_hi,
-        band_constant=max(s_hi, 1.0 / s_lo),
-        n_directions=len(dirs),
-    )
-
-
 # ---------------------------------------------------------------------------
 # pushforward density and L^q quantities
 # ---------------------------------------------------------------------------
@@ -614,11 +570,10 @@ def pushforward_density(cfg: DiracConfiguration, f1: GridDensity,
     )
 
 
-def lq_power_via_changevar(cfg: DiracConfiguration, f1: GridDensity,
-                           q: float) -> float:
-    """integral of g_p^q computed on the source side:
+def lq_via_changevar(cfg: DiracConfiguration, f1: GridDensity, q: float) -> float:
+    """L^q norm of the pushforward density, computed on the source side:
 
-        int f1(x)^q * J(b(x))^(q-1) dx,    J = |det grad b^{-1}|.
+        (int f1(x)^q * J(b(x))^(q-1) dx)^(1/q),    J = |det grad b^{-1}|.
 
     This avoids the target grid entirely and is the measurement route used
     to validate integrability bounds.
@@ -632,12 +587,8 @@ def lq_power_via_changevar(cfg: DiracConfiguration, f1: GridDensity,
     vals = f1.values.ravel()[mask]
     zs = b_forward(cfg, xs)
     J = jacobian_det(cfg, zs)
-    return float((vals ** q * J ** (q - 1.0)).sum() * f1.cell_volume)
-
-
-def lq_via_changevar(cfg: DiracConfiguration, f1: GridDensity, q: float) -> float:
-    """L^q norm of the pushforward density via the change-of-variables route."""
-    return lq_power_via_changevar(cfg, f1, q) ** (1.0 / q)
+    return float((vals ** q * J ** (q - 1.0)).sum() * f1.cell_volume) ** (
+        1.0 / q)
 
 
 # ---------------------------------------------------------------------------

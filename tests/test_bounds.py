@@ -9,7 +9,6 @@ from wbary import (
     GeometryError,
     ValidationError,
     compute_D,
-    compute_geometry,
     compute_m,
     constant_maps,
     general_lq_bound,
@@ -55,8 +54,6 @@ def test_separation_quantities_against_direct_minimization():
     assert m == pytest.approx(
         np.linalg.norm(pts - z_full[None, :], axis=1).min(), abs=1e-7
     )
-    geom = compute_geometry(measures, w, 3.0)
-    assert geom.D == D and geom.m == m and geom.n_tuples == 1
 
 
 def test_integrability_bound_p2_reduction():

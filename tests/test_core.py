@@ -1,6 +1,7 @@
 """Solver and derivative tests for the weighted point barycenter."""
 
 import ast
+import re
 import types
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from wbary import (
     ConvergenceError,
     DiracConfiguration,
     DiscreteMeasure,
+    GridDensity,
     ValidationError,
     WeightedPointConfig,
     affine_barycenter,
@@ -362,13 +364,76 @@ def test_package_exports_no_modules():
     assert modules == []
 
 
+# Public names with no consumer in src/wbary or perfbench, kept as the
+# reference oracles or inputs named by the phrase their docstring must hold.
+_UNCONSUMED = {
+    "gbar": "reference oracle",
+    "el_residual": "reference oracle",
+    "compute_m": "integrability_bound",
+}
+
+
+def test_every_public_name_has_a_consumer():
+    """Every name in wbary.__all__ is referenced in some module of src/wbary
+    outside its own top-level definition, or in perfbench, or is one of the
+    few names kept without a consumer for the reason its docstring states."""
+    used = set()
+    for path in Path(wbary.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            used |= {
+                getattr(node, "id", None) or getattr(node, "attr", None)
+                for node in ast.walk(top)
+                if isinstance(node, (ast.Name, ast.Attribute))
+            } - {getattr(top, "name", None)}
+    bench = list((Path(__file__).resolve().parents[1] / "perfbench")
+                 .glob("*.py"))
+    assert bench
+    text = "\n".join(path.read_text() for path in bench)
+    unused = sorted(name for name in wbary.__all__ if name not in used
+                    and not re.search(rf"\b{name}\b", text))
+    assert unused == sorted(_UNCONSUMED)
+    for name, reason in _UNCONSUMED.items():
+        assert reason in getattr(wbary, name).__doc__, name
+
+
 def test_exponent_helpers():
     assert alpha_exponent(3.0) == pytest.approx(0.5)
     assert alpha_exponent(2.0) == 0.0
     assert beta_exponent(1.5) == pytest.approx(1.0)
     assert beta_exponent(1.2) == pytest.approx(4.0)
     for p in (1.3, 1.9, 2.4, 5.0):
-        assert beta_exponent(p) == pytest.approx(-alpha_exponent(p))
+        assert beta_exponent(p) == -alpha_exponent(p)
+    # p goes through _check_exponent, as in DiracConfiguration.
+    for p in (2.0 - 5e-10, 2.0 + 5e-10):
+        assert alpha_exponent(p) == DiracConfiguration(
+            [[1.0]], [0.5, 0.5], p).alpha == 0.0
+        assert beta_exponent(p) == 0.0
+    for p in (0.5, 1.0, float("nan")):
+        for helper in (alpha_exponent, beta_exponent):
+            with pytest.raises(ValidationError):
+                helper(p)
+
+
+def test_validated_inputs_are_private_copies():
+    """Writing to the caller's arrays after construction, or to the stored
+    ones, changes no validated object."""
+    pts, w = np.array([[0.0, 1.0], [2.0, -1.0]]), np.array([0.3, 0.7])
+    box, values = np.array([[0.0, 1.0]]), np.array([1.0, 3.0])
+    A, v = np.eye(2), np.array([1.0, 2.0])
+    config = WeightedPointConfig(pts, w, 3.0)
+    density = GridDensity(box, values)
+    T = AffineMap(A, v)
+    stored = [config.points, config.weights, density.box, density.values,
+              T.A, T.v]
+    before = [a.copy() for a in stored]
+    for a in (pts, w, box, values, A, v):
+        a += 5.0
+    for a, b in zip(stored, before):
+        np.testing.assert_array_equal(a, b)
+        with pytest.raises(ValueError):
+            a[...] = 0.0
 
 
 @settings(max_examples=40, deadline=None)

@@ -21,7 +21,6 @@ from wbary import (
     compute_D,
     compute_m,
     cost_tensor,
-    dual_check_potentials,
     pbary_points,
     solve_mmot,
     verify_affine_vs_mmot,
@@ -30,6 +29,16 @@ from wbary import (
 )
 from wbary import core, mmot
 from wbary.mmot import _pair_cost, _transport_lp, _tuple_costs
+
+
+def _dual_probe(plan, measures, w, p):
+    """(violation, residual) of the plan's LP duals y_i: the largest
+    sum_i y_i[t_i] - c(t) over the whole support product, from the full cost
+    tensor, and the largest |sum_i psi_i| over the atoms of nu, psi_i the
+    c-transforms of the y_i."""
+    excess = sum(np.ix_(*plan.duals)) - cost_tensor(measures, w, p).values
+    psis = mmot._c_transforms(plan, barycenter_measure(plan))[1]
+    return float(excess.max()), float(np.abs(sum(psis)).max())
 
 
 def test_measure_validation_and_merging():
@@ -166,24 +175,19 @@ def test_certificate_flags_a_tie_as_degenerate():
     plan = solve_mmot([a, b], w, 2.0)
     assert plan.maybe_degenerate
     assert plan.objective == pytest.approx(0.25, rel=1e-12)
-    rep = dual_check_potentials([a, b], w, 2.0)
-    assert rep.feasibility_violation <= 1e-12
-    assert rep.support_residual <= 1e-12
+    violation, residual = _dual_probe(plan, [a, b], w, 2.0)
+    assert violation <= 1e-12
+    assert residual <= 1e-12
 
 
 def test_certificate_passes_a_unique_1d_optimum():
     """Unequal masses on the line: the monotone plan fills the basis
-    (2 + 2 - 1 entries) and is the unique optimum.  For Dirac marginals
-    the one coupling is optimal and its duals are exact."""
+    (2 + 2 - 1 entries) and is the unique optimum."""
     a = DiscreteMeasure([[0.0], [1.0]], [0.3, 0.7])
     b = DiscreteMeasure([[0.5], [2.0]], [0.6, 0.4])
     plan = solve_mmot([a, b], np.array([0.5, 0.5]), 2.0)
     assert not plan.maybe_degenerate
     assert plan.n_entries == 3 and plan.support_within_basis
-    diracs = [DiscreteMeasure([[x]], [1.0]) for x in (0.0, 1.0, 3.0)]
-    rep = dual_check_potentials(diracs, np.array([0.5, 0.3, 0.2]), 3.0)
-    assert rep.support_residual <= 1e-12
-    assert rep.feasibility_violation <= 1e-12
 
 
 def test_equivalence_on_seeded_instance():
@@ -275,7 +279,7 @@ def test_dual_potentials_shift_invariance():
     """The multi-marginal duals are defined up to constant shifts summing
     to zero, which leave sum_i psi_i unchanged; that sum vanishes on the
     barycenter support, and the duals are feasible on the product.  One LP
-    solves the whole probe."""
+    gives the duals."""
     rng = np.random.default_rng(9)
     measures = []
     for K in (3, 2, 4):
@@ -285,11 +289,11 @@ def test_dual_potentials_shift_invariance():
     w = np.array([0.5, 0.25, 0.25])
     with mock.patch.object(mmot, "_transport_lp",
                            wraps=mmot._transport_lp) as lp:
-        rep = dual_check_potentials(measures, w, 2.0)
+        plan = solve_mmot(measures, w, 2.0)
     assert lp.call_count == 1
-    assert rep.support_residual <= 1e-9
-    assert rep.feasibility_violation <= 1e-9
-    plan = solve_mmot(measures, w, 2.0)
+    violation, residual = _dual_probe(plan, measures, w, 2.0)
+    assert residual <= 1e-9
+    assert violation <= 1e-9
     nu = barycenter_measure(plan)
     shifted = replace(plan, duals=tuple(
         y + a for y, a in zip(plan.duals, (1.0, -0.25, -0.75))))
@@ -411,15 +415,15 @@ def test_lp_contract_meets_its_consumers_2d(seed, p, sizes):
     try:
         rep = verify_c2m_equivalence(measures, w, p)
         mono = check_cp_monotone(rep.plan)
-        dual = dual_check_potentials(measures, w, p)
-        c_max = float(cost_tensor(measures, w, p).values.max())
+        cost = cost_tensor(measures, w, p).values
     except ConvergenceError:
         # pbary_points' documented float-floor raise for p < 2, as in
         # test_monotone_route_matches_the_lp_1d.
         reject()
     assert rep.plan.marginal_residual <= 1e-10
     assert mono.ok, mono.min_margin
-    assert dual.feasibility_violation <= 1e-9 * (1.0 + c_max)
+    violation = (sum(np.ix_(*rep.plan.duals)) - cost).max()
+    assert violation <= 1e-9 * (1.0 + cost.max())
     assert rep.ok, rep.gap
 
 
@@ -455,7 +459,6 @@ def test_cap_still_bounds_the_lp_in_2d(monkeypatch):
         lambda: verify_c2m_equivalence(measures, w, 2.0),
         lambda: wp_distance(measures[0], measures[1], 2.0),
         lambda: cost_tensor(measures, w, 2.0),
-        lambda: dual_check_potentials(measures, w, 2.0),
         lambda: compute_D(measures, w, 2.0),
         lambda: compute_m(measures, w, 2.0),
         lambda: verify_affine_vs_mmot(measures[0], maps, w, 2.0),
@@ -621,9 +624,9 @@ def test_lazy_route_matches_the_full_product_oracle(seed, p, d, sizes, tied):
     where the bound cannot price a column out.  Against cost_tensor and
     _transport_lp on the exact product: the same optimum, duals feasible on
     every column, the same barycenters, the degeneracy flag set whenever
-    the full-product rule sets it for the same plan and duals, and the same
-    violation from dual_check_potentials.  Tied families put integer-grid
-    atoms under equal masses and weights, so costs tie."""
+    the full-product rule sets it for the same plan and duals.  Tied
+    families put integer-grid atoms under equal masses and weights, so costs
+    tie."""
     rng = np.random.default_rng(seed)
     grid = np.indices((5,) * d).reshape(d, -1).T - 2.0
     measures = []
@@ -638,7 +641,6 @@ def test_lazy_route_matches_the_full_product_oracle(seed, p, d, sizes, tied):
     w = w / w.sum()
     try:
         plan = solve_mmot(measures, w, p)
-        dual = dual_check_potentials(measures, w, p)
         ct = cost_tensor(measures, w, p)
     except ConvergenceError:
         # pbary_points' documented float-floor raise for p < 2, as in
@@ -655,7 +657,6 @@ def test_lazy_route_matches_the_full_product_oracle(seed, p, d, sizes, tied):
     off[support] = False
     assert plan.maybe_degenerate or not (
         off & (np.abs(excess) <= 1e-9 * (1.0 + cost.max()))).any()
-    assert dual.feasibility_violation == excess.max()
 
 
 def test_lazy_route_solves_a_minority_of_the_product():
