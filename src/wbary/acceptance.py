@@ -446,7 +446,6 @@ def stated_band_p_lt2(fast: bool = False) -> CheckResult:
     n = 200 if fast else 800
     rng = np.random.default_rng(6)
     stated, local_ok_all = {}, True
-    worst_z = {}
     for p in (1.2, 1.5, 1.8):
         cfg = DiracConfiguration(
             np.array([[1.0], [2.0]]), [1 / 3, 1 / 3, 1 / 3], p
@@ -461,7 +460,6 @@ def stated_band_p_lt2(fast: bool = False) -> CheckResult:
             keep &= np.abs(zs - s[None, :]).ravel() > 1e-13
         rep = check_bounds_p_lt2(cfg, zs[keep])
         stated[p] = min(rep.stated_lower_margin, rep.stated_upper_margin)
-        worst_z[p] = rep.worst_z_stated_lower
         local_ok_all &= rep.local_ok
     ok = all(v >= -1e-9 for v in stated.values())
     return CheckResult(

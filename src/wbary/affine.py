@@ -2,11 +2,12 @@
 
 An affine map T(x) = Ax + v between suitable measures is p-optimal exactly
 when A is symmetric with spectrum contained in {1, zeta} for some zeta >= 0
-(including A = 0 with zeta = 0).  For a family of such maps sharing their
-shift and their eigenvalue-1 eigenspace, and commuting pairwise, the
-barycenter of the pushforwards is again an affine image of the reference
-measure: its matrix is the Frobenius p-barycenter of the family matrices,
-which reduces to coordinatewise scalar barycenters in the common eigenbasis.
+(including A = 0 with zeta = 0), that is A = P + zeta (Id - P) with P the
+projector onto its eigenvalue-1 eigenspace.  For a family of such maps
+sharing their shift and P, the barycenter of the pushforwards is again an
+affine image of the reference measure: its matrix is the Frobenius
+p-barycenter of the family matrices, P + zbar (Id - P) with zbar the scalar
+p-barycenter of the zeta_i.
 
 The module also provides the p-transform (generalized Legendre transform)
 
@@ -57,10 +58,6 @@ class AffineMap:
         x = np.asarray(x, dtype=float)
         return x @ self.A.T + self.v
 
-    @classmethod
-    def identity(cls, d: int) -> "AffineMap":
-        return cls(np.eye(d), np.zeros(d))
-
 
 @dataclass(frozen=True)
 class SpectrumVerdict:
@@ -74,7 +71,6 @@ class SpectrumVerdict:
 
     optimal: bool
     zeta: float | None
-    eigenvalues: np.ndarray
     reason: str
 
 
@@ -89,26 +85,25 @@ def spectrum_optimality(A) -> SpectrumVerdict:
         return SpectrumVerdict(
             optimal=False,
             zeta=None,
-            eigenvalues=np.sort(np.linalg.eigvals(A).real),
             reason=f"not symmetric (|A - A^T| = {asym:.3e})",
         )
     w = np.linalg.eigvalsh(0.5 * (A + A.T))
     ones = np.abs(w - 1.0) <= _SPECTRUM_TOL
     rest = w[~ones]
     if rest.size == 0:
-        return SpectrumVerdict(True, 1.0, w, "all eigenvalues equal 1")
+        return SpectrumVerdict(True, 1.0, "all eigenvalues equal 1")
     spread = float(rest.max() - rest.min())
     if spread > _SPECTRUM_TOL:
         return SpectrumVerdict(
-            False, None, w,
+            False, None,
             f"non-unit eigenvalues spread {spread:.3e} exceeds tolerance",
         )
     zeta = float(rest.mean())
     if zeta < -_SPECTRUM_TOL:
         return SpectrumVerdict(
-            False, None, w, f"non-unit cluster {zeta:.3e} is negative"
+            False, None, f"non-unit cluster {zeta:.3e} is negative"
         )
-    return SpectrumVerdict(True, max(zeta, 0.0), w, "spectrum in {1, zeta}")
+    return SpectrumVerdict(True, max(zeta, 0.0), "spectrum in {1, zeta}")
 
 
 @dataclass(frozen=True)
@@ -123,7 +118,6 @@ class AffineBarycenterResult:
     Abar: np.ndarray
     vbar: np.ndarray
     transport: AffineMap
-    case: str
 
 
 def _is_identity(A, tol):
@@ -135,9 +129,9 @@ def affine_barycenter(maps, weights, p) -> AffineBarycenterResult:
 
     Two admissible families:
       * translations: every A_i = Id (arbitrary shifts v_i);
-      * linear: common shift v, commuting symmetric PSD matrices with
-        spectra {1, zeta_i} whose eigenvalue-1 eigenspaces coincide, and
-        A_1 invertible.
+      * linear: common shift v, symmetric matrices A_i = P + zeta_i (Id - P)
+        with zeta_i >= 0 and one projector P onto the eigenvalue-1
+        eigenspace of every non-identity map, and A_1 invertible.
     Violations raise StructureError naming the failed condition.
     """
     p = _check_exponent(p)
@@ -155,9 +149,8 @@ def affine_barycenter(maps, weights, p) -> AffineBarycenterResult:
     if all(_is_identity(mp.A, id_tol) for mp in maps):
         vbar = pbary_points(vs, w, p)
         transport = AffineMap(np.eye(d), vbar - vs[0])
-        return AffineBarycenterResult(
-            Abar=np.eye(d), vbar=vbar, transport=transport, case="translation"
-        )
+        return AffineBarycenterResult(Abar=np.eye(d), vbar=vbar,
+                                      transport=transport)
 
     vscale = max(1.0, float(np.abs(vs).max()))
     if np.abs(vs - vs[0][None, :]).max() > 1e-9 * vscale:
@@ -168,6 +161,8 @@ def affine_barycenter(maps, weights, p) -> AffineBarycenterResult:
     sv1 = np.linalg.svd(mats[0], compute_uv=False)
     if sv1[-1] <= 1e-12 * max(sv1[0], 1.0):
         raise StructureError("first map's matrix must be invertible")
+    zetas = np.empty(len(mats))
+    projectors = []
     for k, A in enumerate(mats):
         if np.abs(A - A.T).max() > 1e-9 * scale:
             raise StructureError(f"matrix {k} is not symmetric")
@@ -177,46 +172,23 @@ def affine_barycenter(maps, weights, p) -> AffineBarycenterResult:
                 f"matrix {k} spectrum not of the form {{1, zeta >= 0}}: "
                 f"{verdict.reason}"
             )
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            comm = np.abs(mats[a] @ mats[b] - mats[b] @ mats[a]).max()
-            lim = 1e-9 * max(1.0, np.abs(mats[a]).max()) * max(
-                1.0, np.abs(mats[b]).max()
-            )
-            if comm > lim:
-                raise StructureError(f"matrices {a} and {b} do not commute")
-
-    # Common eigenbasis from a generic positive combination; irrational-ish
-    # coefficients avoid accidental eigenvalue collisions between maps.
-    coeffs = np.sqrt(np.arange(2, 2 + len(mats), dtype=float))
-    _, Q = np.linalg.eigh(np.einsum("n,nij->ij", coeffs, mats))
-    diags = np.empty((len(mats), d))
-    for k, A in enumerate(mats):
-        B = Q.T @ A @ Q
-        off = B - np.diag(np.diag(B))
-        if np.abs(off).max() > 1e-8 * max(1.0, np.abs(A).max()):
-            raise StructureError(
-                f"matrix {k} is not diagonal in the common eigenbasis"
-            )
-        diags[k] = np.diag(B)
-
-    unit_sets = []
-    for k in range(len(mats)):
-        if _is_identity(mats[k], id_tol):
-            continue
-        unit_sets.append(frozenset(np.where(np.abs(diags[k] - 1.0) <= 1e-8)[0]))
-    if len(set(unit_sets)) > 1:
+        zetas[k] = verdict.zeta
+        if not _is_identity(A, id_tol):
+            ev, Q = np.linalg.eigh(A)
+            U = Q[:, np.abs(ev - 1.0) <= _SPECTRUM_TOL]
+            projectors.append(U @ U.T)
+    P = projectors[0]
+    if any(np.abs(Pk - P).max() > 1e-8 for Pk in projectors[1:]):
         raise StructureError(
             "eigenvalue-1 eigenspaces of the non-identity maps differ"
         )
 
-    mu = pbary_points(diags.T[:, :, None], w, p)[:, 0]
-    Abar = Q @ np.diag(mu) @ Q.T
+    zbar = pbary_points(zetas[:, None], w, p)[0]
+    Abar = P + zbar * (np.eye(d) - P)
     A1_inv = np.linalg.inv(mats[0])
     lin = Abar @ A1_inv
     transport = AffineMap(lin, v - lin @ v)
-    return AffineBarycenterResult(Abar=Abar, vbar=v, transport=transport,
-                                  case="linear")
+    return AffineBarycenterResult(Abar=Abar, vbar=v, transport=transport)
 
 
 @dataclass(frozen=True)
@@ -226,8 +198,6 @@ class AffineMmotReport:
     gap: float
     tol: float
     pitch: float
-    nu_affine: DiscreteMeasure
-    nu_mmot: DiscreteMeasure
 
     @property
     def ok(self) -> bool:
@@ -264,8 +234,6 @@ def verify_affine_vs_mmot(mu: DiscreteMeasure, maps, weights,
         gap=gap,
         tol=3.0 * pitch * mat_scale,
         pitch=pitch,
-        nu_affine=nu_aff,
-        nu_mmot=nu_hat,
     )
 
 
@@ -280,13 +248,12 @@ class PTransformResult:
 
     boundary_mask marks evaluation points whose infimum is attained on the
     boundary of the sample hull: there the true infimum may lie outside the
-    grid and the value is only an upper bound.  boundary_fraction is the
-    overall share; a majority means the transform is effectively -inf on
-    most of the window.
+    grid and the value is only an upper bound.  degenerate is set when they
+    are a majority: the transform is then effectively -inf on most of the
+    window.
     """
 
     values: np.ndarray
-    boundary_fraction: float
     degenerate: bool
     boundary_mask: np.ndarray = None
 
@@ -317,8 +284,8 @@ def p_transform(points, values, p, eval_points=None) -> PTransformResult:
         out[s:s + _CHUNK] = obj[np.arange(block.shape[0]), arg]
         hit[s:s + _CHUNK] = near_face[arg]
     frac = float(hit.mean()) if hit.size else 0.0
-    return PTransformResult(values=out, boundary_fraction=frac,
-                            degenerate=frac > 0.5, boundary_mask=hit)
+    return PTransformResult(values=out, degenerate=frac > 0.5,
+                            boundary_mask=hit)
 
 
 def _grid_spacing(points) -> float:

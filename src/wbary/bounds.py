@@ -56,10 +56,7 @@ def compute_D(measures, weights, p) -> float:
     w = _check_weights(weights, len(measures))
     atoms = [mu.atoms for mu in measures]
     reduced = support_product(atoms[1:])
-    if reduced.shape[1] == 1:
-        zr = reduced[:, 0, :]
-    else:
-        zr = pbary_points(reduced, w[1:] / w[1:].sum(), p)
+    zr = pbary_points(reduced, w[1:] / w[1:].sum(), p)
     # C order of the multi-index: row k * len(reduced) + b is (x_1k, reduced[b]).
     zf = pbary_points(support_product(atoms), w, p)
     dist = np.linalg.norm(

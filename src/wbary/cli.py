@@ -46,15 +46,6 @@ from .semidiscrete import (
     pushforward_density,
 )
 
-KINDS = (
-    "point_bary",
-    "semidiscrete",
-    "mmot",
-    "bounds",
-    "affine",
-    "counterexample",
-)
-
 
 def _write_csv(path: Path, header, rows) -> None:
     with open(path, "w") as fh:
@@ -267,6 +258,7 @@ _RUNNERS = {
     "affine": _run_affine,
     "counterexample": _run_counterexample,
 }
+KINDS = tuple(_RUNNERS)
 
 
 def _build_parser() -> argparse.ArgumentParser:

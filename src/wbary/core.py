@@ -127,15 +127,12 @@ class BarycenterSolution:
     residual_norm : Euclidean norm of the Euler-Lagrange residual at z
     coincident_set : indices i with |x_i - z| <= 1e-9 * diameter (0-based)
     iterations : Newton steps taken (0 for closed-form routes)
-    borderline : True when some |x_i - z| sits within a decade of the
-        coincidence threshold, i.e. the classification is fragile
     """
 
     z: np.ndarray
     residual_norm: float
     coincident_set: tuple
     iterations: int
-    borderline: bool = False
 
 
 def el_residual(points, weights, p, z) -> np.ndarray:
@@ -478,13 +475,11 @@ def pbary_solve(config: WeightedPointConfig,
     z0 = z[0]
     diam = config.diameter
     r = np.linalg.norm(config.points - z0[None, :], axis=1)
-    thr = EPS_COINCIDENT * diam
     return BarycenterSolution(
         z=z0,
         residual_norm=float(res[0]),
         coincident_set=tuple(np.flatnonzero(coincident_mask(r, diam)).tolist()),
         iterations=int(iters[0]),
-        borderline=bool(np.any((r > 0.1 * thr) & (r < 10.0 * thr))),
     )
 
 

@@ -113,8 +113,6 @@ class DiracConfiguration:
         both b and b^{-1}.
         """
         w = self.weights[1:]
-        if len(w) == 1:
-            return np.array(self.anchors[0], copy=True)
         return pbary_points(self.anchors, w / w.sum(), self.p)
 
     @cached_property
@@ -295,9 +293,6 @@ class EigBoundReportPGe2:
     lower_local_margin: float
     upper_local_margin: float
     upper_explicit_margin: float
-    worst_z_lower: np.ndarray
-    worst_z_upper: np.ndarray
-    n_points: int
 
     @property
     def ok(self) -> bool:
@@ -349,16 +344,11 @@ def check_bounds_p_ge2(cfg: DiracConfiguration, z) -> EigBoundReportPGe2:
     m_unit = emin - 1.0
     m_up = up_local - emax
     m_upe = up_explicit - emax
-    iw_low = int(np.argmin(np.minimum(m_unit, m_low)))
-    iw_up = int(np.argmin(np.minimum(m_up, m_upe)))
     return EigBoundReportPGe2(
         lower_unit_margin=float(m_unit.min()),
         lower_local_margin=float(m_low.min()),
         upper_local_margin=float(m_up.min()),
         upper_explicit_margin=float(m_upe.min()),
-        worst_z_lower=zb[iw_low],
-        worst_z_upper=zb[iw_up],
-        n_points=zb.shape[0],
     )
 
 
@@ -380,8 +370,6 @@ class EigBoundReportPLt2:
     stated_upper_margin: float
     local_lower_margin: float
     local_upper_margin: float
-    worst_z_stated_lower: np.ndarray
-    n_points: int
 
     @property
     def stated_ok(self) -> bool:
@@ -430,8 +418,6 @@ def check_bounds_p_lt2(cfg: DiracConfiguration, z) -> EigBoundReportPLt2:
         stated_upper_margin=float(m_su.min()),
         local_lower_margin=float(m_ll.min()),
         local_upper_margin=float(m_lu.min()),
-        worst_z_stated_lower=zb[int(np.argmin(m_sl))],
-        n_points=zb.shape[0],
     )
 
 
@@ -624,7 +610,6 @@ class BlowupReport:
     q0 : critical integrability index d / |slope| (inf if the slope is ~0
         or positive); g_p belongs to L^q exactly for q < q0
     verdicts : {q: bool} integrability verdicts for the requested q values
-    borderline : set of q within 10% of q0, where the verdict is fragile
     """
 
     slope: float
@@ -632,8 +617,6 @@ class BlowupReport:
     radii_used: np.ndarray
     annulus_means: np.ndarray
     verdicts: dict
-    borderline: tuple
-    n_directions: int
 
 
 def blowup_exponent(cfg: DiracConfiguration, f1: GridDensity, center,
@@ -667,16 +650,10 @@ def blowup_exponent(cfg: DiracConfiguration, f1: GridDensity, center,
     slope = float(np.polyfit(np.log(used), np.log(means), 1)[0])
     q0 = cfg.dim / abs(slope) if slope < -1e-12 else math.inf
     verdicts = {float(q): bool(q < q0) for q in q_values}
-    borderline = tuple(
-        float(q) for q in q_values
-        if math.isfinite(q0) and abs(q - q0) <= 0.1 * q0
-    )
     return BlowupReport(
         slope=slope,
         q0=q0,
         radii_used=used,
         annulus_means=means,
         verdicts=verdicts,
-        borderline=borderline,
-        n_directions=len(dirs),
     )

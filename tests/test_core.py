@@ -277,11 +277,12 @@ def test_pbary_points_rejects_weights_not_summing_to_one():
                           p=2.0)
 
 
-@pytest.mark.parametrize("N", [2, 3])
+@pytest.mark.parametrize("N", [1, 2, 3])
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
 def test_identical_points_return_the_point_exactly(p, N):
-    """All points equal: the barycenter is that point, bit for bit, on the
-    p = 2 and N = 2 closed-form routes as well as on the Newton route."""
+    """All points equal: the barycenter is that point, bit for bit, for a
+    lone point, on the p = 2 and N = 2 closed-form routes, and on the Newton
+    route."""
     rng = np.random.default_rng(5)
     x = rng.normal(size=(400, 1, 2)) * 10.0 ** rng.integers(-3, 4, (400, 1, 1))
     w = rng.uniform(0.2, 1.0, N)
@@ -398,6 +399,59 @@ def test_every_public_name_has_a_consumer():
         assert reason in getattr(wbary, name).__doc__, name
 
 
+_UNREAD = {
+    ("CheckResult", "metrics"): "battery numbers asserted by "
+                                "tests/test_acceptance.py",
+    ("CurvatureBlocks", "Lambda"): "the paper's Λ_i, checked against a "
+                                   "dense oracle",
+    ("TransportPlan", "marginal_residual"): "ROADMAP item 8's LP record",
+    ("TransportPlan", "maybe_degenerate"): "ROADMAP item 8's LP record",
+    ("AffineBarycenterResult", "transport"): "the family's optimal map",
+    ("BlowupReport", "radii_used"): "the data the slope is fitted to",
+    ("BlowupReport", "annulus_means"): "the data the slope is fitted to",
+    ("InjectivityReport", "min_radius"): "pinned by "
+                                         "test_injectivity_pinned_report",
+    ("EigBoundReportPLt2", "stated_ok"): "the stated band's verdict",
+}
+
+
+def test_every_result_field_has_a_reader():
+    """Every annotated field, property and public method of a public
+    dataclass in src/wbary is read somewhere: its name is the attribute of
+    a load in some module of src/wbary, or `.name` occurs in perfbench.
+    The match is by name only, so a name that two classes share (such as
+    `ok`) counts as read for both once either is read; the few members kept
+    unread are listed with their reasons in _UNREAD."""
+    trees = [ast.parse(path.read_text())
+             for path in Path(wbary.__file__).parent.glob("*.py")]
+    loaded = {node.attr for tree in trees for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Load)}
+    bench = list((Path(__file__).resolve().parents[1] / "perfbench")
+                 .glob("*.py"))
+    assert bench
+    text = "\n".join(path.read_text() for path in bench)
+    members = []
+    for tree in trees:
+        for cls in tree.body:
+            if not (isinstance(cls, ast.ClassDef)
+                    and not cls.name.startswith("_")
+                    and any("dataclass" in ast.unparse(dec)
+                            for dec in cls.decorator_list)):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.AnnAssign)
+                        and isinstance(node.target, ast.Name)):
+                    members.append((cls.name, node.target.id))
+                elif (isinstance(node, ast.FunctionDef)
+                      and not node.name.startswith("_")):
+                    members.append((cls.name, node.name))
+    assert members
+    unread = sorted((cls, name) for cls, name in members
+                    if name not in loaded and f".{name}" not in text)
+    assert unread == sorted(_UNREAD)
+
+
 def test_exponent_helpers():
     assert alpha_exponent(3.0) == pytest.approx(0.5)
     assert alpha_exponent(2.0) == 0.0
@@ -422,13 +476,15 @@ def test_validated_inputs_are_private_copies():
     pts, w = np.array([[0.0, 1.0], [2.0, -1.0]]), np.array([0.3, 0.7])
     box, values = np.array([[0.0, 1.0]]), np.array([1.0, 3.0])
     A, v = np.eye(2), np.array([1.0, 2.0])
+    atoms, masses = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.4, 0.6])
     config = WeightedPointConfig(pts, w, 3.0)
     density = GridDensity(box, values)
     T = AffineMap(A, v)
+    mu = DiscreteMeasure(atoms, masses)
     stored = [config.points, config.weights, density.box, density.values,
-              T.A, T.v]
+              T.A, T.v, mu.atoms, mu.masses]
     before = [a.copy() for a in stored]
-    for a in (pts, w, box, values, A, v):
+    for a in (pts, w, box, values, A, v, atoms, masses):
         a += 5.0
     for a, b in zip(stored, before):
         np.testing.assert_array_equal(a, b)
