@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import (
     _check_exponent,
+    _check_q,
     _check_weights,
     _diameters,
     alpha_exponent,
@@ -95,8 +96,7 @@ def integrability_bound(f1_lq, q, p, lam1, d, D=None, m=None,
     the estimate then carries no information.
     """
     p = _check_exponent(p)
-    if q <= 1.0:
-        raise ValidationError(f"q must exceed 1, got {q}")
+    q = _check_q(q)
     if not 0.0 < lam1 < 1.0:
         raise ValidationError("lam1 must lie in (0, 1)")
     if d < 1:
@@ -191,8 +191,7 @@ def general_lq_bound(f1: GridDensity, maps, weights, p, q) -> GeneralLqReport:
     of its 3^d subcells has the same center.)
     """
     p = _check_exponent(p)
-    if q <= 1.0:
-        raise ValidationError(f"q must exceed 1, got {q}")
+    q = _check_q(q)
     w = _check_weights(weights, len(maps) + 1)
     d = f1.dim
     mask = f1.values.ravel() > 0.0

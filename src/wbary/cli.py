@@ -26,25 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .acceptance import (
-    FITTED_DISTANT_CONSTANT,
-    _blowup_fixture,
-    _distant_support_sweep,
-    _spectrum_fixture,
-    run_all,
-)
-from .affine import spectrum_optimality
-from .core import _check_exponent, pbary_solve, WeightedPointConfig
+from .core import _check_exponent, _check_q, _check_tol
 from .errors import WbaryError
-from .mmot import DiscreteMeasure, check_cp_monotone, verify_c2m_equivalence
-from .semidiscrete import (
-    DiracConfiguration,
-    blowup_exponent,
-    check_bounds_p_lt2,
-    grad_b_inverse_eigs,
-    lq_via_changevar,
-    pushforward_density,
-)
+
+# Each runner imports the layers it uses, so a kind loads only those.
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -81,16 +66,20 @@ def _finish(outdir: Path, kind: str, params: dict) -> None:
 
 
 def _run_point_bary(args, outdir: Path) -> int:
+    from .core import _check_weights, _solve_configs
+    from .errors import ValidationError
+
     rng = np.random.default_rng(args.seed)
     n, N, d = 64, 4, 2
     pts = rng.normal(size=(n, N, d))
     w = rng.uniform(0.2, 1.0, N)
-    w = w / w.sum()
+    w = _check_weights(w / w.sum(), N)
+    if not np.isfinite(pts).all():
+        raise ValidationError("points contain non-finite entries")
     rows = []
     worst = 0.0
-    for k in range(n):
-        sol = pbary_solve(WeightedPointConfig(pts[k], w, args.p),
-                          tol=args.tol)
+    sols = _solve_configs(pts, np.broadcast_to(w, (n, N)), args.p, args.tol)
+    for k, sol in enumerate(sols):
         rows.append((k, *map(float, sol.z), float(sol.residual_norm),
                      sol.iterations, len(sol.coincident_set)))
         worst = max(worst, sol.residual_norm)
@@ -108,6 +97,13 @@ def _run_point_bary(args, outdir: Path) -> int:
 
 
 def _run_semidiscrete(args, outdir: Path) -> int:
+    from ._fixtures import _blowup_fixture
+    from .semidiscrete import (
+        blowup_exponent,
+        lq_via_changevar,
+        pushforward_density,
+    )
+
     cfg, f1, center = _blowup_fixture(
         args.p, args.grid if args.p > 2.0 else max(args.grid, 256))
     pf = pushforward_density(cfg, f1, resolution=args.grid)
@@ -133,6 +129,8 @@ def _run_semidiscrete(args, outdir: Path) -> int:
 
 
 def _run_mmot(args, outdir: Path) -> int:
+    from .mmot import DiscreteMeasure, check_cp_monotone, verify_c2m_equivalence
+
     rng = np.random.default_rng(args.seed)
     measures = []
     for _ in range(3):
@@ -177,6 +175,8 @@ def _run_mmot(args, outdir: Path) -> int:
 
 
 def _run_bounds(args, outdir: Path) -> int:
+    from ._fixtures import FITTED_DISTANT_CONSTANT, _distant_support_sweep
+
     rows = [tuple(map(float, row)) for row in
             _distant_support_sweep(max(args.grid, 512), args.q)]
     ok = all(norm <= bound for _, norm, bound, _ in rows)
@@ -192,6 +192,9 @@ def _run_bounds(args, outdir: Path) -> int:
 
 
 def _run_affine(args, outdir: Path) -> int:
+    from ._fixtures import _spectrum_fixture
+    from .affine import spectrum_optimality
+
     optimal, not_optimal = _spectrum_fixture()
     rows = []
     ok = True
@@ -221,6 +224,12 @@ def _run_counterexample(args, outdir: Path) -> int:
     envelope and the valid local-factor one on a radius sweep into the
     fixed point.
     """
+    from .semidiscrete import (
+        DiracConfiguration,
+        check_bounds_p_lt2,
+        grad_b_inverse_eigs,
+    )
+
     p = args.p if args.p < 2.0 else 1.5
     cfg = DiracConfiguration(np.array([[1.0], [2.0]]),
                              [1 / 3, 1 / 3, 1 / 3], p)
@@ -292,6 +301,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     if args.command == "selftest":
+        from .acceptance import run_all
+
         results = run_all(fast=args.fast)
         for r in results:
             print(("PASS" if r.ok else "FAIL")
@@ -300,10 +311,16 @@ def main(argv=None) -> int:
         print(f"{n_ok}/{len(results)} checks passed")
         return 0 if n_ok == len(results) else 3
 
-    try:
-        args.p = _check_exponent(args.p)
-    except WbaryError as exc:
-        print(f"error: --p: {exc}", file=sys.stderr)
+    for name, check in (("p", _check_exponent), ("q", _check_q),
+                        ("tol", _check_tol)):
+        try:
+            setattr(args, name, check(getattr(args, name)))
+        except WbaryError as exc:
+            print(f"error: --{name}: {exc}", file=sys.stderr)
+            return 2
+    if args.seed < 0:
+        print(f"error: --seed: must be non-negative, got {args.seed}",
+              file=sys.stderr)
         return 2
     if args.grid < 8 or args.grid > 4096:
         print("error: --grid out of range [8, 4096]", file=sys.stderr)

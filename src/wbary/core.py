@@ -61,6 +61,24 @@ def _check_exponent(p) -> float:
     return 2.0 if abs(p - 2.0) <= P2_TOL else p
 
 
+def _check_q(q) -> float:
+    """The integrability exponent q as a float; ValidationError unless q is
+    finite and exceeds 1."""
+    q = float(q)
+    if not math.isfinite(q) or q <= 1.0:
+        raise ValidationError(f"q must be finite and exceed 1, got {q}")
+    return q
+
+
+def _check_tol(tol) -> float:
+    """The solver tolerance as a float; ValidationError unless it is finite
+    and positive."""
+    tol = float(tol)
+    if not math.isfinite(tol) or tol <= 0.0:
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
+    return tol
+
+
 def _check_weights(weights, n) -> np.ndarray:
     """n weights, finite, strictly positive and summing to 1 within 1e-12."""
     w = np.asarray(weights, dtype=float).ravel()
@@ -283,10 +301,11 @@ def pbary_points(points, weights, p, tol=DEFAULT_TOL):
     points : (..., N, d); weights : (N,) or broadcastable to (..., N).
     Returns minimizers with shape (..., d); an empty batch (0, N, d) gives
     (0, d).  Raises ValidationError for tuples of zero points, for
-    non-finite points, for weights that are not finite and positive, and
-    for weight rows that do not sum to 1 within WEIGHT_SUM_TOL, and
-    ConvergenceError if any batch entry fails to reach
-    |residual| <= tol * max(w) * diam^(p-1) within MAX_ITER Newton steps.
+    non-finite points, for weights that are not finite and positive, for
+    weight rows that do not sum to 1 within WEIGHT_SUM_TOL and for a tol
+    that is not finite and positive, and ConvergenceError if any batch entry
+    fails to reach |residual| <= tol * max(w) * diam^(p-1) within MAX_ITER
+    Newton steps.
     """
     p = _check_exponent(p)
     pts = np.asarray(points, dtype=float)
@@ -319,9 +338,11 @@ def pbary_points(points, weights, p, tol=DEFAULT_TOL):
 def _solve_batch(pts, w, p, tol):
     """Core batched solve.  pts (B,N,d), w (B,N) normalized rows.
 
-    Returns (z, iterations, residual_norm) arrays; raises ConvergenceError
-    when an entry of the Newton route misses its tolerance.
+    Returns (z, iterations, residual_norm) arrays; raises ValidationError
+    unless tol is finite and positive, and ConvergenceError when an entry of
+    the Newton route misses its tolerance.
     """
+    tol = _check_tol(tol)
     B, N, d = pts.shape
     diam = _diameters(pts)
     scale = w.max(axis=1) * np.maximum(diam, 1e-300) ** (p - 1.0)
@@ -466,21 +487,28 @@ def _solve_batch(pts, w, p, tol):
     return z, iters, res
 
 
+def _solve_configs(pts, w, p, tol) -> list:
+    """One BarycenterSolution per entry of a batch of validated
+    configurations: pts (B, N, d), w (B, N), p already checked."""
+    z, iters, res = _solve_batch(pts, w, p, tol)
+    r = np.linalg.norm(pts - z[:, None, :], axis=2)
+    coincident = coincident_mask(r, _diameters(pts))
+    return [
+        BarycenterSolution(
+            z=z[b],
+            residual_norm=float(res[b]),
+            coincident_set=tuple(np.flatnonzero(coincident[b]).tolist()),
+            iterations=int(iters[b]),
+        )
+        for b in range(len(z))
+    ]
+
+
 def pbary_solve(config: WeightedPointConfig,
                 tol=DEFAULT_TOL) -> BarycenterSolution:
     """Solve for the weighted p-barycenter of a validated configuration."""
-    pts = config.points[None]
-    w = config.weights[None]
-    z, iters, res = _solve_batch(pts, w, config.p, tol)
-    z0 = z[0]
-    diam = config.diameter
-    r = np.linalg.norm(config.points - z0[None, :], axis=1)
-    return BarycenterSolution(
-        z=z0,
-        residual_norm=float(res[0]),
-        coincident_set=tuple(np.flatnonzero(coincident_mask(r, diam)).tolist()),
-        iterations=int(iters[0]),
-    )
+    return _solve_configs(config.points[None], config.weights[None],
+                          config.p, tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ from .core import (
     alpha_exponent,
     beta_exponent,
     _check_exponent,
+    _check_q,
     _check_weights,
     _diameters,
     curvature_kernel,
@@ -564,8 +565,7 @@ def lq_via_changevar(cfg: DiracConfiguration, f1: GridDensity, q: float) -> floa
     This avoids the target grid entirely and is the measurement route used
     to validate integrability bounds.
     """
-    if q <= 1.0:
-        raise ValidationError(f"q must exceed 1, got {q}")
+    q = _check_q(q)
     mask = f1.values.ravel() > 0.0
     if not mask.any():
         return 0.0

@@ -184,6 +184,21 @@ def test_weights_follow_the_shared_rule():
     assert compute_D(measures, [0.4, 0.3, 0.3], 3.0) > 0.0
 
 
+def test_integrability_exponent_must_be_finite_and_exceed_1():
+    """Every L^q routine rejects q that is not finite and above 1; before,
+    q = nan gave a nan norm or bound without an error."""
+    f1 = uniform_box(np.array([[-0.5, 0.5]]), resolution=16)
+    cfg = DiracConfiguration(np.array([[1.0], [2.0]]), [1 / 3] * 3, 3.0)
+    maps = constant_maps(np.array([[1.0], [2.0]]))
+    for q in (np.nan, np.inf, 1.0, 0.5):
+        with pytest.raises(ValidationError):
+            lq_via_changevar(cfg, f1, q)
+        with pytest.raises(ValidationError):
+            general_lq_bound(f1, maps, [1 / 3] * 3, 3.0, q)
+        with pytest.raises(ValidationError):
+            integrability_bound(1.0, q, 3.0, 0.3, 1, D=1.0)
+
+
 # Pinned reports.  In both inputs the cell centred at (-0.0917, -0.0917)
 # puts the barycenter on (p < 2) or within 1e-8 of (p > 2) the anchor
 # (0.9, 0.2), so its curvature ratio degenerates and the cell is flagged.

@@ -264,12 +264,81 @@ def test_affine_fixture(tmp_path):
     [
         ("run", "--kind", "point_bary", "--p", "0.5"),
         ("run", "--kind", "point_bary", "--grid", "4"),
+        ("run", "--kind", "point_bary", "--tol", "nan"),
+        ("run", "--kind", "point_bary", "--tol", "0"),
+        ("run", "--kind", "semidiscrete", "--q", "nan"),
+        ("run", "--kind", "semidiscrete", "--q", "inf"),
+        ("run", "--kind", "point_bary", "--seed", "-1"),
     ],
 )
 def test_invalid_parameters_exit_2(tmp_path, args):
-    res = _run(*args, "--out", str(tmp_path / "x"))
+    """Each invalid option exits 2 with one error line that names it, before
+    the output directory is made."""
+    out = tmp_path / "x"
+    res = _run(*args, "--out", str(out))
     assert res.returncode == 2
-    assert res.stderr.strip()
+    assert res.stderr.startswith(f"error: {args[3]}"), res.stderr
+    assert len(res.stderr.strip().splitlines()) == 1, res.stderr
+    assert not out.exists()
+
+
+def test_import_wbary_loads_no_submodule():
+    """import wbary loads neither a wbary submodule nor NumPy; each public
+    name imports its submodule on first use."""
+    script = (
+        "import sys, wbary\n"
+        "loaded = [m for m in sys.modules\n"
+        "          if m.startswith('wbary.') or m.split('.')[0] == 'numpy']\n"
+        "assert loaded == [], loaded\n"
+        "wbary.DiscreteMeasure\n"
+        "assert 'wbary.mmot' in sys.modules and 'wbary.bounds' not in sys.modules\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script],
+                         capture_output=True, text=True, timeout=300)
+    assert res.returncode == 0, res.stderr
+
+
+_LOADED_MODULES = """
+import json, sys
+from wbary import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code] + sorted(m for m in sys.modules
+                                 if m.split(".")[0] == "wbary")))
+"""
+
+_ALWAYS = {"wbary", "wbary.cli", "wbary.core", "wbary.errors"}
+_FIXTURES = "wbary._fixtures"
+
+
+@pytest.mark.parametrize("kind, layers", [
+    ("point_bary", set()),
+    ("mmot", {"wbary.mmot"}),
+    ("counterexample", {"wbary.grid", "wbary.semidiscrete"}),
+    ("semidiscrete", {_FIXTURES, "wbary.grid", "wbary.semidiscrete"}),
+    ("bounds", {_FIXTURES, "wbary.bounds", "wbary.grid", "wbary.mmot",
+                "wbary.semidiscrete"}),
+    ("affine", {_FIXTURES, "wbary.affine", "wbary.mmot"}),
+    ("selftest", {_FIXTURES, "wbary.acceptance", "wbary.affine",
+                  "wbary.bounds", "wbary.grid", "wbary.mmot",
+                  "wbary.semidiscrete"}),
+])
+def test_each_command_loads_only_its_layers(tmp_path, kind, layers):
+    """A fresh process loads the wbary modules its command runs, and no
+    other: every run kind imports its own layers, and only selftest loads
+    the battery."""
+    if kind == "selftest":
+        argv = ["selftest", "--fast"]
+        expect = 3
+    else:
+        argv = ["run", "--kind", kind, "--out", str(tmp_path / kind),
+                "--grid", "32"]
+        expect = 0
+    res = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *argv],
+                         capture_output=True, text=True, timeout=600)
+    assert res.returncode == 0, res.stderr
+    code, *loaded = json.loads(res.stdout.splitlines()[-1])
+    assert code == expect
+    assert set(loaded) == _ALWAYS | layers
 
 
 def test_unknown_kind_rejected(tmp_path):

@@ -2,6 +2,7 @@
 
 import ast
 import re
+import sys
 import types
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from wbary import (
     solve_mmot,
     wp_distance,
 )
-from wbary.core import curvature_kernel, mixed_spectrum
+from wbary.core import _solve_configs, curvature_kernel, mixed_spectrum
 
 
 def test_weighted_mean_p2():
@@ -256,6 +257,14 @@ def test_pbary_points_rejects_bad_inputs():
     bad[1, 2, 1] = -np.inf
     with pytest.raises(ValidationError):
         pbary_points(bad, [0.4, 0.3, 0.3], 3.0)
+    # A tolerance that is not finite and positive: nan and inf returned the
+    # weighted mean unchecked, 0 and -1 spun MAX_ITER steps.
+    cfg = WeightedPointConfig(tri, [0.4, 0.3, 0.3], 3.0)
+    for tol in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValidationError):
+            pbary_points(tri, [0.4, 0.3, 0.3], 3.0, tol=tol)
+        with pytest.raises(ValidationError):
+            pbary_solve(cfg, tol=tol)
 
 
 def test_pbary_points_rejects_weights_not_summing_to_one():
@@ -357,6 +366,22 @@ def test_p2_tolerance_is_named_once():
                                 getattr(node, "asname", None))
             ]
     assert uses == [("core.py", "<module>"), ("core.py", "_check_exponent")]
+
+
+def test_package_names_resolve_on_use():
+    """The 71 public names are listed by dir(wbary), each resolves to the
+    object its defining submodule holds, and none is stored in the package
+    namespace, so a function patched in its submodule is what wbary.X
+    returns; any other name raises AttributeError."""
+    assert len(wbary.__all__) == 71
+    assert set(dir(wbary)) >= set(wbary.__all__)
+    for name in wbary.__all__:
+        obj = getattr(wbary, name)
+        assert obj.__module__.startswith("wbary."), name
+        assert getattr(sys.modules[obj.__module__], name) is obj, name
+    assert not set(vars(wbary)) & set(wbary.__all__)
+    with pytest.raises(AttributeError):
+        wbary.no_such_name
 
 
 def test_package_exports_no_modules():
@@ -529,3 +554,25 @@ def test_residual_driven_moves_do_not_raise_the_objective(seed, p, n):
     z = sol.z[0] + np.array([0.0, -1e-6, 1e-6])
     phi = (w * np.abs(pts[:, 0] - z[:, None]) ** p).sum(axis=1)
     assert phi[0] <= phi[1:].min()
+
+
+@pytest.mark.parametrize("p", [1.5, 1.7, 2.0, 2.5, 3.0, 4.0])
+def test_batched_solutions_equal_single_solves(p):
+    """_solve_configs on a batch gives, bit for bit, the z, residual,
+    iteration count and coincident set of pbary_solve on each entry; the
+    batch holds rows of random weights and one row of equal points."""
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=(24, 4, 2))
+        pts[5] = pts[5, 0]
+        w = rng.uniform(0.2, 1.0, (24, 4))
+        w /= w.sum(axis=1, keepdims=True)
+        batch = _solve_configs(pts, w, p, 1e-12)
+        assert len(batch) == 24
+        for k, got in enumerate(batch):
+            ref = pbary_solve(WeightedPointConfig(pts[k], w[k], p))
+            assert got.z.tobytes() == ref.z.tobytes(), (seed, k)
+            assert got.residual_norm == ref.residual_norm, (seed, k)
+            assert got.iterations == ref.iterations, (seed, k)
+            assert got.coincident_set == ref.coincident_set, (seed, k)
+        assert batch[5].coincident_set == (0, 1, 2, 3)
