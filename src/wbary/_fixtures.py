@@ -32,17 +32,21 @@ def _planar_config(p):
 
 
 def _blowup_fixture(p, resolution):
-    """(cfg, f1, center) of the blow-up checks: for p > 2 the planar anchors,
-    the disk and zbar, else anchors 0.1, -0.3, uniform [-0.5, 0.5] and 0.1."""
+    """(cfg, f1, center, radii) of the blow-up checks and ``run --kind
+    semidiscrete``.  For p > 2: the planar anchors, the disk at `resolution`,
+    zbar and radii 1e-6..1e-4.  Otherwise: anchors 0.1 and -0.3, uniform
+    [-0.5, 0.5] on max(resolution, 256) cells, the anchor 0.1 and radii
+    1e-8..1e-6.  Ten geometric radii in both cases."""
     from .grid import uniform_box
     from .semidiscrete import DiracConfiguration
 
     if p > 2.0:
         cfg = _planar_config(p)
-        return cfg, _disk(resolution), cfg.fixed_point
+        return (cfg, _disk(resolution), cfg.fixed_point,
+                np.geomspace(1e-6, 1e-4, 10))
     cfg = DiracConfiguration(np.array([[0.1], [-0.3]]), [0.4, 0.3, 0.3], p)
-    f1 = uniform_box(np.array([[-0.5, 0.5]]), resolution=resolution)
-    return cfg, f1, cfg.anchors[0]
+    f1 = uniform_box(np.array([[-0.5, 0.5]]), resolution=max(resolution, 256))
+    return cfg, f1, cfg.anchors[0], np.geomspace(1e-8, 1e-6, 10)
 
 
 def _distant_support_sweep(resolution, q):

@@ -114,9 +114,8 @@ def blowup_threshold_p_gt2(fast: bool = False) -> CheckResult:
     """
     t0 = time.perf_counter()
     res = 128 if fast else 512
-    cfg, f1, center = _blowup_fixture(3.0, res)
+    cfg, f1, center, radii = _blowup_fixture(3.0, res)
     pf = pushforward_density(cfg, f1, resolution=res)
-    radii = np.geomspace(1e-6, 1e-4, 10)
     rep = blowup_exponent(cfg, f1, center, radii, q_values=(1.6, 2.4))
     seconds = time.perf_counter() - t0
     slope_ok = abs(rep.slope - (-1.0)) <= 0.1
@@ -149,8 +148,7 @@ def blowup_threshold_p_lt2(fast: bool = False) -> CheckResult:
     0.2.
     """
     res = 512 if fast else 2048
-    cfg, f1, center = _blowup_fixture(1.5, res)
-    radii = np.geomspace(1e-8, 1e-6, 10)
+    cfg, f1, center, radii = _blowup_fixture(1.5, res)
     rep = blowup_exponent(cfg, f1, center, radii, q_values=(1.5, 2.5))
     q0_ok = abs(rep.q0 - 2.0) <= 0.2
     flip_ok = rep.verdicts[1.5] and not rep.verdicts[2.5]

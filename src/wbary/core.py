@@ -17,7 +17,7 @@ Newton iteration on phi, batched over many configurations at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -566,13 +566,11 @@ class CurvatureBlocks:
     H : (N, d, d) with H_i = w_i |x_i - z|^(p-2) ((p-2) u u^T + Id)
     Hbar : (d, d), the sum of the blocks
     Lambda : (N,) smallest eigenvalue of H_i Hbar^{-1} H_i
-    coincident_set : indices with |x_i - z| <= 1e-9 * diameter
     """
 
     H: np.ndarray
     Hbar: np.ndarray
     Lambda: np.ndarray
-    coincident_set: tuple = field(default_factory=tuple)
 
 
 def curvature_blocks(config: WeightedPointConfig, z=None) -> CurvatureBlocks:
@@ -598,8 +596,7 @@ def curvature_blocks(config: WeightedPointConfig, z=None) -> CurvatureBlocks:
         raise SingularBlockError(
             "sum of curvature blocks is singular (all blocks vanish?)"
         )
-    return CurvatureBlocks(H=H, Hbar=H.sum(axis=0), Lambda=lam,
-                           coincident_set=coincident)
+    return CurvatureBlocks(H=H, Hbar=H.sum(axis=0), Lambda=lam)
 
 
 def dbary_dxi(config: WeightedPointConfig, i: int, z=None) -> np.ndarray:

@@ -194,8 +194,6 @@ class CostTensor:
 
     values: np.ndarray
     barycenters: np.ndarray
-    weights: np.ndarray
-    p: float
 
 
 def _pair_weight(wi, wj, p):
@@ -239,8 +237,6 @@ def cost_tensor(measures, weights, p) -> CostTensor:
     return CostTensor(
         values=cost.reshape(shape),
         barycenters=z.reshape(shape + (d,)),
-        weights=w,
-        p=p,
     )
 
 

@@ -46,7 +46,7 @@ from .errors import (
     SingularPointError,
     ValidationError,
 )
-from .grid import GridDensity
+from .grid import GridDensity, _res_tuple
 
 _GBAR_ZERO = 1e-300
 # Refinement of the cells next to a singular point (see pushforward_density).
@@ -197,11 +197,13 @@ def _inverse_jacobian(cfg: DiracConfiguration, zb, eigs: bool, field=None):
     and A = Id - alpha P, P the projector onto Gbar.  It is similar to the
     symmetric Id + c A^{1/2} S A^{1/2}, A^{1/2} = Id + (sqrt(1-alpha) - 1) P,
     whose eigvalsh gives the spectrum exactly.  p = 2 gives Id / w1; p < 2 gives
-    Id at zbar; for p > 2, zbar and the anchors raise SingularPointError.
+    Id at zbar; for p > 2, zbar raises SingularPointError, while at an anchor
+    the vanishing block gives the continuous limit.  For p < 2 _anchor_field
+    has already raised at an anchor.
     """
     if field is None:
         field = _anchor_field(cfg, zb)
-    G, negdG, r, _ = field
+    G, negdG, _, _ = field
     d = cfg.dim
     eye = np.eye(d)[None]
     out = np.empty((zb.shape[0],) + ((d,) if eigs else (d, d)))
@@ -214,8 +216,6 @@ def _inverse_jacobian(cfg: DiracConfiguration, zb, eigs: bool, field=None):
         raise SingularPointError(
             "grad b^{-1} is unbounded at the anchor barycenter for p > 2"
         )
-    if np.any(r == 0.0):
-        raise SingularPointError("grad Gbar undefined at an anchor")
     out[zero] = 1.0 if eigs else eye
     pos = ~zero
     if pos.any():
@@ -237,8 +237,9 @@ def _inverse_jacobian(cfg: DiracConfiguration, zb, eigs: bool, field=None):
 def grad_b_inverse(cfg: DiracConfiguration, z) -> np.ndarray:
     """Jacobian matrix of b^{-1} at z (generally non-symmetric), vectorized.
 
-    Excluded points: zbar for p > 2 (the Jacobian blows up there) and the
-    anchors for p != 2.  For p = 2 the Jacobian is (1/w_1) Id everywhere, and
+    Excluded points (SingularPointError): zbar for p > 2, where the Jacobian
+    blows up, and the anchors for p < 2.  For p = 2 the Jacobian is
+    (1/w_1) Id everywhere; for p > 2 it is continuous at the anchors, and
     for p < 2 it extends continuously to the identity at zbar.
     """
     zb, single, shape = _as_batch(z, cfg.dim)
@@ -451,29 +452,19 @@ def _singular_points(cfg: DiracConfiguration):
 
 
 def _image_box(cfg: DiracConfiguration, source_box: np.ndarray) -> np.ndarray:
-    """Bounding box of b(source box) via boundary sampling (exact for p=2)."""
+    """Bounding box of b(source box) via boundary sampling (exact for p=2).
+
+    Every face of the box is sampled on a 33-point lattice, which includes
+    all corners (in d = 1 the faces are the two end points).
+    """
     d = cfg.dim
     if cfg.p == 2.0:
         shift = (cfg.weights[1:, None] * cfg.anchors).sum(axis=0)
         return cfg.lam1 * source_box + shift[:, None]
-    if d == 1:
-        corners = source_box.T.reshape(-1, 1)
-        img = b_forward(cfg, corners)
-        return np.array([[img.min(), img.max()]])
-    # Sample every face of the box on a lattice (includes all corners).
-    n = 33
-    axes = [np.linspace(source_box[a, 0], source_box[a, 1], n) for a in range(d)]
-    pts = []
-    for a in range(d):
-        other = [axes[b] for b in range(d) if b != a]
-        mesh = np.meshgrid(*other, indexing="ij")
-        face = np.stack([m.ravel() for m in mesh], axis=-1)
-        for side in (source_box[a, 0], source_box[a, 1]):
-            full = np.empty((face.shape[0], d))
-            full[:, a] = side
-            cols = [b for b in range(d) if b != a]
-            full[:, cols] = face
-            pts.append(full)
+    axes = [np.linspace(lo, hi, 33) for lo, hi in source_box]
+    pts = [np.stack(np.meshgrid(*axes[:a], source_box[a], *axes[a + 1:],
+                                indexing="ij"), -1).reshape(-1, d)
+           for a in range(d)]
     img = b_forward(cfg, np.vstack(pts))
     return np.stack([img.min(axis=0), img.max(axis=0)], axis=1)
 
@@ -502,26 +493,24 @@ def _row_means(vals, keep):
 
 
 def pushforward_density(cfg: DiracConfiguration, f1: GridDensity,
-                        resolution=None, target_box=None) -> PushforwardResult:
+                        resolution=None) -> PushforwardResult:
     """Pushforward of the density f1 under b, on a grid over b(spt f1).
 
-    Each target cell gets g_p evaluated at its center through the closed-form
-    inverse.  Cells within 1e-6 * scale (plus half a cell diagonal) of a
-    singular point (zbar for p > 2, anchors for p < 2) are refined on a 6^d
-    subgrid and averaged instead, skipping subsample points that fall within
-    1e-12 * scale of the singularity; all subsample points of all such cells
-    are evaluated in one batch.
+    resolution : cells per axis (an int or a tuple), by default f1's.
+    The grid box is the bounding box of b on the boundary of f1's support
+    box.  Each target cell gets g_p evaluated at its center through the
+    closed-form inverse.  Cells within 1e-6 * scale (plus half a cell
+    diagonal) of a singular point (zbar for p > 2, anchors for p < 2) are
+    refined on a 6^d subgrid and averaged instead, skipping subsample points
+    that fall within 1e-12 * scale of the singularity; all subsample points
+    of all such cells are evaluated in one batch.
     """
     if f1.dim != cfg.dim:
         raise ValidationError("density dimension does not match configuration")
     if resolution is None:
         resolution = f1.resolution
-    if target_box is None:
-        target_box = _image_box(cfg, f1.support_box())
-    target_box = np.atleast_2d(np.asarray(target_box, dtype=float))
-    out = GridDensity(target_box, np.zeros(
-        resolution if not np.isscalar(resolution) else (int(resolution),) * cfg.dim
-    ))
+    target_box = _image_box(cfg, f1.support_box())
+    out = GridDensity(target_box, np.zeros(_res_tuple(resolution, cfg.dim)))
     centers = out.centers()
     h = out.cell_widths
     scale = max(cfg.geometry_scale,

@@ -66,6 +66,26 @@ def test_integrability_bound_p2_reduction():
         )
 
 
+def test_integrability_bound_p_lt2_distant_supports():
+    """p = 1.5, q = 2: f1 uniform on [-0.5, 0.5], anchors 6 and 7.5 with
+    weights (1 - lam1)/2 each, m from 65 atoms of f1's support.  The bound
+    with constant 1 holds and is tight within a factor 2.5 for every lam1
+    in {0.1, 0.3, ..., 0.9} (measured/bound between 0.41 and 0.88)."""
+    p, q = 1.5, 2.0
+    anchors = np.array([[6.0], [7.5]])
+    f1 = uniform_box(np.array([[-0.5, 0.5]]), resolution=1024)
+    supp = np.linspace(-0.5, 0.5, 65)[:, None]
+    measures = [DiscreteMeasure(supp, np.ones(65) / 65),
+                DiscreteMeasure(anchors[:1], [1.0]),
+                DiscreteMeasure(anchors[1:], [1.0])]
+    for lam1 in (0.1, 0.3, 0.5, 0.7, 0.9):
+        w = np.array([lam1, (1 - lam1) / 2, (1 - lam1) / 2])
+        norm = lq_via_changevar(DiracConfiguration(anchors, w, p), f1, q)
+        m = compute_m(measures, w, p)
+        bound = integrability_bound(f1.lq_norm(q), q, p, lam1, 1, m=m)
+        assert 0.4 <= norm / bound <= 0.9, lam1
+
+
 def test_integrability_requires_separation():
     # an atom of the first marginal exactly at the reduced barycenter
     # leaves the barycenter unmoved: D = 0 and the estimate is empty

@@ -133,6 +133,16 @@ def test_gradient_singularities():
     cfg3 = DiracConfiguration(np.array([[1.0], [2.0]]), [1 / 3] * 3, 3.0)
     with pytest.raises(SingularPointError):
         grad_b_inverse(cfg3, cfg3.fixed_point)
+    # p > 2: at an anchor the block vanishes and the Jacobian is continuous,
+    # 1 + 3 (1/2) (2/3) = 2 at both anchors, the limit of nearby values.
+    anchors = np.array([[1.0], [2.0]])
+    np.testing.assert_array_equal(grad_b_inverse(cfg3, anchors), [[[2.0]]] * 2)
+    np.testing.assert_array_equal(jacobian_det(cfg3, anchors), [2.0, 2.0])
+    np.testing.assert_array_equal(grad_b_inverse_eigs(cfg3, anchors),
+                                  [[2.0]] * 2)
+    r = np.array([1e-6, 1e-9])
+    near = grad_b_inverse(cfg3, 1.0 + r[:, None])[:, 0, 0]
+    assert (np.abs(near - 2.0) <= 2.0 * r).all()
     cfg15 = DiracConfiguration(np.array([[1.0], [2.0]]), [1 / 3] * 3, 1.5)
     # p < 2: the gradient extends continuously by the identity at the fixed
     # point, while the field itself is singular at the anchors.
@@ -151,7 +161,8 @@ def test_gradient_singularities():
 )
 def test_inverse_jacobian_spectrum_and_singularities(seed, p, d, k):
     """The symmetric-similarity spectrum is the spectrum of grad b^{-1},
-    jacobian_det is |det grad b^{-1}|, and for p < 2 the anchors raise."""
+    jacobian_det is |det grad b^{-1}|, also at the anchors for p > 2, and
+    for p < 2 the anchors raise."""
     rng = np.random.default_rng(seed)
     anchors = rng.normal(size=(k, d))
     w = rng.uniform(0.2, 1.0, k + 1)
@@ -163,6 +174,10 @@ def test_inverse_jacobian_spectrum_and_singularities(seed, p, d, k):
     zs = 1.5 * rng.normal(size=(40, d))
     # keep off zbar, where grad b^{-1} blows up for p > 2
     zs = zs[np.linalg.norm(zs - zbar, axis=1) > 1e-3]
+    if p > 2.0:
+        # the anchors are regular points for p > 2
+        zs = np.vstack([zs, anchors[np.linalg.norm(anchors - zbar, axis=1)
+                                    > 1e-3]])
     G = grad_b_inverse(cfg, zs)
     ev = grad_b_inverse_eigs(cfg, zs)
     dense = np.linalg.eigvals(G)
@@ -292,6 +307,30 @@ def test_blowup_exponents():
     assert rep2.q0 == pytest.approx(2.0, abs=0.1)
 
 
+def test_blowup_exponents_3d():
+    """d = 3 on the Fibonacci directions: the slope at zbar for p = 3 is
+    -d (p-2)/(p-1) and at an anchor for p = 1.5 it is d (p-2), both -1.5,
+    so q0 = 2 in both regimes.  The fallback directions for d >= 4 are unit
+    vectors too."""
+    anchors = 0.25 * np.array([[0.6, 0.1, 0.0], [-0.5, 0.3, 0.1],
+                               [0.0, -0.6, 0.2]])
+    f1 = uniform_box(np.array([[-0.5, 0.5]] * 3), resolution=8)
+    for p, lo in ((3.0, 1e-6), (1.5, 1e-8)):
+        cfg = DiracConfiguration(anchors, [0.4, 0.2, 0.2, 0.2], p)
+        center = cfg.fixed_point if p > 2.0 else cfg.anchors[0]
+        rep = blowup_exponent(cfg, f1, center, np.geomspace(lo, 100 * lo, 10),
+                              q_values=(1.6, 2.4))
+        assert rep.radii_used.size == 10
+        assert rep.slope == pytest.approx(-1.5, abs=0.05), p
+        assert rep.q0 == pytest.approx(2.0, abs=0.1), p
+        assert rep.verdicts[1.6] and not rep.verdicts[2.4]
+    for d in (3, 4):
+        dirs = _directions(d, 64)
+        assert dirs.shape == (64, d)
+        np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0,
+                                   rtol=1e-12)
+
+
 def test_batched_sweeps_match_one_radius_or_cell_at_a_time():
     """Radius sweeps and the singular-cell subgrids are evaluated in one
     batch; each radius and each cell gives exactly what it gives alone."""
@@ -305,9 +344,8 @@ def test_batched_sweeps_match_one_radius_or_cell_at_a_time():
         _density_at(cfg3, f1, z0 + r * dirs) for r in rep.radii_used)]
     assert np.array_equal(rep.annulus_means, means)
 
-    # Center the grid on zbar so that four cells touch it.
-    pf = pushforward_density(cfg3, f1, resolution=32,
-                             target_box=z0[:, None] + [[-0.32, 0.32]])
+    # On this grid zbar lies within half a cell diagonal of two centers.
+    pf = pushforward_density(cfg3, f1, resolution=32)
     grid = pf.density
     h, box = grid.cell_widths, grid.box
     scale = max(cfg3.geometry_scale, float(np.max(box[:, 1] - box[:, 0])))
@@ -321,7 +359,7 @@ def test_batched_sweeps_match_one_radius_or_cell_at_a_time():
         pts = c - 0.5 * h + sub * h
         pts = pts[np.linalg.norm(pts - z0, axis=1) > 1e-12 * scale]
         assert grid.values.ravel()[k] == _density_at(cfg3, f1, pts).mean()
-    assert cells == pf.singular_cells == 4
+    assert cells == pf.singular_cells == 2
 
 
 def test_blowup_needs_radii_and_signal():
