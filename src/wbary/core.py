@@ -37,6 +37,9 @@ PRODUCT_CAP = 10 ** 6
 
 _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 45
+# When an entry tries its anchored candidates (p < 2); see _solve_batch.
+_ANCHOR_REACH = 4.0
+_ANCHOR_DROP = 0.1
 
 
 def alpha_exponent(p: float) -> float:
@@ -184,10 +187,15 @@ def el_residual(points, weights, p, z) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _length(x):
+    """Euclidean length over the last axis."""
+    return np.sqrt(np.einsum("...i,...i->...", x, x))
+
+
 def _diameters(pts: np.ndarray) -> np.ndarray:
     """Max pairwise distance per batch entry; pts is (..., N, d)."""
     diff = pts[..., :, None, :] - pts[..., None, :, :]
-    return np.sqrt((diff ** 2).sum(-1)).max(axis=(-2, -1))
+    return _length(diff).max(axis=(-2, -1))
 
 
 def coincident_mask(r: np.ndarray, diam) -> np.ndarray:
@@ -230,7 +238,7 @@ def _nudge_off_atoms(pts, z, floor):
     """
     d = z.shape[-1]
     for attempt in range(4):
-        r = np.linalg.norm(pts - z[:, None, :], axis=2)
+        r = _length(pts - z[:, None, :])
         bad = (r < floor[:, None]).any(axis=1)
         if not bad.any():
             return z
@@ -247,22 +255,37 @@ def _objective_cap(obj):
     return obj + 16.0 * np.finfo(float).eps * np.abs(obj)
 
 
-def _eval_batch(pts, w, p, z, floor=None):
-    """Objective, EL residual and Hessian of phi at z, batched.
+def _eval_batch(pts, w, p, z, floor=None, hessian=True):
+    """Objective, EL residual and Newton matrix of phi at z, batched.
 
-    Returns (z, obj, F, H); for p < 2 pass the per-entry nudge distance as
-    floor, and z is moved off any atom closer than that.
+    Returns (z, obj, F, H) with H the (B, d, d) sum of the curvature blocks,
+    or None when hessian is false.  A block at r = 0 stays out of the sum so
+    the step can leave the atom.  For p < 2 pass the per-entry nudge distance
+    as floor: the rows of z closer than that to an atom are first moved off
+    it, in a copy, and only those rows are evaluated again.
     """
-    if floor is not None:
-        z = _nudge_off_atoms(pts, np.array(z, copy=True), floor)
     rvec = pts - z[:, None, :]
-    H, r, fac = curvature_kernel(rvec, w, p)
-    # z can still sit on an atom when the nudge is below its float spacing;
-    # that block stays out of the Newton matrix so the step can leave.
-    H[r == 0.0] = 0.0
-    obj = (w / p * np.maximum(r, 1e-300) ** p).sum(axis=1)
-    F = (w[..., None] * fac[..., None] * rvec).sum(axis=1)
-    return z, obj, F, H.sum(axis=1)
+    r, fac, u = _radial(rvec, p)
+    if floor is not None:
+        bad = np.flatnonzero((r < floor[:, None]).any(axis=1))
+        if bad.size:
+            z = z.copy()
+            z[bad] = _nudge_off_atoms(pts[bad], z[bad], floor[bad])
+            rvec[bad] = pts[bad] - z[bad, None, :]
+            r[bad], fac[bad], u[bad] = _radial(rvec[bad], p)
+    wf = w * fac
+    if p < 2.0:
+        wf[r == 0.0] = 0.0
+    obj = np.einsum("bn,bn->b", wf * r, r) / p
+    F = np.einsum("bn,bni->bi", wf, rvec)
+    if not hessian:
+        return z, obj, F, None
+    # sum_i wf_i ((p-2) u_i u_i^T + Id), without the (B, N, d, d) blocks.
+    d = z.shape[-1]
+    v = ((p - 2.0) * wf)[..., None] * u
+    H = np.matmul(v.swapaxes(-1, -2), u)
+    H.reshape(-1, d * d)[:, ::d + 1] += np.einsum("bn->b", wf)[:, None]
+    return z, obj, F, H
 
 
 def _residual_at_atoms(pts, w, p):
@@ -279,15 +302,15 @@ def _residual_at_atoms(pts, w, p):
     return np.linalg.norm(F, axis=2)
 
 
-def _anchored_candidates(pts, w, p, z, F):
+def _anchored_candidates(pts, w, p, rvec, r, F):
     """Fixed-point candidates anchored at each atom (p < 2 only).
 
+    rvec, r : offsets x_i - z and their lengths at the current iterate z.
     R_j is the Euler-Lagrange field with the j-th term removed, evaluated at
-    the current iterate; the returned candidate solves the anchored equation
-    exactly when R_j is frozen.
+    z; the returned candidate solves the anchored equation exactly when R_j
+    is frozen.
     """
-    rvec = pts - z[:, None, :]
-    r = np.maximum(np.linalg.norm(rvec, axis=2), 1e-300)
+    r = np.maximum(r, 1e-300)
     term = w[..., None] * r[..., None] ** (p - 2.0) * rvec
     R = F[:, None, :] - term
     Rn = np.maximum(np.linalg.norm(R, axis=2), 1e-300)
@@ -340,7 +363,13 @@ def _solve_batch(pts, w, p, tol):
 
     Returns (z, iterations, residual_norm) arrays; raises ValidationError
     unless tol is finite and positive, and ConvergenceError when an entry of
-    the Newton route misses its tolerance.
+    the Newton route misses its tolerance.  For p < 2 an iteration also
+    tries the candidates anchored at each atom (see _anchored_candidates),
+    but only for entries that can use them: an atom lies within
+    _ANCHOR_REACH Newton-step lengths of the new iterate, or the residual
+    fell by less than the factor _ANCHOR_DROP in that iteration.  Every
+    decision is made per entry, so an entry's result does not depend on
+    the rest of the batch.
     """
     tol = _check_tol(tol)
     B, N, d = pts.shape
@@ -364,22 +393,22 @@ def _solve_batch(pts, w, p, tol):
         t = w ** s
         t = t / t.sum(axis=1, keepdims=True)
         z = (t[..., None] * pts).sum(axis=1)
-        z, _, F, _ = _eval_batch(pts, w, p, z, floor)
+        z, _, F, _ = _eval_batch(pts, w, p, z, floor, hessian=False)
     else:
         z = (w[..., None] * pts).sum(axis=1)
         z, obj, F, H = _eval_batch(pts, w, p, z, floor)
-    res = np.linalg.norm(F, axis=1)
+    res = _length(F)
     active = ~trivial & (res > tol_abs) & (not closed_form)
     iters = np.zeros(B, int)
     # The residual at the atoms does not depend on z (used for p < 2 only).
-    r_atoms = _residual_at_atoms(pts, w, p) if floor is not None else None
+    anchored = floor is not None and not closed_form
+    r_atoms = _residual_at_atoms(pts, w, p) if anchored else None
 
     for _ in range(MAX_ITER):
         if not active.any():
             break
         idx = np.where(active)[0]
         Ha, Fa = H[idx], F[idx]
-        floor_a = None if floor is None else floor[idx]
         try:
             step = np.linalg.solve(Ha, Fa[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -409,7 +438,7 @@ def _solve_batch(pts, w, p, tol):
             trial, obj_t, F_t, H_t = _eval_batch(
                 pts[sub], w[sub], p, z[sub] + t[pend, None] * step[pend],
                 None if floor is None else floor[sub])
-            res_t = np.linalg.norm(F_t, axis=1)
+            res_t = _length(F_t)
             tp = t[pend]
             ok = (
                 (obj_t <= obj_old[pend] - _ARMIJO_C1 * tp * descent[pend])
@@ -418,7 +447,7 @@ def _solve_batch(pts, w, p, tol):
             )
             done = sub[ok]
             z[done], obj[done] = trial[ok], obj_t[ok]
-            F[done], H[done] = F_t[ok], H_t[ok]
+            F[done], H[done], res[done] = F_t[ok], H_t[ok], res_t[ok]
             pend = pend[~ok]
             if pend.size == 0:
                 break
@@ -430,9 +459,9 @@ def _solve_batch(pts, w, p, tol):
             z[sub], obj[sub], F[sub], H[sub] = _eval_batch(
                 pts[sub], w[sub], p, z[sub] + t[pend, None] * step[pend],
                 None if floor is None else floor[sub])
-        res[idx] = np.linalg.norm(F[idx], axis=1)
+            res[sub] = _length(F[sub])
         iters[idx] += 1
-        if floor is not None:
+        if anchored:
             # For p < 2 the minimizer may sit extremely close to an atom,
             # where |F| ~ w r^(p-1) makes damped Newton crawl.  Solve the
             # Euler-Lagrange equation anchored at each atom instead:
@@ -441,24 +470,32 @@ def _solve_batch(pts, w, p, tol):
             # z = x_j + (|R_j|/w_j)^(1/(p-1)) R_j/|R_j|.
             # Candidates are accepted only when they reduce the residual
             # without raising the objective beyond rounding.
-            zc = _anchored_candidates(pts[idx], w[idx], p, z[idx], F[idx])
-            nb, nN = zc.shape[:2]
-            flat = zc.reshape(nb * nN, -1)
-            pts_rep = np.repeat(pts[idx], nN, axis=0)
-            w_rep = np.repeat(w[idx], nN, axis=0)
-            zf, of, Ff, Hf = _eval_batch(pts_rep, w_rep, p, flat,
-                                         np.repeat(floor_a, nN))
-            rf = np.linalg.norm(Ff, axis=1).reshape(nb, nN)
-            rf[of.reshape(nb, nN) > _objective_cap(obj[idx])[:, None]] = np.inf
-            best = rf.argmin(axis=1)
-            take = rf[np.arange(nb), best] < res[idx]
-            if take.any():
-                rows = np.where(take)[0]
-                sel = rows * nN + best[rows]
-                gsel = idx[rows]
-                z[gsel] = zf[sel]
-                obj[gsel], F[gsel], H[gsel] = of[sel], Ff[sel], Hf[sel]
-                res[gsel] = np.linalg.norm(Ff[sel], axis=1)
+            rvec = pts[idx] - z[idx, None, :]
+            r = _length(rvec)
+            reach = _ANCHOR_REACH * _length(step)
+            gate = ((r.min(axis=1) <= reach)
+                    | (res[idx] > _ANCHOR_DROP * res_old))
+            cand = idx[gate]
+            if cand.size:
+                zc = _anchored_candidates(pts[cand], w[cand], p, rvec[gate],
+                                          r[gate], F[cand])
+                nb, nN = zc.shape[:2]
+                zf, of, Ff, Hf = _eval_batch(
+                    np.repeat(pts[cand], nN, axis=0),
+                    np.repeat(w[cand], nN, axis=0), p,
+                    zc.reshape(nb * nN, -1), np.repeat(floor[cand], nN))
+                rf = _length(Ff).reshape(nb, nN)
+                cap = _objective_cap(obj[cand])[:, None]
+                rf[of.reshape(nb, nN) > cap] = np.inf
+                best = rf.argmin(axis=1)
+                take = rf[np.arange(nb), best] < res[cand]
+                if take.any():
+                    rows = np.where(take)[0]
+                    sel = rows * nN + best[rows]
+                    gsel = cand[rows]
+                    z[gsel] = zf[sel]
+                    obj[gsel], F[gsel], H[gsel] = of[sel], Ff[sel], Hf[sel]
+                    res[gsel] = rf[rows, best[rows]]
             # The minimizer can sit exactly on an atom (the rest field
             # vanishes there).  The residual extends continuously to the
             # atoms, so accept an exact atom position when it already meets
@@ -516,6 +553,23 @@ def pbary_solve(config: WeightedPointConfig,
 # ---------------------------------------------------------------------------
 
 
+def _radial(rvec, p):
+    """Distances r_i = |rvec_i|, radial factors fac_i = r_i^(p-2) and
+    directions u_i = rvec_i / r_i of offsets rvec (..., N, d).
+
+    At r_i = 0, u_i = 0 and fac_i takes the limit of the power: 0 for p > 2,
+    1 at p = 2 and, for p < 2, the finite stand-in 1e300.  The curvature
+    blocks of curvature_kernel and the Newton matrix of _eval_batch both
+    come from these.
+    """
+    r = _length(rvec)
+    rpos = np.maximum(r, 1e-300)
+    fac = rpos ** (p - 2.0)
+    if p != 2.0:
+        fac[r == 0.0] = 0.0 if p > 2.0 else 1e300
+    return r, fac, rvec / rpos[..., None]
+
+
 def curvature_kernel(rvec, w, p):
     """Curvature blocks H_i = w_i r_i^(p-2) ((p-2) u_i u_i^T + Id), batched.
 
@@ -526,12 +580,7 @@ def curvature_kernel(rvec, w, p):
     the (..., N, d, d) blocks, the distances r_i and the radial factors
     fac_i = r_i^(p-2).
     """
-    r = np.linalg.norm(rvec, axis=-1)
-    rpos = np.maximum(r, 1e-300)
-    fac = rpos ** (p - 2.0)
-    if p != 2.0:
-        fac[r == 0.0] = 0.0 if p > 2.0 else 1e300
-    u = rvec / rpos[..., None]
+    r, fac, u = _radial(rvec, p)
     outer = u[..., :, None] * u[..., None, :]
     eye = np.eye(rvec.shape[-1])
     H = w[..., None, None] * fac[..., None, None] * ((p - 2.0) * outer + eye)

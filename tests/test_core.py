@@ -34,7 +34,14 @@ from wbary import (
     solve_mmot,
     wp_distance,
 )
-from wbary.core import _solve_configs, curvature_kernel, mixed_spectrum
+from wbary.core import (
+    _diameters,
+    _eval_batch,
+    _solve_batch,
+    _solve_configs,
+    curvature_kernel,
+    mixed_spectrum,
+)
 
 
 def test_weighted_mean_p2():
@@ -559,20 +566,72 @@ def test_residual_driven_moves_do_not_raise_the_objective(seed, p, n):
 @pytest.mark.parametrize("p", [1.5, 1.7, 2.0, 2.5, 3.0, 4.0])
 def test_batched_solutions_equal_single_solves(p):
     """_solve_configs on a batch gives, bit for bit, the z, residual,
-    iteration count and coincident set of pbary_solve on each entry; the
-    batch holds rows of random weights and one row of equal points."""
-    for seed in range(3):
-        rng = np.random.default_rng(seed)
-        pts = rng.normal(size=(24, 4, 2))
-        pts[5] = pts[5, 0]
-        w = rng.uniform(0.2, 1.0, (24, 4))
-        w /= w.sum(axis=1, keepdims=True)
-        batch = _solve_configs(pts, w, p, 1e-12)
-        assert len(batch) == 24
-        for k, got in enumerate(batch):
-            ref = pbary_solve(WeightedPointConfig(pts[k], w[k], p))
-            assert got.z.tobytes() == ref.z.tobytes(), (seed, k)
-            assert got.residual_norm == ref.residual_norm, (seed, k)
-            assert got.iterations == ref.iterations, (seed, k)
-            assert got.coincident_set == ref.coincident_set, (seed, k)
-        assert batch[5].coincident_set == (0, 1, 2, 3)
+    iteration count and coincident set of pbary_solve on each entry, for
+    N in {2, 3, 4} and d in {1, 2, 3}; the batch holds rows of random
+    weights and one row of equal points.  The nudge off the atoms and the
+    anchored-candidate gate decide per entry, so the rest of the batch
+    cannot change an entry's bits."""
+    for n, d in ((4, 2), (2, 1), (3, 1), (2, 3), (3, 3)):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            pts = rng.normal(size=(24, n, d))
+            pts[5] = pts[5, 0]
+            w = rng.uniform(0.2, 1.0, (24, n))
+            w /= w.sum(axis=1, keepdims=True)
+            batch = _solve_configs(pts, w, p, 1e-12)
+            assert len(batch) == 24
+            for k, got in enumerate(batch):
+                ref = pbary_solve(WeightedPointConfig(pts[k], w[k], p))
+                key = (n, d, seed, k)
+                assert got.z.tobytes() == ref.z.tobytes(), key
+                assert got.residual_norm == ref.residual_norm, key
+                assert got.iterations == ref.iterations, key
+                assert got.coincident_set == ref.coincident_set, key
+            assert batch[5].coincident_set == tuple(range(n))
+
+
+@pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_newton_matrix_is_the_sum_of_the_curvature_blocks(p, d):
+    """_eval_batch's Newton matrix equals the sum of curvature_kernel's
+    blocks, with a block at r = 0 left out, to 1e-13 relative; in one row z
+    sits exactly on an atom."""
+    rng = np.random.default_rng([11, d, int(10 * p)])
+    pts = rng.normal(size=(64, 4, d))
+    w = rng.uniform(0.2, 1.0, (64, 4))
+    w /= w.sum(axis=1, keepdims=True)
+    z = rng.normal(size=(64, d))
+    z[0] = pts[0, 2]
+    H = _eval_batch(pts, w, p, z)[3]
+    blocks, r, _ = curvature_kernel(pts - z[:, None, :], w, p)
+    assert np.flatnonzero(r == 0.0).tolist() == [2]
+    blocks[r == 0.0] = 0.0
+    ref = blocks.sum(axis=-3)
+    err = np.abs(H - ref).max(axis=(1, 2))
+    assert (err <= 1e-13 * np.abs(ref).max(axis=(1, 2))).all()
+
+
+def test_random_batches_solve_without_error():
+    """pbary_points raises nothing on 1e4 N(0, 1) tuples per cell, for p in
+    {1.5, 1.7, 2.5, 3, 4} and (N, d) in {(3, 1), (3, 2), (4, 2), (3, 3)}."""
+    for p in (1.5, 1.7, 2.5, 3.0, 4.0):
+        for n, d in ((3, 1), (3, 2), (4, 2), (3, 3)):
+            rng = np.random.default_rng([17, n, d, int(10 * p)])
+            pts = rng.normal(size=(10_000, n, d))
+            w = rng.uniform(0.2, 1.0, (10_000, n))
+            w /= w.sum(axis=1, keepdims=True)
+            assert pbary_points(pts, w, p).shape == (10_000, d)
+
+
+def test_near_atom_minimizers_converge_fast():
+    """At p = 1.5 with w = (0.9, 0.05, 0.05) the minimizer sits within
+    about 1e-2 diameters of the heavy atom, where damped Newton alone
+    crawls; the anchored candidates must still bring all 2e4 entries to
+    tolerance within 6 iterations."""
+    rng = np.random.default_rng(19)
+    pts = rng.normal(size=(20_000, 3, 2))
+    w = np.broadcast_to([0.9, 0.05, 0.05], (20_000, 3))
+    z, iters, _ = _solve_batch(pts, w, 1.5, 1e-12)
+    gap = np.linalg.norm(z - pts[:, 0], axis=1) / _diameters(pts)
+    assert np.median(gap) < 1e-2
+    assert iters.max() <= 6
