@@ -230,76 +230,34 @@ def support_product(atom_sets) -> np.ndarray:
     return np.stack([a[i] for a, i in zip(atom_sets, idx)], axis=1)
 
 
-def _nudge_off_atoms(pts, z, floor):
-    """Shift z away from any point it coincides with (within floor), in place.
-
-    Needed for p < 2 where |x - z|^(p-2) blows up.  Tries a few fixed
-    directions so a nudge cannot land on a second atom.
-    """
-    d = z.shape[-1]
-    for attempt in range(4):
-        r = _length(pts - z[:, None, :])
-        bad = (r < floor[:, None]).any(axis=1)
-        if not bad.any():
-            return z
-        direction = np.zeros(d)
-        direction[attempt % d] = 1.0
-        if attempt >= d:
-            direction[:] = 1.0 / np.sqrt(d)
-        z[bad] = z[bad] + floor[bad, None] * direction[None, :]
-    return z
-
-
 def _objective_cap(obj):
     """Largest objective a residual-driven move may reach: obj plus rounding."""
     return obj + 16.0 * np.finfo(float).eps * np.abs(obj)
 
 
-def _eval_batch(pts, w, p, z, floor=None, hessian=True):
+def _eval_batch(pts, w, p, z, hessian=True):
     """Objective, EL residual and Newton matrix of phi at z, batched.
 
-    Returns (z, obj, F, H) with H the (B, d, d) sum of the curvature blocks,
-    or None when hessian is false.  A block at r = 0 stays out of the sum so
-    the step can leave the atom.  For p < 2 pass the per-entry nudge distance
-    as floor: the rows of z closer than that to an atom are first moved off
-    it, in a copy, and only those rows are evaluated again.
+    Returns (obj, F, H) with H the (B, d, d) sum of the curvature blocks,
+    or None when hessian is false.  A term at r = 0 takes its continuous
+    limit, 0 for every p > 1, so z may sit exactly on an atom; its block
+    stays out of the sum so the step can leave the atom.
     """
     rvec = pts - z[:, None, :]
     r, fac, u = _radial(rvec, p)
-    if floor is not None:
-        bad = np.flatnonzero((r < floor[:, None]).any(axis=1))
-        if bad.size:
-            z = z.copy()
-            z[bad] = _nudge_off_atoms(pts[bad], z[bad], floor[bad])
-            rvec[bad] = pts[bad] - z[bad, None, :]
-            r[bad], fac[bad], u[bad] = _radial(rvec[bad], p)
     wf = w * fac
     if p < 2.0:
         wf[r == 0.0] = 0.0
     obj = np.einsum("bn,bn->b", wf * r, r) / p
     F = np.einsum("bn,bni->bi", wf, rvec)
     if not hessian:
-        return z, obj, F, None
+        return obj, F, None
     # sum_i wf_i ((p-2) u_i u_i^T + Id), without the (B, N, d, d) blocks.
     d = z.shape[-1]
     v = ((p - 2.0) * wf)[..., None] * u
     H = np.matmul(v.swapaxes(-1, -2), u)
     H.reshape(-1, d * d)[:, ::d + 1] += np.einsum("bn->b", wf)[:, None]
-    return z, obj, F, H
-
-
-def _residual_at_atoms(pts, w, p):
-    """EL residual at each atom position, using the continuous limit.
-
-    The i = j term of the residual vanishes as z -> x_j for every p > 1, so
-    F(x_j) = sum_{i != j} w_i |x_i - x_j|^(p-2) (x_i - x_j).  Returns (B, N)
-    residual norms.
-    """
-    diff = pts[:, :, None, :] - pts[:, None, :, :]  # x_i - x_j
-    r = np.linalg.norm(diff, axis=3)
-    fac = np.where(r > 0.0, np.maximum(r, 1e-300) ** (p - 2.0), 0.0)
-    F = (w[:, :, None, None] * fac[..., None] * diff).sum(axis=1)  # (B, N, d)
-    return np.linalg.norm(F, axis=2)
+    return obj, F, H
 
 
 def _anchored_candidates(pts, w, p, rvec, r, F):
@@ -375,9 +333,6 @@ def _solve_batch(pts, w, p, tol):
     B, N, d = pts.shape
     diam = _diameters(pts)
     scale = w.max(axis=1) * np.maximum(diam, 1e-300) ** (p - 1.0)
-    # For p < 2, |x - z|^(p-2) blows up on the atoms: every evaluation first
-    # moves z off any atom closer than this floor.
-    floor = 1e-14 * np.maximum(diam, 1e-300) if p < 2.0 else None
     tol_abs = tol * scale
 
     # Degenerate: all points identical -> that point is the minimizer, on
@@ -393,16 +348,20 @@ def _solve_batch(pts, w, p, tol):
         t = w ** s
         t = t / t.sum(axis=1, keepdims=True)
         z = (t[..., None] * pts).sum(axis=1)
-        z, _, F, _ = _eval_batch(pts, w, p, z, floor, hessian=False)
+        F = _eval_batch(pts, w, p, z, hessian=False)[1]
     else:
         z = (w[..., None] * pts).sum(axis=1)
-        z, obj, F, H = _eval_batch(pts, w, p, z, floor)
+        obj, F, H = _eval_batch(pts, w, p, z)
     res = _length(F)
     active = ~trivial & (res > tol_abs) & (not closed_form)
     iters = np.zeros(B, int)
-    # The residual at the atoms does not depend on z (used for p < 2 only).
-    anchored = floor is not None and not closed_form
-    r_atoms = _residual_at_atoms(pts, w, p) if anchored else None
+    # The residual at each atom, where _eval_batch takes the atom's own
+    # term at its limit 0, does not depend on z.
+    anchored = p < 2.0 and not closed_form
+    if anchored:
+        F_atoms = _eval_batch(np.repeat(pts, N, 0), np.repeat(w, N, 0), p,
+                              pts.reshape(B * N, d), hessian=False)[1]
+        r_atoms = _length(F_atoms).reshape(B, N)
 
     for _ in range(MAX_ITER):
         if not active.any():
@@ -435,9 +394,8 @@ def _solve_batch(pts, w, p, tol):
         pend = np.arange(len(idx))
         for _h in range(_MAX_HALVINGS):
             sub = idx[pend]
-            trial, obj_t, F_t, H_t = _eval_batch(
-                pts[sub], w[sub], p, z[sub] + t[pend, None] * step[pend],
-                None if floor is None else floor[sub])
+            trial = z[sub] + t[pend, None] * step[pend]
+            obj_t, F_t, H_t = _eval_batch(pts[sub], w[sub], p, trial)
             res_t = _length(F_t)
             tp = t[pend]
             ok = (
@@ -456,9 +414,8 @@ def _solve_batch(pts, w, p, tol):
         # the iteration is then effectively stationary.
         if pend.size:
             sub = idx[pend]
-            z[sub], obj[sub], F[sub], H[sub] = _eval_batch(
-                pts[sub], w[sub], p, z[sub] + t[pend, None] * step[pend],
-                None if floor is None else floor[sub])
+            z[sub] += t[pend, None] * step[pend]
+            obj[sub], F[sub], H[sub] = _eval_batch(pts[sub], w[sub], p, z[sub])
             res[sub] = _length(F[sub])
         iters[idx] += 1
         if anchored:
@@ -480,10 +437,9 @@ def _solve_batch(pts, w, p, tol):
                 zc = _anchored_candidates(pts[cand], w[cand], p, rvec[gate],
                                           r[gate], F[cand])
                 nb, nN = zc.shape[:2]
-                zf, of, Ff, Hf = _eval_batch(
-                    np.repeat(pts[cand], nN, axis=0),
-                    np.repeat(w[cand], nN, axis=0), p,
-                    zc.reshape(nb * nN, -1), np.repeat(floor[cand], nN))
+                zf = zc.reshape(nb * nN, -1)
+                of, Ff, Hf = _eval_batch(np.repeat(pts[cand], nN, axis=0),
+                                         np.repeat(w[cand], nN, axis=0), p, zf)
                 rf = _length(Ff).reshape(nb, nN)
                 cap = _objective_cap(obj[cand])[:, None]
                 rf[of.reshape(nb, nN) > cap] = np.inf

@@ -263,8 +263,6 @@ def jacobian_det(cfg: DiracConfiguration, z) -> np.ndarray:
 
 def _jacobian_det_at(cfg: DiracConfiguration, zb, field=None):
     """|det grad b^{-1}| at the rows of zb; field as in _inverse_jacobian."""
-    if cfg.p == 2.0:
-        return np.full(zb.shape[0], cfg.lam1 ** (-cfg.dim))
     eigs = _inverse_jacobian(cfg, zb, eigs=True, field=field)[0]
     return np.abs(np.prod(eigs, axis=-1))
 
@@ -458,9 +456,6 @@ def _image_box(cfg: DiracConfiguration, source_box: np.ndarray) -> np.ndarray:
     all corners (in d = 1 the faces are the two end points).
     """
     d = cfg.dim
-    if cfg.p == 2.0:
-        shift = (cfg.weights[1:, None] * cfg.anchors).sum(axis=0)
-        return cfg.lam1 * source_box + shift[:, None]
     axes = [np.linspace(lo, hi, 33) for lo, hi in source_box]
     pts = [np.stack(np.meshgrid(*axes[:a], source_box[a], *axes[a + 1:],
                                 indexing="ij"), -1).reshape(-1, d)

@@ -568,9 +568,9 @@ def test_batched_solutions_equal_single_solves(p):
     """_solve_configs on a batch gives, bit for bit, the z, residual,
     iteration count and coincident set of pbary_solve on each entry, for
     N in {2, 3, 4} and d in {1, 2, 3}; the batch holds rows of random
-    weights and one row of equal points.  The nudge off the atoms and the
-    anchored-candidate gate decide per entry, so the rest of the batch
-    cannot change an entry's bits."""
+    weights and one row of equal points.  The anchored-candidate gate and
+    the exact-atom test decide per entry, so the rest of the batch cannot
+    change an entry's bits."""
     for n, d in ((4, 2), (2, 1), (3, 1), (2, 3), (3, 3)):
         for seed in range(3):
             rng = np.random.default_rng(seed)
@@ -602,13 +602,51 @@ def test_newton_matrix_is_the_sum_of_the_curvature_blocks(p, d):
     w /= w.sum(axis=1, keepdims=True)
     z = rng.normal(size=(64, d))
     z[0] = pts[0, 2]
-    H = _eval_batch(pts, w, p, z)[3]
+    H = _eval_batch(pts, w, p, z)[2]
     blocks, r, _ = curvature_kernel(pts - z[:, None, :], w, p)
     assert np.flatnonzero(r == 0.0).tolist() == [2]
     blocks[r == 0.0] = 0.0
     ref = blocks.sum(axis=-3)
     err = np.abs(H - ref).max(axis=(1, 2))
     assert (err <= 1e-13 * np.abs(ref).max(axis=(1, 2))).all()
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_atom_residuals_equal_el_residual(p, d):
+    """The EL field at the atoms, as _solve_batch forms it from one
+    _eval_batch call over every (entry, atom) pair, equals el_residual at
+    each atom to 1e-13 relative; one row holds a duplicated atom."""
+    rng = np.random.default_rng([13, d, int(10 * p)])
+    B, N = 16, 4
+    pts = rng.normal(size=(B, N, d))
+    pts[3, 1] = pts[3, 2]
+    w = rng.uniform(0.2, 1.0, (B, N))
+    w /= w.sum(axis=1, keepdims=True)
+    F = _eval_batch(np.repeat(pts, N, 0), np.repeat(w, N, 0), p,
+                    pts.reshape(B * N, d), hessian=False)[1]
+    ref = np.array([el_residual(pts[b], w[b], p, pts[b, j])
+                    for b in range(B) for j in range(N)])
+    err = np.linalg.norm(F - ref, axis=1)
+    assert (err <= 1e-13 * np.linalg.norm(ref, axis=1)).all()
+
+
+def test_minimizers_next_to_an_atom_are_reached():
+    """Entries 37 and 51 of `wbary run --kind point_bary --p 1.05 --seed 0`
+    have minimizers about 1.4e-15 and 9e-17 from atom 0.  An evaluation may
+    sit exactly on an atom, so the solver's best z, whether or not the call
+    raises, must come within 2e-15 and 2e-16 of it."""
+    rng = np.random.default_rng(0)
+    pts = rng.normal(size=(64, 4, 2))[[37, 51]]
+    w = rng.uniform(0.2, 1.0, 4)
+    w = np.broadcast_to(w / w.sum(), (2, 4))
+    try:
+        z = _solve_batch(pts, w, 1.05, 1e-12)[0]
+    except ConvergenceError as err:
+        z = err.best
+    gap = np.linalg.norm(z - pts[:, 0], axis=1)
+    assert gap[0] <= 2e-15
+    assert gap[1] <= 2e-16
 
 
 def test_random_batches_solve_without_error():
