@@ -626,7 +626,7 @@ def monotonicity_suite(fast: bool = False) -> CheckResult:
     for _ in range(n_inst):
         measures, w, p = _random_family(rng)
         plan = solve_mmot(measures, w, p)
-        rep = check_cp_monotone(plan)
+        rep = check_cp_monotone(plan.points, plan.weights, plan.p)
         pass_count += 1 if rep.ok else 0
         worst = min(worst, rep.min_margin)
     crossed = np.array([[[0.0], [1.0]], [[1.0], [0.0]]])

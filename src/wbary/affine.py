@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _check_exponent, _check_weights, pbary_points
+from .core import _array, _check_exponent, _check_family, pbary_points
 from .errors import StructureError, ValidationError
 from .mmot import DiscreteMeasure, barycenter_measure, solve_mmot, wp_distance
 
@@ -41,12 +41,10 @@ class AffineMap:
     v: np.ndarray
 
     def __post_init__(self):
-        A = np.atleast_2d(np.array(self.A, dtype=float))
-        v = np.array(self.v, dtype=float).ravel()
+        A = _array(self.A, "A", 2)
+        v = _array(self.v, "v", 1)
         if A.shape[0] != A.shape[1] or A.shape[0] != v.shape[0]:
             raise ValidationError(f"incompatible affine shapes {A.shape}, {v.shape}")
-        A.setflags(write=False)
-        v.setflags(write=False)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "v", v)
 
@@ -76,7 +74,7 @@ class SpectrumVerdict:
 
 def spectrum_optimality(A) -> SpectrumVerdict:
     """Decide p-optimality of the linear map A from its spectrum, to 1e-8."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+    A = _array(A, "A", 2)
     if A.shape[0] != A.shape[1]:
         raise ValidationError("matrix must be square")
     scale = max(1.0, float(np.abs(A).max()))
@@ -134,13 +132,7 @@ def affine_barycenter(maps, weights, p) -> AffineBarycenterResult:
         eigenspace of every non-identity map, and A_1 invertible.
     Violations raise StructureError naming the failed condition.
     """
-    p = _check_exponent(p)
-    if len(maps) < 2:
-        raise ValidationError("need at least two affine maps")
-    w = _check_weights(weights, len(maps))
-    d = maps[0].dim
-    if any(mp.dim != d for mp in maps):
-        raise ValidationError("maps act on different dimensions")
+    w, p, d = _check_family(maps, weights, p)
     mats = np.stack([mp.A for mp in maps])
     vs = np.stack([mp.v for mp in maps])
     scale = max(1.0, float(np.abs(mats).max()))
@@ -261,13 +253,13 @@ class PTransformResult:
 def p_transform(points, values, p, eval_points=None) -> PTransformResult:
     """phi^p(y) = min_x (1/p)|x - y|^p - phi(x) over the sampled x."""
     p = _check_exponent(p)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    vals = np.asarray(values, dtype=float).ravel()
+    pts = _array(points, "points", 2)
+    vals = _array(values, "values", 1)
     if pts.shape[0] != vals.shape[0]:
         raise ValidationError("one value per sample point required")
-    ys = pts if eval_points is None else np.atleast_2d(
-        np.asarray(eval_points, dtype=float)
-    )
+    ys = pts if eval_points is None else _array(eval_points, "eval_points", 2)
+    if ys.shape[1] != pts.shape[1]:
+        raise ValidationError("eval_points and points differ in dimension")
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     margin = 1e-9 * max(1.0, float(np.abs(pts).max()))
     near_face = (
@@ -283,13 +275,11 @@ def p_transform(points, values, p, eval_points=None) -> PTransformResult:
         arg = np.argmin(obj, axis=1)
         out[s:s + _CHUNK] = obj[np.arange(block.shape[0]), arg]
         hit[s:s + _CHUNK] = near_face[arg]
-    frac = float(hit.mean()) if hit.size else 0.0
-    return PTransformResult(values=out, degenerate=frac > 0.5,
+    return PTransformResult(values=out, degenerate=bool(hit.mean() > 0.5),
                             boundary_mask=hit)
 
 
-def _grid_spacing(points) -> float:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+def _grid_spacing(pts) -> float:
     h = 0.0
     for a in range(pts.shape[1]):
         u = np.unique(pts[:, a])
@@ -320,14 +310,18 @@ class ConcavityReport:
 
 def p_concavity_check(points, values, p) -> ConcavityReport:
     """Compare (phi^p)^p with phi on the grid's interior points: those in the
-    middle half of the sample box along every axis."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    vals = np.asarray(values, dtype=float).ravel()
+    middle half of the sample box along every axis.  ValidationError when
+    there are fewer than two samples or no interior point."""
+    pts = _array(points, "points", 2)
+    vals = _array(values, "values", 1)
     t1 = p_transform(pts, vals, p)
     t2 = p_transform(pts, t1.values, p)
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     mid, half = 0.5 * (lo + hi), 0.25 * (hi - lo)
     interior_mask = np.all(np.abs(pts - mid[None, :]) <= half[None, :], axis=1)
+    if len(pts) < 2 or not interior_mask.any():
+        raise ValidationError("need two or more sample points, some of them "
+                              "in the middle half of the sample box")
     dev = float(np.abs(t2.values[interior_mask] - vals[interior_mask]).max())
     h = _grid_spacing(pts)
     diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
@@ -336,13 +330,10 @@ def p_concavity_check(points, values, p) -> ConcavityReport:
     )
     lip = diam ** (p - 1.0) + grad
     tol = 2.0 * lip * h + 1e-9
-    compared = float(t2.boundary_mask[interior_mask].mean()) if (
-        interior_mask.any()
-    ) else 1.0
     return ConcavityReport(
         max_deviation=dev,
         tol=tol,
-        degenerate=compared > 0.25,
+        degenerate=bool(t2.boundary_mask[interior_mask].mean() > 0.25),
     )
 
 
@@ -353,7 +344,7 @@ def homogeneous_transform_coefficient(lam: float, p: float) -> float:
     with the infimum attained at x = y/2.
     """
     p = _check_exponent(p)
-    if lam > 0.0:
-        raise ValidationError("closed form requires lam <= 0")
+    if not lam <= 0.0:
+        raise ValidationError(f"closed form requires lam <= 0, got {lam}")
     a = abs(lam)
     return (a / (1.0 + a)) ** (p - 1.0)

@@ -22,7 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _array,
     _check_exponent,
+    _check_family,
     _check_q,
     _check_weights,
     _diameters,
@@ -53,8 +55,7 @@ def compute_D(measures, weights, p) -> float:
     barycenter where the remaining marginals already put it.  Raises
     ValidationError when the product exceeds core.PRODUCT_CAP.
     """
-    p = _check_exponent(p)
-    w = _check_weights(weights, len(measures))
+    w, p, _ = _check_family(measures, weights, p)
     atoms = [mu.atoms for mu in measures]
     reduced = support_product(atoms[1:])
     zr = pbary_points(reduced, w[1:] / w[1:].sum(), p)
@@ -71,8 +72,7 @@ def compute_m(measures, weights, p) -> float:
 
     This is the separation m that integrability_bound needs for p < 2.
     """
-    p = _check_exponent(p)
-    w = _check_weights(weights, len(measures))
+    w, p, _ = _check_family(measures, weights, p)
     pts = support_product([mu.atoms for mu in measures])
     z = pbary_points(pts, w, p)
     dist = np.linalg.norm(pts - z[:, None, :], axis=2)
@@ -90,32 +90,24 @@ def integrability_bound(f1_lq, q, p, lam1, d, D=None, m=None,
 
         bound = constant * (lam1^(d(1-alpha)) * geom^(d|p-2|))^(-(q-1)/q) * ||f1||_q
 
-    with geom = D for p > 2 and geom = m for p < 2 (neither is needed at
-    p = 2, where the bound is exactly lam1^(d(1-q)/q) ||f1||_q with
-    constant 1).  Raises GeometryError when the required separation vanishes:
+    with geom = D for p > 2, geom = m for p < 2 and geom = 1 at p = 2, where
+    the bound is exactly lam1^(d(1-q)/q) ||f1||_q with constant 1.  Raises
+    GeometryError unless the required separation is positive (NaN is not):
     the estimate then carries no information.
     """
     p = _check_exponent(p)
     q = _check_q(q)
     if not 0.0 < lam1 < 1.0:
         raise ValidationError("lam1 must lie in (0, 1)")
-    if d < 1:
-        raise ValidationError("dimension must be at least 1")
+    if not d >= 1:
+        raise ValidationError(f"dimension must be at least 1, got {d}")
+    geom = D if p > 2.0 else m if p < 2.0 else 1.0
+    if geom is None or not geom > 0.0:
+        raise GeometryError(
+            f"the p = {p} bound requires a positive "
+            f"{'displacement D' if p > 2.0 else 'separation m'}, got {geom}")
     a = alpha_exponent(p)
-    if p == 2.0:
-        prefactor = lam1 ** d
-    elif p > 2.0:
-        if D is None or D <= 0.0:
-            raise GeometryError(
-                "p > 2 bound requires positive barycenter displacement D"
-            )
-        prefactor = lam1 ** (d * (1.0 - a)) * D ** (d * (p - 2.0))
-    else:
-        if m is None or m <= 0.0:
-            raise GeometryError(
-                "p < 2 bound requires positive point-barycenter separation m"
-            )
-        prefactor = lam1 ** (d * (1.0 - a)) * m ** (d * (2.0 - p))
+    prefactor = lam1 ** (d * (1.0 - a)) * geom ** (d * abs(p - 2.0))
     return float(constant * prefactor ** (-(q - 1.0) / q) * f1_lq)
 
 
@@ -211,7 +203,7 @@ def general_lq_bound(f1: GridDensity, maps, weights, p, q) -> GeneralLqReport:
 
 def constant_maps(anchors) -> list:
     """Maps sending every source point to fixed anchors (Dirac marginals)."""
-    anchors = np.atleast_2d(np.asarray(anchors, dtype=float))
+    anchors = _array(anchors, "anchors", 2)
 
     def make(a):
         return lambda xs: np.broadcast_to(a, xs.shape).copy()
@@ -261,9 +253,7 @@ def local_injectivity_check(points, weights, p) -> InjectivityReport:
     The radius starts at 1.01 times the largest product-space distance
     between tuples and halves up to 40 times.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 3:
-        raise ValidationError("support points must be (n, N, d)")
+    pts = _array(points, "points", 3)
     p = _check_exponent(p)
     w = _check_weights(weights, pts.shape[1])
     n = pts.shape[0]

@@ -136,7 +136,7 @@ def _run_mmot(args, outdir: Path) -> int:
     w = w / w.sum()
     eq = verify_c2m_equivalence(measures, w, args.p)
     plan, nu = eq.plan, eq.barycenter
-    mono = check_cp_monotone(plan)
+    mono = check_cp_monotone(plan.points, plan.weights, plan.p)
     rows = [
         (k, *map(int, plan.indices[k]), float(plan.masses[k]),
          *map(float, plan.barycenters[k]))

@@ -82,18 +82,57 @@ def _check_tol(tol) -> float:
     return tol
 
 
+def _array(x, name, ndim) -> np.ndarray:
+    """x as a read-only float copy: the one rule for every validated array.
+
+    ndim=1 flattens x, and ndim=2 lifts 0-D and 1-D x to one row, as
+    np.atleast_2d does; any other ndim is the exact number of axes, and None
+    accepts any.  Raises ValidationError when x is not numeric, is empty,
+    has a non-finite entry or has another number of axes.
+    """
+    try:
+        a = np.array(x, dtype=float, ndmin=2 if ndim == 2 else 0)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name}: not a numeric array ({exc})") from None
+    if ndim == 1:
+        a = a.ravel()
+    if ndim is not None and a.ndim != ndim:
+        raise ValidationError(f"{name}: {ndim} axes expected, got shape {a.shape}")
+    if a.size == 0:
+        raise ValidationError(f"{name}: empty array")
+    if not np.isfinite(a).all():
+        raise ValidationError(f"{name}: non-finite entry")
+    a.setflags(write=False)
+    return a
+
+
 def _check_weights(weights, n) -> np.ndarray:
-    """n weights, finite, strictly positive and summing to 1 within 1e-12."""
-    w = np.asarray(weights, dtype=float).ravel()
+    """n >= 2 weights, finite, strictly positive and summing to 1 within
+    1e-12, as a read-only copy."""
+    if n < 2:
+        raise ValidationError(f"at least two weights required, got {n}")
+    w = _array(weights, "weights", 1)
     if w.shape != (n,):
         raise ValidationError(f"{w.shape[0]} weights given, {n} required")
-    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-        raise ValidationError("weights must be finite and strictly positive")
+    if np.any(w <= 0.0):
+        raise ValidationError("weights must be strictly positive")
     if abs(w.sum() - 1.0) > WEIGHT_SUM_TOL:
         raise ValidationError(
             f"weights must sum to 1 within {WEIGHT_SUM_TOL}, got {w.sum()!r}"
         )
     return w
+
+
+def _check_family(members, weights, p):
+    """(w, p, d) of a family of measures or affine maps: its weights through
+    _check_weights, p through _check_exponent, and the dimension d that
+    every member must share."""
+    p = _check_exponent(p)
+    w = _check_weights(weights, len(members))
+    d = members[0].dim
+    if any(m.dim != d for m in members):
+        raise ValidationError("family members live in different dimensions")
+    return w, p, d
 
 
 @dataclass(frozen=True)
@@ -111,21 +150,10 @@ class WeightedPointConfig:
     p: float
 
     def __post_init__(self):
-        pts = np.atleast_2d(np.array(self.points, dtype=float))
-        w = np.array(self.weights, dtype=float).ravel()
-        pts.setflags(write=False)
-        w.setflags(write=False)
+        pts = _array(self.points, "points", 2)
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _check_weights(self.weights, len(pts)))
         object.__setattr__(self, "p", _check_exponent(self.p))
-        if pts.ndim != 2:
-            raise ValidationError(f"points must be (N, d), got shape {pts.shape}")
-        n, _ = pts.shape
-        if n < 2:
-            raise ValidationError("a configuration needs at least two points")
-        if not np.all(np.isfinite(pts)):
-            raise ValidationError("points contain non-finite entries")
-        _check_weights(w, n)
 
     @property
     def n_points(self) -> int:
@@ -586,9 +614,9 @@ def curvature_blocks(config: WeightedPointConfig, z=None) -> CurvatureBlocks:
     blocks that is not positive definite.
     """
     p = config.p
-    if z is None:
-        z = pbary_solve(config).z
-    z = np.asarray(z, dtype=float).ravel()
+    z = pbary_solve(config).z if z is None else _array(z, "z", 1)
+    if z.shape != (config.dim,):
+        raise ValidationError(f"z must have {config.dim} coordinates")
     H, r, _ = curvature_kernel(config.points - z[None, :], config.weights, p)
     coincident = tuple(np.flatnonzero(coincident_mask(r, config.diameter)).tolist())
     if p < 2.0 and coincident:

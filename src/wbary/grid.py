@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _array
 from .errors import ValidationError
 
 
@@ -29,22 +30,18 @@ class GridDensity:
     values: np.ndarray
 
     def __post_init__(self):
-        box = np.atleast_2d(np.array(self.box, dtype=float))
-        vals = np.array(self.values, dtype=float)
-        box.setflags(write=False)
-        vals.setflags(write=False)
-        object.__setattr__(self, "box", box)
-        object.__setattr__(self, "values", vals)
-        if box.ndim != 2 or box.shape[1] != 2:
+        box = _array(self.box, "box", 2)
+        if box.shape[1] != 2:
             raise ValidationError(f"box must be (d, 2), got {box.shape}")
         if np.any(box[:, 1] <= box[:, 0]):
             raise ValidationError("box must satisfy lo < hi on every axis")
+        vals = _array(self.values, "values", None)
         if vals.ndim != box.shape[0]:
             raise ValidationError(
                 f"values ndim {vals.ndim} does not match box dimension {box.shape[0]}"
             )
-        if not np.all(np.isfinite(vals)):
-            raise ValidationError("density values contain non-finite entries")
+        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "values", vals)
 
     @property
     def dim(self) -> int:
@@ -85,7 +82,9 @@ class GridDensity:
 
     def evaluate(self, points) -> np.ndarray:
         """Piecewise-constant lookup; zero outside the box."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        pts = _array(points, "points", 2)
+        if pts.shape[1] != self.dim:
+            raise ValidationError(f"points must have {self.dim} coordinates")
         h = self.cell_widths
         idx = np.floor((pts - self.box[:, 0][None, :]) / h[None, :]).astype(int)
         res = np.array(self.resolution)
@@ -98,7 +97,7 @@ class GridDensity:
 
     def lq_norm(self, q: float) -> float:
         """(integral of |density|^q)^(1/q) under the cell quadrature."""
-        if q <= 0:
+        if not q > 0:
             raise ValidationError(f"q must be positive, got {q}")
         return float(
             (np.abs(self.values) ** q).sum() * self.cell_volume
@@ -138,7 +137,7 @@ def uniform_ball(center, radius, resolution=64) -> GridDensity:
     Cells whose center lies in the (closed) ball get a constant value; the
     result is renormalized so its grid mass is exactly one.
     """
-    center = np.asarray(center, dtype=float).ravel()
+    center = _array(center, "center", 1)
     d = center.shape[0]
     radius = float(radius)
     if radius <= 0:
@@ -154,7 +153,7 @@ def uniform_ball(center, radius, resolution=64) -> GridDensity:
 
 def uniform_box(support_box, resolution=64) -> GridDensity:
     """Uniform probability density on a sub-box, renormalized on the grid."""
-    sb = np.atleast_2d(np.asarray(support_box, dtype=float))
+    sb = _array(support_box, "support_box", 2)
     d = sb.shape[0]
     mid = sb.mean(axis=1)
     half = 0.55 * (sb[:, 1] - sb[:, 0])
@@ -168,7 +167,7 @@ def uniform_box(support_box, resolution=64) -> GridDensity:
 
 def radial_bump(center, radius, resolution=64) -> GridDensity:
     """C^1 bump (1 - (r/R)^2)^2 on a ball, renormalized on the grid."""
-    center = np.asarray(center, dtype=float).ravel()
+    center = _array(center, "center", 1)
     d = center.shape[0]
     radius = float(radius)
     pad = 1.1 * radius
@@ -182,11 +181,10 @@ def radial_bump(center, radius, resolution=64) -> GridDensity:
 
 
 def _res_tuple(resolution, d) -> tuple:
-    if np.isscalar(resolution):
-        return (int(resolution),) * d
-    res = tuple(int(r) for r in resolution)
-    if len(res) != d:
-        raise ValidationError(f"resolution {res} does not match dimension {d}")
+    res = ((int(resolution),) * d if np.isscalar(resolution)
+           else tuple(int(r) for r in resolution))
+    if len(res) != d or min(res) < 1:
+        raise ValidationError(f"resolution {res}: need {d} cell counts >= 1")
     return res
 
 

@@ -57,7 +57,8 @@ from itertools import combinations
 import numpy as np
 
 from . import core
-from .core import _check_exponent, _check_weights, pbary_points, support_product
+from .core import (_array, _check_exponent, _check_family, _check_weights,
+                   pbary_points, support_product)
 from .errors import ConvergenceError, ValidationError
 
 _MASS_TOL = 1e-12
@@ -90,29 +91,24 @@ class DiscreteMeasure:
     masses: np.ndarray
 
     def __post_init__(self):
-        atoms = np.atleast_2d(np.asarray(self.atoms, dtype=float))
-        masses = np.asarray(self.masses, dtype=float).ravel()
-        if atoms.ndim != 2 or atoms.shape[0] != masses.shape[0]:
+        atoms = _array(self.atoms, "atoms", 2)
+        masses = _array(self.masses, "masses", 1)
+        if atoms.shape[0] != masses.shape[0]:
             raise ValidationError(
                 f"atoms {atoms.shape} and masses {masses.shape} do not match"
             )
-        if not np.all(np.isfinite(atoms)) or not np.all(np.isfinite(masses)):
-            raise ValidationError("atoms/masses contain non-finite entries")
         if np.any(masses < 0):
             raise ValidationError("masses must be nonnegative")
         if abs(masses.sum() - 1.0) > _MASS_TOL:
             raise ValidationError(
                 f"masses must sum to 1 within {_MASS_TOL}, got {masses.sum()!r}"
             )
+        # The sum test leaves at least one atom of positive mass.
         keep = masses > 0.0
         atoms, masses = atoms[keep], masses[keep]
-        if atoms.shape[0] == 0:
-            raise ValidationError("measure has no atoms with positive mass")
         atoms, masses, _ = _merge_close(atoms, masses, _span_tol(atoms, 1e-12))
-        atoms.setflags(write=False)
-        masses.setflags(write=False)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "masses", masses)
+        object.__setattr__(self, "atoms", _array(atoms, "atoms", 2))
+        object.__setattr__(self, "masses", _array(masses, "masses", 1))
 
     @property
     def n_atoms(self) -> int:
@@ -169,18 +165,6 @@ def _merge_close(atoms, masses, tol):
         lone = (np.bincount(group) == 1)[group]
         pos[group[lone]] = atoms[lone]
         atoms, masses, labels = pos, mass, group[labels]
-
-
-def _check_family(measures, weights, p):
-    p = _check_exponent(p)
-    if len(measures) < 2:
-        raise ValidationError("need at least two marginals")
-    w = _check_weights(weights, len(measures))
-    d = measures[0].dim
-    for mu in measures:
-        if mu.dim != d:
-            raise ValidationError("marginals live in different dimensions")
-    return w, p, d
 
 
 @dataclass(eq=False)
@@ -738,27 +722,21 @@ class MonotonicityReport:
         return self.min_margin >= -self.tol
 
 
-def check_cp_monotone(plan_or_points, weights=None,
-                      p=None) -> MonotonicityReport:
+def check_cp_monotone(points, weights, p) -> MonotonicityReport:
     """Test cyclical monotonicity of a support under coordinate swaps.
+
+    points : (n, N, d) support tuples of a coupling (for a TransportPlan,
+        pass plan.points, plan.weights and plan.p)
 
     For every pair of support tuples x1, x2 and every proper subset sigma of
     marginal indices, swapping the sigma-coordinates must not decrease the
     total cost by more than 1e-9.  sigma and its complement give the same
     swapped pair, so only the subsets without the last marginal are
-    evaluated.  Accepts a TransportPlan or a raw (n, N, d) array of support
-    tuples (with weights and p supplied).
+    evaluated.
     """
-    if isinstance(plan_or_points, TransportPlan):
-        pts = plan_or_points.points
-        w = plan_or_points.weights
-        p = plan_or_points.p
-    else:
-        pts = np.asarray(plan_or_points, dtype=float)
-        if weights is None or p is None:
-            raise ValidationError("weights and p required with raw support points")
-        w = _check_weights(weights, pts.shape[1])
-        p = _check_exponent(p)
+    pts = _array(points, "points", 3)
+    w = _check_weights(weights, pts.shape[1])
+    p = _check_exponent(p)
     n, N, d = pts.shape
     if n < 2:
         return MonotonicityReport(0.0, 0, 0, _MONOTONE_TOL)

@@ -32,6 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
+    _array,
     alpha_exponent,
     beta_exponent,
     _check_exponent,
@@ -74,17 +75,9 @@ class DiracConfiguration:
     def __post_init__(self):
         # Private read-only copies: fixed_point is cached, so a later write
         # through the caller's arrays must not reach the configuration.
-        anchors = np.atleast_2d(np.array(self.anchors, dtype=float))
-        self.anchors = anchors
+        self.anchors = _array(self.anchors, "anchors", 2)
+        self.weights = _check_weights(self.weights, self.anchors.shape[0] + 1)
         self.p = _check_exponent(self.p)
-        if anchors.ndim != 2 or anchors.shape[0] < 1:
-            raise ValidationError("anchors must be a nonempty (N-1, d) array")
-        if not np.all(np.isfinite(anchors)):
-            raise ValidationError("anchors contain non-finite entries")
-        self.weights = np.array(_check_weights(self.weights,
-                                               anchors.shape[0] + 1))
-        anchors.setflags(write=False)
-        self.weights.setflags(write=False)
 
     @property
     def lam1(self) -> float:
@@ -124,7 +117,7 @@ class DiracConfiguration:
 
 
 def _as_batch(z, d):
-    z = np.asarray(z, dtype=float)
+    z = _array(z, "z", None)
     single = z.ndim == 1
     zb = z[None] if single else z.reshape(-1, d)
     if zb.shape[-1] != d:
@@ -324,9 +317,7 @@ def check_bounds_p_ge2(cfg: DiracConfiguration, z) -> EigBoundReportPGe2:
     emin, emax = eigs.min(axis=1), eigs.max(axis=1)
     lam1, a, p = cfg.lam1, cfg.alpha, cfg.p
     Gn = np.linalg.norm(G, axis=1)
-    with np.errstate(divide="ignore"):
-        ratio = A / (lam1 ** (1.0 - a) * np.maximum(Gn, _GBAR_ZERO) ** a)
-    ratio = np.where(Gn == 0.0, np.inf if p > 2.0 else A / lam1, ratio)
+    ratio = A / (lam1 ** (1.0 - a) * np.maximum(Gn, _GBAR_ZERO) ** a)
 
     low_local = 1.0 + (1.0 - a) * ratio
     up_local = 1.0 + (p - 1.0) * ratio
@@ -614,8 +605,10 @@ def blowup_exponent(cfg: DiracConfiguration, f1: GridDensity, center,
     gives the local exponent; fewer than 4 usable radii raise
     InsufficientDataError.
     """
-    center = np.asarray(center, dtype=float).ravel()
-    radii = np.asarray(radii, dtype=float).ravel()
+    center = _array(center, "center", 1)
+    radii = _array(radii, "radii", 1)
+    if center.shape != (cfg.dim,):
+        raise ValidationError(f"center must have {cfg.dim} coordinates")
     if radii.size < 6:
         raise ValidationError("supply at least 6 candidate radii")
     dirs = _directions(cfg.dim, _BLOWUP_DIRECTIONS)

@@ -509,19 +509,97 @@ def test_validated_inputs_are_private_copies():
     box, values = np.array([[0.0, 1.0]]), np.array([1.0, 3.0])
     A, v = np.eye(2), np.array([1.0, 2.0])
     atoms, masses = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.4, 0.6])
+    anchors, dw = np.array([[1.0], [2.0]]), np.array([0.4, 0.3, 0.3])
     config = WeightedPointConfig(pts, w, 3.0)
     density = GridDensity(box, values)
     T = AffineMap(A, v)
     mu = DiscreteMeasure(atoms, masses)
+    cfg = DiracConfiguration(anchors, dw, 3.0)
     stored = [config.points, config.weights, density.box, density.values,
-              T.A, T.v, mu.atoms, mu.masses]
+              T.A, T.v, mu.atoms, mu.masses, cfg.anchors, cfg.weights]
     before = [a.copy() for a in stored]
-    for a in (pts, w, box, values, A, v, atoms, masses):
+    for a in (pts, w, box, values, A, v, atoms, masses, anchors, dw):
         a += 5.0
     for a, b in zip(stored, before):
         np.testing.assert_array_equal(a, b)
         with pytest.raises(ValueError):
             a[...] = 0.0
+
+
+def test_setflags_is_called_only_in_array():
+    """Every validated array is frozen by core._array, the one place that
+    decides what a valid input array is."""
+    calls = []
+    for path in sorted(Path(wbary.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            calls += [
+                (path.name, getattr(top, "name", "<module>"))
+                for node in ast.walk(top)
+                if getattr(node, "attr", None) == "setflags"
+            ]
+    assert calls == [("core.py", "_array")]
+
+
+def _invalid_input_cases():
+    nan = np.nan
+    f1 = wbary.uniform_box([[0.0, 1.0]], 8)
+    dirac = DiracConfiguration([[1.0], [2.0]], [1 / 3] * 3, 3.0)
+    dirac2 = DiracConfiguration([[0.8, 0.1], [-0.7, -0.25]], [0.4, 0.3, 0.3],
+                                3.0)
+    f2 = wbary.uniform_box([[-1.5, 1.5]] * 2, 32)
+    config = WeightedPointConfig([[0.0], [1.0]], [0.5, 0.5], 3.0)
+    plane = WeightedPointConfig([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                                [0.4, 0.3, 0.3], 3.0)
+    mu = DiscreteMeasure([[0.0]], [1.0])
+    line = np.array([[0.0], [1.0], [2.0]])
+    return {
+        "spectrum-nan": lambda: wbary.spectrum_optimality([[nan, 0], [0, 1]]),
+        "p-transform-nan-value": lambda: wbary.p_transform(line, [0, nan, 0], 2),
+        "p-transform-empty": lambda: wbary.p_transform(np.zeros((0, 1)), [], 2),
+        "p-transform-eval-dim": lambda: wbary.p_transform(
+            np.eye(2), [0, 0], 2, eval_points=[[0.5]]),
+        "concavity-no-interior": lambda: wbary.p_concavity_check(
+            [[0.0], [1.0]], [0, 0], 2),
+        "lq-norm-nan": lambda: f1.lq_norm(nan),
+        "integrability-nan-D": lambda: wbary.integrability_bound(
+            1, 2, 3, 0.5, 1, D=nan),
+        "integrability-nan-dim": lambda: wbary.integrability_bound(
+            1, 2, 3, 0.5, nan, D=1),
+        "injectivity-empty": lambda: wbary.local_injectivity_check(
+            np.zeros((0, 2, 1)), [0.5, 0.5], 2),
+        "monotone-2d": lambda: check_cp_monotone(np.zeros((2, 2)),
+                                                 [0.5, 0.5], 2),
+        "uniform-box-no-cells": lambda: wbary.uniform_box([[0, 1]], 0),
+        "pushforward-no-cells": lambda: wbary.pushforward_density(
+            dirac, f1, resolution=0),
+        "evaluate-nan": lambda: f1.evaluate([[nan]]),
+        "evaluate-short-point": lambda: f2.evaluate([[0.5]]),
+        "grid-nan-box": lambda: GridDensity([[0, nan]], [1.0, 1.0]),
+        "blowup-nan-center": lambda: wbary.blowup_exponent(
+            dirac, f1, [nan], np.geomspace(1e-6, 1e-4, 8)),
+        "blowup-short-center": lambda: wbary.blowup_exponent(
+            dirac2, f2, [0.05], np.geomspace(1e-6, 1e-4, 8)),
+        "homogeneous-nan": lambda: wbary.homogeneous_transform_coefficient(
+            nan, 3),
+        "curvature-nan-z": lambda: curvature_blocks(config, z=[nan]),
+        "curvature-short-z": lambda: curvature_blocks(plane, z=[0.5]),
+        "jacobian-nan": lambda: wbary.jacobian_det(dirac, [nan]),
+        "general-lq-no-maps": lambda: wbary.general_lq_bound(
+            f1, [], [1.0], 3, 2),
+        "compute-D-one-measure": lambda: wbary.compute_D([mu], [1.0], 3),
+        "compute-m-mixed-dims": lambda: wbary.compute_m(
+            [mu, DiscreteMeasure([[0.0, 1.0]], [1.0])], [0.5, 0.5], 3),
+        "affine-nan": lambda: AffineMap([[nan]], [0]),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_invalid_input_cases()))
+def test_invalid_inputs_raise_a_package_error(case):
+    """Invalid arrays, NaN scalars, empty inputs and families of one raise a
+    WbaryError subclass: none returns a value, warns or raises a bare NumPy
+    error."""
+    with pytest.raises(wbary.WbaryError):
+        _invalid_input_cases()[case]()
 
 
 @settings(max_examples=40, deadline=None)

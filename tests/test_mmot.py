@@ -249,7 +249,7 @@ def test_monotonicity_tests_each_swap_once():
     ]
     w = np.array([0.1, 0.2, 0.3, 0.4])
     plan = solve_mmot(measures, w, 3.0)
-    rep = check_cp_monotone(plan)
+    rep = check_cp_monotone(plan.points, plan.weights, plan.p)
     assert rep.n_patterns == 7
     pts, n = plan.points, len(plan.points)
     ia, ib = np.triu_indices(n, 1)
@@ -271,7 +271,7 @@ def test_monotonicity_passes_optimal():
         for _ in range(2)
     ]
     plan = solve_mmot(measures, np.array([0.5, 0.5]), 3.0)
-    rep = check_cp_monotone(plan)
+    rep = check_cp_monotone(plan.points, plan.weights, plan.p)
     assert rep.ok
 
 
@@ -332,7 +332,7 @@ def test_monotone_route_matches_the_lp_1d(seed, p, sizes, equal):
     try:
         plan = solve_mmot(measures, w, p)
         cost = cost_tensor(measures, w, p).values
-        mono = check_cp_monotone(plan)
+        mono = check_cp_monotone(plan.points, plan.weights, plan.p)
     except ConvergenceError:
         # Near p = 1.2 the point solver's tolerance can lie below the float
         # resolution of the residual; pbary_points then raises by design
@@ -414,7 +414,7 @@ def test_lp_contract_meets_its_consumers_2d(seed, p, sizes):
     w = w / w.sum()
     try:
         rep = verify_c2m_equivalence(measures, w, p)
-        mono = check_cp_monotone(rep.plan)
+        mono = check_cp_monotone(rep.plan.points, rep.plan.weights, rep.plan.p)
         cost = cost_tensor(measures, w, p).values
     except ConvergenceError:
         # pbary_points' documented float-floor raise for p < 2, as in
