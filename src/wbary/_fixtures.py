@@ -22,6 +22,13 @@ def _disk(resolution):
                         resolution=resolution)
 
 
+def _line_config(p):
+    """Anchors 1 and 2 on the line, weights (1/3, 1/3, 1/3)."""
+    from .semidiscrete import DiracConfiguration
+
+    return DiracConfiguration(np.array([[1.0], [2.0]]), [1 / 3] * 3, p)
+
+
 def _planar_config(p):
     """Anchors (0.8, 0.1) and (-0.7, -0.25), weights (0.4, 0.3, 0.3)."""
     from .semidiscrete import DiracConfiguration

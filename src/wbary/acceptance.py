@@ -38,6 +38,7 @@ from ._fixtures import (
     _blowup_fixture,
     _disk,
     _distant_support_sweep,
+    _line_config,
     _planar_config,
     _spectrum_fixture,
 )
@@ -116,19 +117,19 @@ def blowup_threshold_p_gt2(fast: bool = False) -> CheckResult:
     res = 128 if fast else 512
     cfg, f1, center, radii = _blowup_fixture(3.0, res)
     pf = pushforward_density(cfg, f1, resolution=res)
-    rep = blowup_exponent(cfg, f1, center, radii, q_values=(1.6, 2.4))
+    rep = blowup_exponent(cfg, f1, center, radii)
     seconds = time.perf_counter() - t0
     slope_ok = abs(rep.slope - (-1.0)) <= 0.1
     q0_ok = abs(rep.q0 - 2.0) <= 0.2
-    flip_ok = rep.verdicts[1.6] and not rep.verdicts[2.4]
+    flip_ok = 1.6 < rep.q0 <= 2.4
     ok = pf.mass_ok and slope_ok and q0_ok and flip_ok and seconds <= 60.0
     return CheckResult(
         name="blowup-threshold-p-gt2",
         ok=ok,
         details=(
             f"slope={_fmt(rep.slope)} (target -1 +-10%), q0={_fmt(rep.q0)} "
-            f"(target 2 +-0.2), verdicts 1.6/2.4={rep.verdicts[1.6]}/"
-            f"{rep.verdicts[2.4]}, mass={_fmt(pf.mass)}"
+            f"(target 2 +-0.2), verdicts 1.6/2.4={1.6 < rep.q0}/"
+            f"{2.4 < rep.q0}, mass={_fmt(pf.mass)}"
         ),
         metrics={
             "slope": rep.slope,
@@ -149,15 +150,15 @@ def blowup_threshold_p_lt2(fast: bool = False) -> CheckResult:
     """
     res = 512 if fast else 2048
     cfg, f1, center, radii = _blowup_fixture(1.5, res)
-    rep = blowup_exponent(cfg, f1, center, radii, q_values=(1.5, 2.5))
+    rep = blowup_exponent(cfg, f1, center, radii)
     q0_ok = abs(rep.q0 - 2.0) <= 0.2
-    flip_ok = rep.verdicts[1.5] and not rep.verdicts[2.5]
+    flip_ok = 1.5 < rep.q0 <= 2.5
     return CheckResult(
         name="blowup-threshold-p-lt2",
         ok=q0_ok and flip_ok,
         details=(
             f"q0={_fmt(rep.q0)} (target 2 +-0.2), slope={_fmt(rep.slope)}, "
-            f"verdicts 1.5/2.5={rep.verdicts[1.5]}/{rep.verdicts[2.5]}"
+            f"verdicts 1.5/2.5={1.5 < rep.q0}/{2.5 < rep.q0}"
         ),
         metrics={"q0": rep.q0, "slope": rep.slope},
     )
@@ -367,13 +368,6 @@ def gradient_finite_difference_battery(fast: bool = False) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def _bound_configs(p):
-    return [
-        DiracConfiguration(np.array([[1.0], [2.0]]), [1 / 3, 1 / 3, 1 / 3], p),
-        _planar_config(p),
-    ]
-
-
 def unit_lower_bound_p_ge2(fast: bool = False) -> CheckResult:
     """p >= 2: every eigenvalue of the inverse-map gradient is >= 1 - 1e-9.
 
@@ -385,7 +379,7 @@ def unit_lower_bound_p_ge2(fast: bool = False) -> CheckResult:
     worst = {}
     for p in (2.0, 2.5, 3.0, 4.0):
         margin = np.inf
-        for cfg in _bound_configs(p):
+        for cfg in (_line_config(p), _planar_config(p)):
             d = cfg.dim
             lo = cfg.anchors.min() - 1.5
             hi = cfg.anchors.max() + 1.5
@@ -422,9 +416,7 @@ def stated_band_p_lt2(fast: bool = False) -> CheckResult:
     rng = np.random.default_rng(6)
     stated, local_ok_all = {}, True
     for p in (1.2, 1.5, 1.8):
-        cfg = DiracConfiguration(
-            np.array([[1.0], [2.0]]), [1 / 3, 1 / 3, 1 / 3], p
-        )
+        cfg = _line_config(p)
         zs = rng.uniform(-1.0, 3.0, (n, 1))
         ring = cfg.fixed_point[0] + np.concatenate(
             [np.geomspace(1e-12, 0.3, 30), -np.geomspace(1e-12, 0.3, 30)]
@@ -514,12 +506,10 @@ def general_lq_domination(fast: bool = False) -> CheckResult:
         worst_ratio = max(worst_ratio, meas / rep.value)
     # 1-d instance
     f1d = uniform_box(np.array([[-0.5, 0.5]]), resolution=res * 8)
-    anchors1 = np.array([[1.0], [2.0]])
-    cfg1 = DiracConfiguration(anchors1, [1 / 3, 1 / 3, 1 / 3], 3.0)
+    cfg1 = _line_config(3.0)
     meas1 = lq_via_changevar(cfg1, f1d, 1.5) ** 1.5
-    rep1 = general_lq_bound(
-        f1d, constant_maps(anchors1), np.full(3, 1 / 3), 3.0, 1.5
-    )
+    rep1 = general_lq_bound(f1d, constant_maps(cfg1.anchors), cfg1.weights,
+                            3.0, 1.5)
     dom_ok &= rep1.dominates(meas1)
     worst_ratio = max(worst_ratio, meas1 / rep1.value)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _array, _check_exponent, _check_family, pbary_points
+from .core import _array, _check_exponent, _check_family, _points, pbary_points
 from .errors import StructureError, ValidationError
 from .mmot import DiscreteMeasure, barycenter_measure, solve_mmot, wp_distance
 
@@ -53,8 +53,8 @@ class AffineMap:
         return self.A.shape[0]
 
     def apply(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return x @ self.A.T + self.v
+        xs, lead = _points(x, self.dim, "x")
+        return (xs @ self.A.T + self.v).reshape(lead + (self.dim,))
 
 
 @dataclass(frozen=True)
@@ -257,9 +257,8 @@ def p_transform(points, values, p, eval_points=None) -> PTransformResult:
     vals = _array(values, "values", 1)
     if pts.shape[0] != vals.shape[0]:
         raise ValidationError("one value per sample point required")
-    ys = pts if eval_points is None else _array(eval_points, "eval_points", 2)
-    if ys.shape[1] != pts.shape[1]:
-        raise ValidationError("eval_points and points differ in dimension")
+    ys, lead = _points(pts if eval_points is None else eval_points,
+                       pts.shape[1], "eval_points")
     lo, hi = pts.min(axis=0), pts.max(axis=0)
     margin = 1e-9 * max(1.0, float(np.abs(pts).max()))
     near_face = (
@@ -275,8 +274,9 @@ def p_transform(points, values, p, eval_points=None) -> PTransformResult:
         arg = np.argmin(obj, axis=1)
         out[s:s + _CHUNK] = obj[np.arange(block.shape[0]), arg]
         hit[s:s + _CHUNK] = near_face[arg]
-    return PTransformResult(values=out, degenerate=bool(hit.mean() > 0.5),
-                            boundary_mask=hit)
+    return PTransformResult(values=out.reshape(lead),
+                            degenerate=bool(hit.mean() > 0.5),
+                            boundary_mask=hit.reshape(lead))
 
 
 def _grid_spacing(pts) -> float:

@@ -28,6 +28,7 @@ from .core import (
     _check_q,
     _check_weights,
     _diameters,
+    _points,
     alpha_exponent,
     coincident_mask,
     curvature_kernel,
@@ -93,10 +94,15 @@ def integrability_bound(f1_lq, q, p, lam1, d, D=None, m=None,
     with geom = D for p > 2, geom = m for p < 2 and geom = 1 at p = 2, where
     the bound is exactly lam1^(d(1-q)/q) ||f1||_q with constant 1.  Raises
     GeometryError unless the required separation is positive (NaN is not):
-    the estimate then carries no information.
+    the estimate then carries no information.  f1_lq must be finite and
+    non-negative, constant finite and positive.
     """
     p = _check_exponent(p)
     q = _check_q(q)
+    if not 0.0 <= f1_lq < np.inf:
+        raise ValidationError(f"f1_lq must be finite and >= 0, got {f1_lq}")
+    if not 0.0 < constant < np.inf:
+        raise ValidationError(f"constant must be finite and > 0, got {constant}")
     if not 0.0 < lam1 < 1.0:
         raise ValidationError("lam1 must lie in (0, 1)")
     if not d >= 1:
@@ -159,7 +165,10 @@ def _tuple_classes(pts, w, p, diam):
 
 def _cell_coefficients(xs, maps, w, p, q, d):
     """Per-cell coefficient of f1^q in the classified estimate."""
-    pts = np.stack([xs] + [T(xs) for T in maps], axis=1)
+    ys = [_points(T(xs), d, "map output") for T in maps]
+    if any(lead != xs.shape[:1] for _, lead in ys):
+        raise ValidationError("map output: one point per source point expected")
+    pts = np.stack([xs] + [y for y, _ in ys], axis=1)
     _, in_S, max_norm, min_lam = _tuple_classes(pts, w, p, _diameters(pts))
     first = in_S[:, 0]
     flagged = ~first & (min_lam < 1e-14)
@@ -173,7 +182,7 @@ def general_lq_bound(f1: GridDensity, maps, weights, p, q) -> GeneralLqReport:
     """Classified upper bound for int g_p^q under maps (T_2, ..., T_N).
 
     maps is a sequence of N-1 callables sending (M, d) source points to the
-    matched points of the other marginals (constant maps for Dirac
+    (M, d) matched points of the other marginals (constant maps for Dirac
     marginals, the identity when marginals coincide).  Cells where the
     barycenter coincides with the first point contribute f1^q directly; all
     other cells are weighted by 2^(d(q-1)) (max|H_i| / min Lambda_i)^(d(q-1))
@@ -187,6 +196,8 @@ def general_lq_bound(f1: GridDensity, maps, weights, p, q) -> GeneralLqReport:
     w = _check_weights(weights, len(maps) + 1)
     d = f1.dim
     mask = f1.values.ravel() > 0.0
+    if not mask.any():
+        return GeneralLqReport(0.0, 0, 0, 0, False)
     xs = f1.centers()[mask]
     vals = f1.values.ravel()[mask]
     coeff, first, flagged = _cell_coefficients(xs, maps, w, p, q, d)
@@ -206,7 +217,7 @@ def constant_maps(anchors) -> list:
     anchors = _array(anchors, "anchors", 2)
 
     def make(a):
-        return lambda xs: np.broadcast_to(a, xs.shape).copy()
+        return lambda xs: np.tile(a, (len(xs), 1))
 
     return [make(a) for a in anchors]
 

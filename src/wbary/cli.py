@@ -218,15 +218,11 @@ def _run_counterexample(args, outdir: Path) -> int:
     envelope and the valid local-factor one on a radius sweep into the
     fixed point.
     """
-    from .semidiscrete import (
-        DiracConfiguration,
-        check_bounds_p_lt2,
-        grad_b_inverse_eigs,
-    )
+    from ._fixtures import _line_config
+    from .semidiscrete import check_bounds_p_lt2, grad_b_inverse_eigs
 
     p = args.p if args.p < 2.0 else 1.5
-    cfg = DiracConfiguration(np.array([[1.0], [2.0]]),
-                             [1 / 3, 1 / 3, 1 / 3], p)
+    cfg = _line_config(p)
     zfix = cfg.fixed_point[0]
     radii = np.geomspace(1e-10, 0.4, 40)
     rows = []

@@ -106,6 +106,18 @@ def _array(x, name, ndim) -> np.ndarray:
     return a
 
 
+def _points(x, d, name):
+    """(flat, lead): points x in R^d as a read-only (B, d) copy made by
+    _array, and lead = x.shape[:-1], () for one point; a 0-D x is one point
+    in d = 1.  The last axis must have length d, checked before any reshape.
+    Per-point results come back as out.reshape(lead + per_point_shape)."""
+    a = _array(x, name, None)
+    shape = a.shape or (1,)
+    if shape[-1] != d:
+        raise ValidationError(f"{name}: points in R^{d} expected, got shape {a.shape}")
+    return a.reshape(-1, d), shape[:-1]
+
+
 def _check_weights(weights, n) -> np.ndarray:
     """n >= 2 weights, finite, strictly positive and summing to 1 within
     1e-12, as a read-only copy."""
@@ -309,12 +321,12 @@ def pbary_points(points, weights, p, tol=DEFAULT_TOL):
 
     points : (..., N, d); weights : (N,) or broadcastable to (..., N).
     Returns minimizers with shape (..., d); an empty batch (0, N, d) gives
-    (0, d).  Raises ValidationError for tuples of zero points, for
-    non-finite points, for weights that are not finite and positive, for
-    weight rows that do not sum to 1 within WEIGHT_SUM_TOL and for a tol
-    that is not finite and positive, and ConvergenceError if any batch entry
-    fails to reach |residual| <= tol * max(w) * diam^(p-1) within MAX_ITER
-    Newton steps.
+    (0, d).  Raises ValidationError for points with fewer than two axes,
+    for tuples of zero points, for non-finite points, for weights that are
+    not finite and positive, for weight rows that do not sum to 1 within
+    WEIGHT_SUM_TOL and for a tol that is not finite and positive, and
+    ConvergenceError if any batch entry fails to reach
+    |residual| <= tol * max(w) * diam^(p-1) within MAX_ITER Newton steps.
     """
     p = _check_exponent(p)
     pts = np.asarray(points, dtype=float)
@@ -323,13 +335,10 @@ def pbary_points(points, weights, p, tol=DEFAULT_TOL):
         raise ValidationError("points contain non-finite entries")
     if not (np.isfinite(weights) & (weights > 0.0)).all():
         raise ValidationError("weights must be finite and strictly positive")
-    single = pts.ndim == 2
-    if single:
-        pts = pts[None]
+    if pts.ndim < 2 or pts.shape[-2] == 0:
+        raise ValidationError(f"points: (..., N, d) with N >= 1, got {pts.shape}")
     lead = pts.shape[:-2]
     N, d = pts.shape[-2:]
-    if N == 0:
-        raise ValidationError("pbary_points needs at least one point per tuple")
     pts = pts.reshape(-1, N, d)
     w = np.broadcast_to(weights, lead + (N,)).reshape(-1, N)
     sums = w.sum(axis=1)
@@ -340,8 +349,7 @@ def pbary_points(points, weights, p, tol=DEFAULT_TOL):
             f"{sums[bad][0]!r}"
         )
     z, _, _ = _solve_batch(pts, w, p, tol)
-    out = z.reshape((lead + (d,)) if not single else (d,))
-    return out
+    return z.reshape(lead + (d,))
 
 
 def _solve_batch(pts, w, p, tol):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _array
+from .core import _array, _points
 from .errors import ValidationError
 
 
@@ -81,10 +81,8 @@ class GridDensity:
         return GridDensity(self.box, self.values / m)
 
     def evaluate(self, points) -> np.ndarray:
-        """Piecewise-constant lookup; zero outside the box."""
-        pts = _array(points, "points", 2)
-        if pts.shape[1] != self.dim:
-            raise ValidationError(f"points must have {self.dim} coordinates")
+        """Piecewise-constant lookup at (..., d) points; zero outside the box."""
+        pts, lead = _points(points, self.dim, "points")
         h = self.cell_widths
         idx = np.floor((pts - self.box[:, 0][None, :]) / h[None, :]).astype(int)
         res = np.array(self.resolution)
@@ -93,7 +91,7 @@ class GridDensity:
         if inside.any():
             sel = tuple(idx[inside].T)
             out[inside] = self.values[sel]
-        return out
+        return out.reshape(lead)
 
     def lq_norm(self, q: float) -> float:
         """(integral of |density|^q)^(1/q) under the cell quadrature."""

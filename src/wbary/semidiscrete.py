@@ -33,6 +33,7 @@ import numpy as np
 
 from .core import (
     _array,
+    _points,
     alpha_exponent,
     beta_exponent,
     _check_exponent,
@@ -116,15 +117,6 @@ class DiracConfiguration:
         return d if d > 0 else 1.0
 
 
-def _as_batch(z, d):
-    z = _array(z, "z", None)
-    single = z.ndim == 1
-    zb = z[None] if single else z.reshape(-1, d)
-    if zb.shape[-1] != d:
-        raise ValidationError(f"points have dimension {zb.shape[-1]}, expected {d}")
-    return zb, single, z.shape
-
-
 def _anchor_field(cfg: DiracConfiguration, zb):
     """One curvature_kernel pass over the offsets xh_i - z, batched over zb.
 
@@ -147,27 +139,24 @@ def gbar(cfg: DiracConfiguration, z) -> np.ndarray:
     The reference oracle the tests check fixed_point and b_inverse against.
     For p < 2 the summand is undefined at the anchors themselves.
     """
-    zb, single, shape = _as_batch(z, cfg.dim)
-    G = _anchor_field(cfg, zb)[0]
-    return G[0] if single else G.reshape(shape)
+    zb, lead = _points(z, cfg.dim, "z")
+    return _anchor_field(cfg, zb)[0].reshape(lead + (cfg.dim,))
 
 
 def b_forward(cfg: DiracConfiguration, x1) -> np.ndarray:
     """b(x_1): the full barycenter with the first point at x_1, vectorized."""
-    xb, single, shape = _as_batch(x1, cfg.dim)
-    B = xb.shape[0]
-    pts = np.empty((B, cfg.n_marginals, cfg.dim))
+    xb, lead = _points(x1, cfg.dim, "x1")
+    pts = np.empty((xb.shape[0], cfg.n_marginals, cfg.dim))
     pts[:, 0, :] = xb
     pts[:, 1:, :] = cfg.anchors[None, :, :]
-    z = pbary_points(pts, cfg.weights, cfg.p)
-    return z[0] if single else z.reshape(shape)
+    return pbary_points(pts, cfg.weights, cfg.p).reshape(lead + (cfg.dim,))
 
 
 def b_inverse(cfg: DiracConfiguration, z) -> np.ndarray:
     """Closed-form inverse of b, with b^{-1}(zbar) = zbar by continuity."""
-    zb, single, shape = _as_batch(z, cfg.dim)
-    out = _b_inverse_at(cfg, zb, _anchor_field(cfg, zb)[0])
-    return out[0] if single else out.reshape(shape)
+    zb, lead = _points(z, cfg.dim, "z")
+    return _b_inverse_at(cfg, zb, _anchor_field(cfg, zb)[0]).reshape(
+        lead + (cfg.dim,))
 
 
 def _b_inverse_at(cfg: DiracConfiguration, zb, G):
@@ -181,10 +170,9 @@ def _b_inverse_at(cfg: DiracConfiguration, zb, G):
     return out
 
 
-def _inverse_jacobian(cfg: DiracConfiguration, zb, eigs: bool, field=None):
-    """(grad b^{-1} or its ascending spectrum, _anchor_field) at the rows of zb.
-
-    field : _anchor_field(cfg, zb) when already computed, else None.
+def _inverse_jacobian(cfg: DiracConfiguration, field, eigs: bool):
+    """grad b^{-1}, or its ascending spectrum, at the points of
+    field = _anchor_field(cfg, zb).
 
     grad b^{-1} = Id + c A S with c = w1^(alpha-1), S = -grad Gbar / |Gbar|^alpha
     and A = Id - alpha P, P the projector onto Gbar.  It is similar to the
@@ -194,15 +182,13 @@ def _inverse_jacobian(cfg: DiracConfiguration, zb, eigs: bool, field=None):
     the vanishing block gives the continuous limit.  For p < 2 _anchor_field
     has already raised at an anchor.
     """
-    if field is None:
-        field = _anchor_field(cfg, zb)
     G, negdG, _, _ = field
     d = cfg.dim
     eye = np.eye(d)[None]
-    out = np.empty((zb.shape[0],) + ((d,) if eigs else (d, d)))
+    out = np.empty((G.shape[0],) + ((d,) if eigs else (d, d)))
     if cfg.p == 2.0:
         out[:] = (1.0 if eigs else eye) / cfg.lam1
-        return out, field
+        return out
     Gn = np.linalg.norm(G, axis=1)
     zero = Gn == 0.0
     if cfg.p > 2.0 and zero.any():
@@ -224,7 +210,7 @@ def _inverse_jacobian(cfg: DiracConfiguration, zb, eigs: bool, field=None):
         else:
             A = eye - cfg.alpha * P
             out[pos] = eye + c * np.einsum("bij,bjk->bik", A, S)
-    return out, field
+    return out
 
 
 def grad_b_inverse(cfg: DiracConfiguration, z) -> np.ndarray:
@@ -235,29 +221,23 @@ def grad_b_inverse(cfg: DiracConfiguration, z) -> np.ndarray:
     (1/w_1) Id everywhere; for p > 2 it is continuous at the anchors, and
     for p < 2 it extends continuously to the identity at zbar.
     """
-    zb, single, shape = _as_batch(z, cfg.dim)
-    out = _inverse_jacobian(cfg, zb, eigs=False)[0]
-    return out[0] if single else out.reshape(shape[:-1] + out.shape[1:])
+    zb, lead = _points(z, cfg.dim, "z")
+    out = _inverse_jacobian(cfg, _anchor_field(cfg, zb), eigs=False)
+    return out.reshape(lead + out.shape[1:])
 
 
 def grad_b_inverse_eigs(cfg: DiracConfiguration, z) -> np.ndarray:
     """Eigenvalues of grad b^{-1}(z), ascending, computed exactly as reals."""
-    zb, single, shape = _as_batch(z, cfg.dim)
-    out = _inverse_jacobian(cfg, zb, eigs=True)[0]
-    return out[0] if single else out.reshape(shape[:-1] + out.shape[1:])
+    zb, lead = _points(z, cfg.dim, "z")
+    out = _inverse_jacobian(cfg, _anchor_field(cfg, zb), eigs=True)
+    return out.reshape(lead + out.shape[1:])
 
 
 def jacobian_det(cfg: DiracConfiguration, z) -> np.ndarray:
     """|det grad b^{-1}(z)|, vectorized."""
-    zb, single, shape = _as_batch(z, cfg.dim)
-    out = _jacobian_det_at(cfg, zb)
-    return float(out[0]) if single else out.reshape(shape[:-1])
-
-
-def _jacobian_det_at(cfg: DiracConfiguration, zb, field=None):
-    """|det grad b^{-1}| at the rows of zb; field as in _inverse_jacobian."""
-    eigs = _inverse_jacobian(cfg, zb, eigs=True, field=field)[0]
-    return np.abs(np.prod(eigs, axis=-1))
+    zb, lead = _points(z, cfg.dim, "z")
+    eigs = _inverse_jacobian(cfg, _anchor_field(cfg, zb), eigs=True)
+    return np.abs(np.prod(eigs, axis=-1)).reshape(lead)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +292,9 @@ def check_bounds_p_ge2(cfg: DiracConfiguration, z) -> EigBoundReportPGe2:
     """
     if cfg.p < 2.0:
         raise ValidationError("check_bounds_p_ge2 requires p >= 2")
-    zb, _, _ = _as_batch(z, cfg.dim)
-    eigs, (G, _, r_anchor, A) = _inverse_jacobian(cfg, zb, eigs=True)
+    zb = _points(z, cfg.dim, "z")[0]
+    G, _, r_anchor, A = field = _anchor_field(cfg, zb)
+    eigs = _inverse_jacobian(cfg, field, eigs=True)
     emin, emax = eigs.min(axis=1), eigs.max(axis=1)
     lam1, a, p = cfg.lam1, cfg.alpha, cfg.p
     Gn = np.linalg.norm(G, axis=1)
@@ -383,8 +364,9 @@ def check_bounds_p_lt2(cfg: DiracConfiguration, z) -> EigBoundReportPLt2:
     """
     if cfg.p >= 2.0:
         raise ValidationError("check_bounds_p_lt2 requires p < 2")
-    zb, _, _ = _as_batch(z, cfg.dim)
-    eigs, (G, _, r_anchor, At) = _inverse_jacobian(cfg, zb, eigs=True)
+    zb = _points(z, cfg.dim, "z")[0]
+    G, _, r_anchor, At = field = _anchor_field(cfg, zb)
+    eigs = _inverse_jacobian(cfg, field, eigs=True)
     emin, emax = eigs.min(axis=1) - 1.0, eigs.max(axis=1) - 1.0
     p, lam1, beta = cfg.p, cfg.lam1, cfg.beta
     m = r_anchor.min(axis=1)
@@ -463,8 +445,8 @@ def _density_at(cfg: DiracConfiguration, f1: GridDensity, zs: np.ndarray):
     out = np.zeros(zs.shape[0])
     pos = vals > 0.0
     if pos.any():
-        out[pos] = vals[pos] * _jacobian_det_at(
-            cfg, zs[pos], tuple(a[pos] for a in field))
+        eigs = _inverse_jacobian(cfg, tuple(a[pos] for a in field), eigs=True)
+        out[pos] = vals[pos] * np.abs(np.prod(eigs, axis=-1))
     return out
 
 
@@ -584,18 +566,16 @@ class BlowupReport:
     slope : fitted d(log g)/d(log r) at the given center
     q0 : critical integrability index d / |slope| (inf if the slope is ~0
         or positive); g_p belongs to L^q exactly for q < q0
-    verdicts : {q: bool} integrability verdicts for the requested q values
     """
 
     slope: float
     q0: float
     radii_used: np.ndarray
     annulus_means: np.ndarray
-    verdicts: dict
 
 
 def blowup_exponent(cfg: DiracConfiguration, f1: GridDensity, center,
-                    radii, q_values=()) -> BlowupReport:
+                    radii) -> BlowupReport:
     """Fit the local power-law exponent of g_p around a singular center.
 
     For each radius, g_p is evaluated at 64 deterministic points on the
@@ -626,11 +606,9 @@ def blowup_exponent(cfg: DiracConfiguration, f1: GridDensity, center,
         )
     slope = float(np.polyfit(np.log(used), np.log(means), 1)[0])
     q0 = cfg.dim / abs(slope) if slope < -1e-12 else math.inf
-    verdicts = {float(q): bool(q < q0) for q in q_values}
     return BlowupReport(
         slope=slope,
         q0=q0,
         radii_used=used,
         annulus_means=means,
-        verdicts=verdicts,
     )

@@ -7,6 +7,7 @@ from scipy.optimize import minimize
 from wbary import (
     DiscreteMeasure,
     GeometryError,
+    GridDensity,
     ValidationError,
     compute_D,
     compute_m,
@@ -217,6 +218,15 @@ def test_integrability_exponent_must_be_finite_and_exceed_1():
             general_lq_bound(f1, maps, [1 / 3] * 3, 3.0, q)
         with pytest.raises(ValidationError):
             integrability_bound(1.0, q, 3.0, 0.3, 1, D=1.0)
+
+
+def test_general_bound_of_a_zero_density_is_zero():
+    """A density with no positive cell has no source points to map: the
+    bound is 0 and no cell is counted."""
+    f0 = GridDensity([[-0.5, 0.5]], np.zeros(8))
+    rep = general_lq_bound(f0, constant_maps([[1.0]]), [0.5, 0.5], 3.0, 2.0)
+    assert (rep.value, rep.n_cells_first, rep.n_cells_curved) == (0.0, 0, 0)
+    assert not rep.diverging
 
 
 # Pinned reports.  In both inputs the cell centred at (-0.0917, -0.0917)

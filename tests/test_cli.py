@@ -313,7 +313,7 @@ _FIXTURES = "wbary._fixtures"
 @pytest.mark.parametrize("kind, layers", [
     ("point_bary", set()),
     ("mmot", {"wbary.mmot"}),
-    ("counterexample", {"wbary.grid", "wbary.semidiscrete"}),
+    ("counterexample", {_FIXTURES, "wbary.grid", "wbary.semidiscrete"}),
     ("semidiscrete", {_FIXTURES, "wbary.grid", "wbary.semidiscrete"}),
     ("bounds", {_FIXTURES, "wbary.bounds", "wbary.grid", "wbary.mmot",
                 "wbary.semidiscrete"}),

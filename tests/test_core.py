@@ -102,9 +102,9 @@ def test_batch_shapes():
 def test_empty_inputs():
     """A tuple of zero points has no barycenter and raises; an empty batch
     of tuples returns an empty (0, d) array on every route."""
-    with pytest.raises(ValidationError, match="at least one point"):
+    with pytest.raises(ValidationError, match="N >= 1"):
         pbary_points(np.zeros((0, 2)), [], 3.0)
-    with pytest.raises(ValidationError, match="at least one point"):
+    with pytest.raises(ValidationError, match="N >= 1"):
         pbary_points(np.zeros((5, 0, 2)), [], 3.0)
     for p in (1.5, 2.0, 3.0):
         z = pbary_points(np.zeros((0, 3, 2)), [0.2, 0.3, 0.5], p)
@@ -436,8 +436,8 @@ _UNREAD = {
                                 "tests/test_acceptance.py",
     ("CurvatureBlocks", "Lambda"): "the paper's Λ_i, checked against a "
                                    "dense oracle",
-    ("TransportPlan", "marginal_residual"): "ROADMAP item 8's LP record",
-    ("TransportPlan", "maybe_degenerate"): "ROADMAP item 8's LP record",
+    ("TransportPlan", "marginal_residual"): "ROADMAP item 10's LP record",
+    ("TransportPlan", "maybe_degenerate"): "ROADMAP item 10's LP record",
     ("AffineBarycenterResult", "transport"): "the family's optimal map",
     ("BlowupReport", "radii_used"): "the data the slope is fitted to",
     ("BlowupReport", "annulus_means"): "the data the slope is fitted to",
@@ -590,6 +590,17 @@ def _invalid_input_cases():
         "compute-m-mixed-dims": lambda: wbary.compute_m(
             [mu, DiscreteMeasure([[0.0, 1.0]], [1.0])], [0.5, 0.5], 3),
         "affine-nan": lambda: AffineMap([[nan]], [0]),
+        "pbary-one-axis": lambda: pbary_points([1.0, 2.0], [0.5, 0.5], 3),
+        "affine-apply-nan": lambda: AffineMap([[1]], [0]).apply([[nan]]),
+        "affine-apply-dim": lambda: AffineMap(np.eye(2), [0, 0]).apply(
+            [[1, 2, 3]]),
+        "b-inverse-0d-in-2d": lambda: b_inverse(dirac2, 0.3),
+        "constant-maps-dim": lambda: wbary.general_lq_bound(
+            f2, wbary.constant_maps([[2.0]]), [0.5, 0.5], 3, 2),
+        "integrability-nan-norm": lambda: wbary.integrability_bound(
+            nan, 2, 3, 0.5, 1, D=1.0),
+        "integrability-nan-constant": lambda: wbary.integrability_bound(
+            1, 2, 3, 0.5, 1, D=1.0, constant=nan),
     }
 
 
@@ -600,6 +611,63 @@ def test_invalid_inputs_raise_a_package_error(case):
     error."""
     with pytest.raises(wbary.WbaryError):
         _invalid_input_cases()[case]()
+
+
+def _point_functions(d):
+    """Every function that evaluates at a batch of points in R^d: name ->
+    (f, per-point output shape), None for a report over the whole batch."""
+    rng = np.random.default_rng(d)
+    anchors = [[1.0], [2.0]] if d == 1 else [[0.8, 0.1], [-0.7, -0.25]]
+    cfg3 = DiracConfiguration(anchors, [0.4, 0.3, 0.3], 3.0)
+    cfg15 = DiracConfiguration(anchors, [0.4, 0.3, 0.3], 1.5)
+    density = GridDensity([[-1.0, 1.0]] * d, rng.uniform(size=(4,) * d))
+    T = AffineMap(rng.normal(size=(d, d)), rng.normal(size=d))
+    sample, phi = rng.normal(size=(20, d)), rng.normal(size=20)
+    return {
+        "gbar": (lambda z: wbary.gbar(cfg3, z), (d,)),
+        "b_forward": (lambda z: wbary.b_forward(cfg3, z), (d,)),
+        "b_inverse": (lambda z: b_inverse(cfg3, z), (d,)),
+        "grad_b_inverse": (lambda z: wbary.grad_b_inverse(cfg3, z), (d, d)),
+        "grad_b_inverse_eigs": (
+            lambda z: wbary.grad_b_inverse_eigs(cfg3, z), (d,)),
+        "jacobian_det": (lambda z: wbary.jacobian_det(cfg3, z), ()),
+        "check_bounds_p_ge2": (lambda z: check_bounds_p_ge2(cfg3, z), None),
+        "check_bounds_p_lt2": (
+            lambda z: wbary.check_bounds_p_lt2(cfg15, z), None),
+        "GridDensity.evaluate": (density.evaluate, ()),
+        "AffineMap.apply": (T.apply, (d,)),
+        "p_transform": (lambda z: wbary.p_transform(
+            sample, phi, 3.0, eval_points=z).values, ()),
+    }
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("name", sorted(_point_functions(1)))
+def test_point_batches_follow_one_shape_rule(name, d):
+    """(d,), (n, d) and (a, b, d) points, and a 0-D point in d = 1, give
+    the (n, d) call's rows with shape lead + per-point shape.  A last axis
+    other than d raises ValidationError before any reshape (in d = 1 a
+    (1, 2) array is not two points), and so does a NaN entry."""
+    f, shape = _point_functions(d)[name]
+    zs = np.random.default_rng(7).uniform(-0.5, 0.5, (6, d))
+    ref = f(zs)
+    singles = [zs[0], zs[0, 0]] if d == 1 else [zs[0]]
+    if shape is None:
+        assert f(zs.reshape(2, 3, d)) == ref
+        assert all(f(z) == f(zs[:1]) for z in singles)
+    else:
+        assert ref.shape == (6,) + shape
+        np.testing.assert_array_equal(f(zs.reshape(2, 3, d)),
+                                      ref.reshape((2, 3) + shape))
+        for z in singles:
+            assert np.shape(f(z)) == shape
+            np.testing.assert_allclose(f(z), ref[0], rtol=1e-13, atol=1e-15)
+    nan_entry = zs.copy()
+    nan_entry[2, -1] = np.nan
+    for z in (zs[:2].T if d == 1 else zs[:, :1], np.hstack([zs, zs]),
+              nan_entry):
+        with pytest.raises(ValidationError):
+            f(z)
 
 
 @settings(max_examples=40, deadline=None)
