@@ -29,7 +29,9 @@ from . import __version__
 from .core import _check_exponent, _check_q, _check_tol
 from .errors import WbaryError
 
-# Each runner imports the layers it uses, so a kind loads only those.
+# Each runner imports the layers it uses, so a kind loads only those.  It
+# writes its tables into the output directory and returns the summary;
+# _finish writes summary.json, and main exits 3 unless its "ok" holds.
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -47,7 +49,8 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _finish(outdir: Path, kind: str, params: dict) -> None:
+def _finish(outdir: Path, kind: str, params: dict, summary: dict) -> None:
+    _write_json(outdir / "summary.json", summary)
     files = sorted(
         f.name for f in outdir.iterdir()
         if f.is_file() and f.name != "manifest.json"
@@ -65,7 +68,7 @@ def _finish(outdir: Path, kind: str, params: dict) -> None:
     })
 
 
-def _run_point_bary(args, outdir: Path) -> int:
+def _run_point_bary(args, outdir: Path) -> dict:
     from .core import _solve_configs
 
     rng = np.random.default_rng(args.seed)
@@ -83,17 +86,16 @@ def _run_point_bary(args, outdir: Path) -> int:
     _write_csv(outdir / "solutions.csv",
                ["index"] + [f"z{a}" for a in range(d)]
                + ["residual", "iterations", "n_coincident"], rows)
-    _write_json(outdir / "summary.json", {
+    return {
         "ok": True,
         "p": args.p,
         "n_configs": n,
         "worst_residual": worst,
         "weights": [float(x) for x in w],
-    })
-    return 0
+    }
 
 
-def _run_semidiscrete(args, outdir: Path) -> int:
+def _run_semidiscrete(args, outdir: Path) -> dict:
     from ._fixtures import _blowup_fixture
     from .semidiscrete import (
         blowup_exponent,
@@ -118,11 +120,10 @@ def _run_semidiscrete(args, outdir: Path) -> int:
         rep = blowup_exponent(cfg, f1, center, radii)
         payload["blowup_slope"] = rep.slope
         payload["blowup_q0"] = rep.q0
-    _write_json(outdir / "summary.json", payload)
-    return 0 if payload["ok"] else 3
+    return payload
 
 
-def _run_mmot(args, outdir: Path) -> int:
+def _run_mmot(args, outdir: Path) -> dict:
     from .mmot import DiscreteMeasure, check_cp_monotone, verify_c2m_equivalence
 
     rng = np.random.default_rng(args.seed)
@@ -150,7 +151,7 @@ def _run_mmot(args, outdir: Path) -> int:
                [(float(a[0]), float(a[1]), float(m))
                 for a, m in zip(nu.atoms, nu.masses)])
     ok = bool(eq.ok and mono.ok and plan.support_within_basis)
-    _write_json(outdir / "summary.json", {
+    return {
         "ok": ok,
         "p": args.p,
         "seed": args.seed,
@@ -164,11 +165,10 @@ def _run_mmot(args, outdir: Path) -> int:
         "lp_rounds": plan.lp_rounds,
         "lp_columns": plan.lp_columns,
         "lp_iterations": plan.lp_iterations,
-    })
-    return 0 if ok else 3
+    }
 
 
-def _run_bounds(args, outdir: Path) -> int:
+def _run_bounds(args, outdir: Path) -> dict:
     from ._fixtures import FITTED_DISTANT_CONSTANT, _distant_support_sweep
 
     rows = [tuple(map(float, row)) for row in
@@ -176,16 +176,15 @@ def _run_bounds(args, outdir: Path) -> int:
     ok = all(norm <= bound for _, norm, bound, _ in rows)
     _write_csv(outdir / "sweep.csv",
                ["lam1", "measured", "bound", "separation"], rows)
-    _write_json(outdir / "summary.json", {
+    return {
         "ok": bool(ok),
         "p": 3.0,
         "q": args.q,
         "constant": FITTED_DISTANT_CONSTANT,
-    })
-    return 0 if ok else 3
+    }
 
 
-def _run_affine(args, outdir: Path) -> int:
+def _run_affine(args, outdir: Path) -> dict:
     from ._fixtures import _spectrum_fixture
     from .affine import spectrum_optimality
 
@@ -202,14 +201,13 @@ def _run_affine(args, outdir: Path) -> int:
                          v.reason or ""))
     _write_csv(outdir / "spectrum_fixture.csv",
                ["matrix", "dim", "optimal", "zeta", "reason"], rows)
-    _write_json(outdir / "summary.json", {
+    return {
         "ok": bool(ok),
         "n_matrices": len(rows),
-    })
-    return 0 if ok else 3
+    }
 
 
-def _run_counterexample(args, outdir: Path) -> int:
+def _run_counterexample(args, outdir: Path) -> dict:
     """Exhibit: the r^(2-p) lower envelope fails near the fixed point.
 
     For p < 2 the gradient eigenvalue gap decays like |Gbar(z)|^beta, i.e.
@@ -239,14 +237,13 @@ def _run_counterexample(args, outdir: Path) -> int:
     _write_csv(outdir / "exhibit.csv",
                ["radius", "eig_gap", "claimed_lower",
                 "local_factor_lower", "local_band_holds"], rows)
-    _write_json(outdir / "summary.json", {
+    return {
         "ok": True,
         "p": p,
         "fixed_point": float(zfix),
         "claimed_lower_bound_violated": bool(violated),
         "local_band_holds": all(bool(r[4]) for r in rows),
-    })
-    return 0
+    }
 
 
 _RUNNERS = {
@@ -323,12 +320,12 @@ def main(argv=None) -> int:
         "tol": args.tol, "seed": args.seed,
     }
     try:
-        code = _RUNNERS[args.kind](args, outdir)
+        summary = _RUNNERS[args.kind](args, outdir)
     except WbaryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _finish(outdir, args.kind, params)
-    return code
+    _finish(outdir, args.kind, params, summary)
+    return 0 if summary["ok"] else 3
 
 
 if __name__ == "__main__":

@@ -85,19 +85,18 @@ def _check_tol(tol) -> float:
 def _array(x, name, ndim) -> np.ndarray:
     """x as a read-only float copy: the one rule for every validated array.
 
-    ndim=1 flattens x, and ndim=2 lifts 0-D and 1-D x to one row, as
-    np.atleast_2d does; any other ndim is the exact number of axes, and None
-    accepts any.  Raises ValidationError when x is not numeric, is empty,
-    has a non-finite entry or has another number of axes.
+    ndim is the exact number of axes, and None accepts any; ndim=1 lifts a
+    0-D x to one entry, and ndim=2 lifts 0-D and 1-D x to one row, as
+    np.atleast_2d does.  Raises ValidationError when x is not numeric, is
+    empty, has a non-finite entry or has another number of axes.
     """
     try:
-        a = np.array(x, dtype=float, ndmin=2 if ndim == 2 else 0)
+        a = np.array(x, dtype=float, ndmin=ndim if ndim in (1, 2) else 0)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{name}: not a numeric array ({exc})") from None
-    if ndim == 1:
-        a = a.ravel()
     if ndim is not None and a.ndim != ndim:
-        raise ValidationError(f"{name}: {ndim} axes expected, got shape {a.shape}")
+        axes = "axis" if ndim == 1 else "axes"
+        raise ValidationError(f"{name}: {ndim} {axes} expected, got shape {a.shape}")
     if a.size == 0:
         raise ValidationError(f"{name}: empty array")
     if not np.isfinite(a).all():
@@ -300,16 +299,17 @@ def _eval_batch(pts, w, p, z, hessian=True):
     return obj, F, H
 
 
-def _anchored_candidates(pts, w, p, rvec, r, F):
+def _anchored_candidates(pts, w, p, rvec, F):
     """Fixed-point candidates anchored at each atom (p < 2 only).
 
-    rvec, r : offsets x_i - z and their lengths at the current iterate z.
-    R_j is the Euler-Lagrange field with the j-th term removed, evaluated at
-    z; the returned candidate solves the anchored equation exactly when R_j
-    is frozen.
+    rvec : offsets x_i - z at the current iterate z, with radial factors
+    from _radial; a term at r = 0 has rvec = 0 and drops out.  R_j is the
+    Euler-Lagrange field with the j-th term removed, evaluated at z; the
+    returned candidate solves the anchored equation exactly when R_j is
+    frozen, and is x_j itself when R_j vanishes.
     """
-    r = np.maximum(r, 1e-300)
-    term = w[..., None] * r[..., None] ** (p - 2.0) * rvec
+    fac = _radial(rvec, p)[1]
+    term = (w * fac)[..., None] * rvec
     R = F[:, None, :] - term
     Rn = np.maximum(np.linalg.norm(R, axis=2), 1e-300)
     rstar = (Rn / w) ** (1.0 / (p - 1.0))
@@ -361,12 +361,13 @@ def _solve_batch(pts, w, p, tol):
     tries the candidates anchored at each atom (see _anchored_candidates),
     but only for entries that can use them: an atom lies within
     _ANCHOR_REACH Newton-step lengths of the new iterate, or the residual
-    fell by less than the factor _ANCHOR_DROP in that iteration.  Every
+    fell by less than the factor _ANCHOR_DROP in that iteration.  A
+    candidate is also the only way an entry lands exactly on an atom.  Every
     decision is made per entry, so an entry's result does not depend on
     the rest of the batch.
     """
     tol = _check_tol(tol)
-    B, N, d = pts.shape
+    B, N = pts.shape[:2]
     diam = _diameters(pts)
     scale = w.max(axis=1) * np.maximum(diam, 1e-300) ** (p - 1.0)
     tol_abs = tol * scale
@@ -391,13 +392,7 @@ def _solve_batch(pts, w, p, tol):
     res = _length(F)
     active = ~trivial & (res > tol_abs) & (not closed_form)
     iters = np.zeros(B, int)
-    # The residual at each atom, where _eval_batch takes the atom's own
-    # term at its limit 0, does not depend on z.
     anchored = p < 2.0 and not closed_form
-    if anchored:
-        F_atoms = _eval_batch(np.repeat(pts, N, 0), np.repeat(w, N, 0), p,
-                              pts.reshape(B * N, d), hessian=False)[1]
-        r_atoms = _length(F_atoms).reshape(B, N)
 
     for _ in range(MAX_ITER):
         if not active.any():
@@ -471,7 +466,7 @@ def _solve_batch(pts, w, p, tol):
             cand = idx[gate]
             if cand.size:
                 zc = _anchored_candidates(pts[cand], w[cand], p, rvec[gate],
-                                          r[gate], F[cand])
+                                          F[cand])
                 nb, nN = zc.shape[:2]
                 zf = zc.reshape(nb * nN, -1)
                 of, Ff, Hf = _eval_batch(np.repeat(pts[cand], nN, axis=0),
@@ -488,18 +483,6 @@ def _solve_batch(pts, w, p, tol):
                     z[gsel] = zf[sel]
                     obj[gsel], F[gsel], H[gsel] = of[sel], Ff[sel], Hf[sel]
                     res[gsel] = rf[rows, best[rows]]
-            # The minimizer can sit exactly on an atom (the rest field
-            # vanishes there).  The residual extends continuously to the
-            # atoms, so accept an exact atom position when it already meets
-            # the tolerance.
-            r_at = r_atoms[idx]
-            jbest = r_at.argmin(axis=1)
-            hit = r_at[np.arange(len(idx)), jbest] <= tol_abs[idx]
-            if hit.any():
-                rows = np.where(hit)[0]
-                gsel = idx[rows]
-                z[gsel] = pts[gsel, jbest[rows]]
-                res[gsel] = r_at[rows, jbest[rows]]
         active[idx] = res[idx] > tol_abs[idx]
 
     z[trivial] = pts[trivial, 0]
@@ -551,8 +534,8 @@ def _radial(rvec, p):
 
     At r_i = 0, u_i = 0 and fac_i takes the limit of the power: 0 for p > 2,
     1 at p = 2 and, for p < 2, the finite stand-in 1e300.  The curvature
-    blocks of curvature_kernel and the Newton matrix of _eval_batch both
-    come from these.
+    blocks of curvature_kernel, the Newton matrix of _eval_batch and the
+    anchored candidates of _solve_batch all come from these.
     """
     r = _length(rvec)
     rpos = np.maximum(r, 1e-300)

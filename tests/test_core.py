@@ -601,6 +601,14 @@ def _invalid_input_cases():
             nan, 2, 3, 0.5, 1, D=1.0),
         "integrability-nan-constant": lambda: wbary.integrability_bound(
             1, 2, 3, 0.5, 1, D=1.0, constant=nan),
+        "curvature-column-z": lambda: curvature_blocks(
+            plane, z=[[0.3], [0.3]]),
+        "ball-column-center": lambda: wbary.uniform_ball(
+            [[0.0], [0.0]], 0.5, resolution=8),
+        "bump-column-center": lambda: wbary.radial_bump(
+            [[0.0], [0.0]], 0.5, resolution=8),
+        "blowup-column-center": lambda: wbary.blowup_exponent(
+            dirac2, f2, [[0.05], [0.05]], np.geomspace(1e-6, 1e-4, 8)),
     }
 
 
@@ -715,8 +723,8 @@ def test_batched_solutions_equal_single_solves(p):
     iteration count and coincident set of pbary_solve on each entry, for
     N in {2, 3, 4} and d in {1, 2, 3}; the batch holds rows of random
     weights and one row of equal points.  The anchored-candidate gate and
-    the exact-atom test decide per entry, so the rest of the batch cannot
-    change an entry's bits."""
+    the choice among the candidates decide per entry, so the rest of the
+    batch cannot change an entry's bits."""
     for n, d in ((4, 2), (2, 1), (3, 1), (2, 3), (3, 3)):
         for seed in range(3):
             rng = np.random.default_rng(seed)
@@ -760,9 +768,10 @@ def test_newton_matrix_is_the_sum_of_the_curvature_blocks(p, d):
 @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_atom_residuals_equal_el_residual(p, d):
-    """The EL field at the atoms, as _solve_batch forms it from one
-    _eval_batch call over every (entry, atom) pair, equals el_residual at
-    each atom to 1e-13 relative; one row holds a duplicated atom."""
+    """The EL field that _eval_batch gives at z exactly on an atom, as an
+    anchored candidate can place it, equals el_residual there to 1e-13
+    relative, for every (entry, atom) pair in one call; one row holds a
+    duplicated atom."""
     rng = np.random.default_rng([13, d, int(10 * p)])
     B, N = 16, 4
     pts = rng.normal(size=(B, N, d))
@@ -793,6 +802,30 @@ def test_minimizers_next_to_an_atom_are_reached():
     gap = np.linalg.norm(z - pts[:, 0], axis=1)
     assert gap[0] <= 2e-15
     assert gap[1] <= 2e-16
+
+
+@pytest.mark.parametrize("s", [1.0, 1e3])
+@pytest.mark.parametrize("p", [1.05, 1.2, 1.5, 1.8])
+def test_minimizers_on_an_atom_are_reached(p, s):
+    """With atoms (-s, 0, 2s) and weights proportional to (2^(p-1), 1, 1)
+    the rest field vanishes at the middle atom, which is then the minimizer
+    exactly; the same holds on a line in R^2.  The solve must meet the
+    residual tolerance at z, end within the distance from the atom that
+    tolerance allows, |z - x_j| <= (tol max(w)/w_j)^(1/(p-1)) diam, and take
+    at most 8 iterations."""
+    tol = 1e-12
+    w = np.array([2.0 ** (p - 1.0), 1.0, 1.0])
+    w /= w.sum()
+    line = np.array([[-1.0], [0.0], [2.0]]) * s
+    for pts in (line, line * [[0.6, 0.8]]):
+        cfg = WeightedPointConfig(pts, w, p)
+        sol = pbary_solve(cfg, tol=tol)
+        tol_abs = tol * w.max() * cfg.diameter ** (p - 1.0)
+        key = (pts.shape, p, s)
+        assert np.linalg.norm(el_residual(pts, w, p, sol.z)) <= tol_abs, key
+        reach = (tol * w.max() / w[1]) ** (1.0 / (p - 1.0)) * cfg.diameter
+        assert np.linalg.norm(sol.z - pts[1]) <= reach, key
+        assert sol.iterations <= 8, key
 
 
 def test_random_batches_solve_without_error():
