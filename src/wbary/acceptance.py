@@ -42,7 +42,8 @@ from ._fixtures import (
     _planar_config,
     _spectrum_fixture,
 )
-from .core import WeightedPointConfig, _diameters, dbary_dxi, pbary_points
+from .core import (WeightedPointConfig, _diameters, _length, dbary_dxi,
+                   pbary_points)
 from .grid import uniform_box
 from .mmot import (
     DiscreteMeasure,
@@ -303,7 +304,7 @@ def gradient_finite_difference_battery(fast: bool = False) -> CheckResult:
         w = rng.uniform(0.2, 1.0, 3)
         w = w / w.sum()
         z = pbary_points(pts, w, p, tol=1e-13)
-        r = np.linalg.norm(pts - z[:, None, :], axis=2)
+        r = _length(pts - z[:, None, :])
         diam = _diameters(pts)
         keep = (r.min(axis=1) > 1e-3 * diam) & (diam > 0)
         ks = np.flatnonzero(keep)[: n - n_done]
@@ -340,7 +341,7 @@ def gradient_finite_difference_battery(fast: bool = False) -> CheckResult:
     for cfg in cfgs:
         zs = rng.uniform(-2.0, 2.0, (3 * per_cfg, 2))
         sing = np.vstack([cfg.fixed_point[None, :], cfg.anchors])
-        dist = np.linalg.norm(zs[:, None, :] - sing[None], axis=2).min(axis=1)
+        dist = _length(zs[:, None, :] - sing[None]).min(axis=1)
         zs = zs[dist > 0.05][:per_cfg]
         G = grad_b_inverse(cfg, zs)
         fd = np.empty_like(G)
@@ -384,8 +385,7 @@ def unit_lower_bound_p_ge2(fast: bool = False) -> CheckResult:
             lo = cfg.anchors.min() - 1.5
             hi = cfg.anchors.max() + 1.5
             zs = rng.uniform(lo, hi, (2 * n, d))
-            dist = np.linalg.norm(zs - cfg.fixed_point[None, :], axis=1)
-            zs = zs[dist > 1e-8][: n // 2]
+            zs = zs[_length(zs - cfg.fixed_point) > 1e-8][: n // 2]
             rep = check_bounds_p_ge2(cfg, zs)
             margin = min(margin, rep.lower_unit_margin)
         worst[p] = margin

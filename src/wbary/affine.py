@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _array, _check_exponent, _check_family, _points, pbary_points
+from .core import (_array, _check_exponent, _check_family, _length, _points,
+                   pbary_points)
 from .errors import StructureError, ValidationError
 from .mmot import DiscreteMeasure, barycenter_measure, solve_mmot, wp_distance
 
@@ -214,9 +215,7 @@ def verify_affine_vs_mmot(mu: DiscreteMeasure, maps, weights,
     nu_hat = barycenter_measure(plan)
     gap = wp_distance(nu_aff, nu_hat, p)
     if mu.n_atoms > 1:
-        diff = np.linalg.norm(
-            mu.atoms[:, None, :] - mu.atoms[None, :, :], axis=2
-        )
+        diff = _length(mu.atoms[:, None, :] - mu.atoms[None, :, :])
         np.fill_diagonal(diff, np.inf)
         pitch = float(diff.min(axis=1).max())
     else:
@@ -269,8 +268,7 @@ def p_transform(points, values, p, eval_points=None) -> PTransformResult:
     hit = np.zeros(ys.shape[0], dtype=bool)
     for s in range(0, ys.shape[0], _CHUNK):
         block = ys[s:s + _CHUNK]
-        dist = np.linalg.norm(block[:, None, :] - pts[None, :, :], axis=2)
-        obj = dist ** p / p - vals[None, :]
+        obj = _length(block[:, None] - pts[None]) ** p / p - vals[None, :]
         arg = np.argmin(obj, axis=1)
         out[s:s + _CHUNK] = obj[np.arange(block.shape[0]), arg]
         hit[s:s + _CHUNK] = near_face[arg]
@@ -324,7 +322,7 @@ def p_concavity_check(points, values, p) -> ConcavityReport:
                               "in the middle half of the sample box")
     dev = float(np.abs(t2.values[interior_mask] - vals[interior_mask]).max())
     h = _grid_spacing(pts)
-    diam = float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+    diam = float(_length(pts.max(axis=0) - pts.min(axis=0)))
     grad = np.abs(np.diff(vals)).max() / h if pts.shape[1] == 1 else max(
         1.0, np.abs(vals).max()
     )

@@ -28,6 +28,7 @@ from .core import (
     _check_q,
     _check_weights,
     _diameters,
+    _length,
     _points,
     alpha_exponent,
     coincident_mask,
@@ -62,9 +63,7 @@ def compute_D(measures, weights, p) -> float:
     zr = pbary_points(reduced, w[1:] / w[1:].sum(), p)
     # C order of the multi-index: row k * len(reduced) + b is (x_1k, reduced[b]).
     zf = pbary_points(support_product(atoms), w, p)
-    dist = np.linalg.norm(
-        zf.reshape(len(atoms[0]), reduced.shape[0], -1) - zr[None, :, :], axis=2
-    )
+    dist = _length(zf.reshape(len(atoms[0]), reduced.shape[0], -1) - zr[None])
     return float(dist.min())
 
 
@@ -76,8 +75,7 @@ def compute_m(measures, weights, p) -> float:
     w, p, _ = _check_family(measures, weights, p)
     pts = support_product([mu.atoms for mu in measures])
     z = pbary_points(pts, w, p)
-    dist = np.linalg.norm(pts - z[:, None, :], axis=2)
-    return float(dist.min())
+    return float(_length(pts - z[:, None, :]).min())
 
 
 # ---------------------------------------------------------------------------
@@ -271,12 +269,10 @@ def local_injectivity_check(points, weights, p) -> InjectivityReport:
     diam = _diameters(pts)
     z, in_S, max_norm, min_lam = _tuple_classes(pts, w, p, diam)
     same_class = (in_S[:, None, :] == in_S[None, :, :]).all(axis=2)
-    z_dist = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=2)
+    z_dist = _length(z[:, None, :] - z[None, :, :])
 
     # Pairwise product-space distances between support tuples.
-    pd_full = np.sqrt(
-        ((pts[:, None, :, :] - pts[None, :, :, :]) ** 2).sum(axis=(2, 3))
-    )
+    pd_full = _length((pts[:, None] - pts[None]).reshape(n, n, -1))
     scale = max(float(diam.max()), 1e-300)
     r_init = 1.01 * float(pd_full.max()) if n > 1 else 1.0
 
@@ -297,8 +293,8 @@ def local_injectivity_check(points, weights, p) -> InjectivityReport:
         mates = np.flatnonzero(same_class[k])
         y = pts[mates][:, free, :]
         # margin[a, b] = |bary(y_a) - bary(y_b)| - kappa |y_a - y_b|_free
-        margin = z_dist[np.ix_(mates, mates)] - kappa * np.sqrt(
-            ((y[:, None] - y[None, :]) ** 2).sum(axis=(2, 3))
+        margin = z_dist[np.ix_(mates, mates)] - kappa * _length(
+            (y[:, None] - y[None]).reshape(mates.size, mates.size, -1)
         ) + 1e-12 * scale
         pairs = np.triu(np.ones(margin.shape, bool), 1)
         r = r_init

@@ -227,7 +227,10 @@ def el_residual(points, weights, p, z) -> np.ndarray:
 
 
 def _length(x):
-    """Euclidean length over the last axis."""
+    """Euclidean length over the last axis: the one kernel for every length
+    and distance in wbary (a product-space distance is the length of the
+    flattened N * d axis).  np.linalg.norm stays only in the oracle
+    el_residual and in the finite-difference battery's two error norms."""
     return np.sqrt(np.einsum("...i,...i->...", x, x))
 
 
@@ -311,7 +314,7 @@ def _anchored_candidates(pts, w, p, rvec, F):
     fac = _radial(rvec, p)[1]
     term = (w * fac)[..., None] * rvec
     R = F[:, None, :] - term
-    Rn = np.maximum(np.linalg.norm(R, axis=2), 1e-300)
+    Rn = np.maximum(_length(R), 1e-300)
     rstar = (Rn / w) ** (1.0 / (p - 1.0))
     return pts + rstar[..., None] * R / Rn[..., None]
 
@@ -408,7 +411,7 @@ def _solve_batch(pts, w, p, tol):
         if grad_dir.any():
             # Fall back to a gradient step scaled to the configuration size.
             g = Fa[grad_dir]
-            gn = np.linalg.norm(g, axis=1, keepdims=True)
+            gn = _length(g)[:, None]
             step[grad_dir] = g / np.maximum(gn, 1e-300) * diam[idx[grad_dir], None]
             descent[grad_dir] = (Fa[grad_dir] * step[grad_dir]).sum(axis=1)
 
@@ -503,7 +506,7 @@ def _solve_configs(pts, w, p, tol) -> list:
     """One BarycenterSolution per entry of a batch of validated
     configurations: pts (B, N, d), w (B, N), p already checked."""
     z, iters, res = _solve_batch(pts, w, p, tol)
-    r = np.linalg.norm(pts - z[:, None, :], axis=2)
+    r = _length(pts - z[:, None, :])
     coincident = coincident_mask(r, _diameters(pts))
     return [
         BarycenterSolution(

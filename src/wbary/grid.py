@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _array, _points
+from .core import _array, _length, _points
 from .errors import ValidationError
 
 
@@ -144,7 +144,7 @@ def uniform_ball(center, radius, resolution=64) -> GridDensity:
     box = np.stack([center - pad, center + pad], axis=1)
     dens = _from_indicator(
         box, resolution, d,
-        lambda pts: np.linalg.norm(pts - center[None, :], axis=1) <= radius,
+        lambda pts: _length(pts - center[None, :]) <= radius,
     )
     return dens.normalized()
 
@@ -173,7 +173,7 @@ def radial_bump(center, radius, resolution=64) -> GridDensity:
     res = _res_tuple(resolution, d)
     dens = GridDensity(box, np.zeros(res))
     pts = dens.centers()
-    r = np.linalg.norm(pts - center[None, :], axis=1) / radius
+    r = _length(pts - center[None, :]) / radius
     v = np.where(r <= 1.0, (1.0 - r ** 2) ** 2, 0.0)
     return GridDensity(box, v.reshape(res)).normalized()
 

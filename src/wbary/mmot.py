@@ -58,7 +58,7 @@ import numpy as np
 
 from . import core
 from .core import (_array, _check_exponent, _check_family, _check_weights,
-                   pbary_points, support_product)
+                   _length, pbary_points, support_product)
 from .errors import ConvergenceError, ValidationError
 
 _MASS_TOL = 1e-12
@@ -122,7 +122,7 @@ class DiscreteMeasure:
 def _span_tol(atoms: np.ndarray, rel: float) -> float:
     """rel * max(1, |span|), span the bounding-box diagonal of the atoms."""
     span = atoms.max(axis=0) - atoms.min(axis=0)
-    return rel * max(1.0, float(np.linalg.norm(span)))
+    return rel * max(1.0, float(_length(span)))
 
 
 def _merge_close(atoms, masses, tol):
@@ -140,9 +140,12 @@ def _merge_close(atoms, masses, tol):
         order = np.lexsort(atoms.T[::-1])
         atoms, masses = atoms[order], masses[order]
         labels = np.argsort(order)[labels]
-        K = atoms.shape[0]
         # Sweep over the first coordinate: atom i can only be close to the
-        # atoms after it up to hi[i] in the sorted order.
+        # atoms after it up to hi[i] in the sorted order, so to none when
+        # every gap in the first coordinate exceeds tol.
+        if (np.diff(atoms[:, 0]) > tol).all():
+            return atoms, masses, labels
+        K = atoms.shape[0]
         hi = np.searchsorted(atoms[:, 0], atoms[:, 0] + tol, side="right")
         n_next = hi - np.arange(K) - 1
         i = np.repeat(np.arange(K), n_next)
@@ -199,15 +202,14 @@ def _tuple_costs(pts, w, p):
     """
     z = pbary_points(pts, w, p)
     if pts.shape[1] == 2:
-        dist = np.linalg.norm(pts[:, 0] - pts[:, 1], axis=1)
+        dist = _length(pts[:, 0] - pts[:, 1])
         return z, _pair_weight(w[0], w[1], p) * dist ** p
-    return z, (w * np.linalg.norm(pts - z[:, None, :], axis=2) ** p).sum(axis=1)
+    return z, (w * _length(pts - z[:, None, :]) ** p).sum(axis=1)
 
 
 def _pair_cost(mu, nu, p):
     """Pair cost matrix |x_j - y_k|^p between the atoms of mu and nu."""
-    return np.linalg.norm(mu.atoms[:, None, :] - nu.atoms[None, :, :],
-                          axis=2) ** p
+    return _length(mu.atoms[:, None, :] - nu.atoms[None, :, :]) ** p
 
 
 def cost_tensor(measures, weights, p) -> CostTensor:

@@ -40,6 +40,7 @@ from .core import (
     _check_q,
     _check_weights,
     _diameters,
+    _length,
     curvature_kernel,
     pbary_points,
 )
@@ -161,7 +162,7 @@ def b_inverse(cfg: DiracConfiguration, z) -> np.ndarray:
 
 def _b_inverse_at(cfg: DiracConfiguration, zb, G):
     """b^{-1} at the rows of zb, given G = Gbar(zb)."""
-    Gn = np.linalg.norm(G, axis=1)
+    Gn = _length(G)
     out = np.array(zb, copy=True)
     pos = Gn > 0.0
     lam1 = cfg.lam1
@@ -189,7 +190,7 @@ def _inverse_jacobian(cfg: DiracConfiguration, field, eigs: bool):
     if cfg.p == 2.0:
         out[:] = (1.0 if eigs else eye) / cfg.lam1
         return out
-    Gn = np.linalg.norm(G, axis=1)
+    Gn = _length(G)
     zero = Gn == 0.0
     if cfg.p > 2.0 and zero.any():
         raise SingularPointError(
@@ -297,13 +298,13 @@ def check_bounds_p_ge2(cfg: DiracConfiguration, z) -> EigBoundReportPGe2:
     eigs = _inverse_jacobian(cfg, field, eigs=True)
     emin, emax = eigs.min(axis=1), eigs.max(axis=1)
     lam1, a, p = cfg.lam1, cfg.alpha, cfg.p
-    Gn = np.linalg.norm(G, axis=1)
+    Gn = _length(G)
     ratio = A / (lam1 ** (1.0 - a) * np.maximum(Gn, _GBAR_ZERO) ** a)
 
     low_local = 1.0 + (1.0 - a) * ratio
     up_local = 1.0 + (p - 1.0) * ratio
 
-    r_fix = np.linalg.norm(zb - cfg.fixed_point[None, :], axis=1)
+    r_fix = _length(zb - cfg.fixed_point[None, :])
     M = r_anchor.max(axis=1)
     with np.errstate(divide="ignore"):
         up_explicit = 1.0 + nonsharp_constant(p) * (
@@ -371,13 +372,13 @@ def check_bounds_p_lt2(cfg: DiracConfiguration, z) -> EigBoundReportPLt2:
     p, lam1, beta = cfg.p, cfg.lam1, cfg.beta
     m = r_anchor.min(axis=1)
     M = r_anchor.max(axis=1)
-    r_fix = np.linalg.norm(zb - cfg.fixed_point[None, :], axis=1)
+    r_fix = _length(zb - cfg.fixed_point[None, :])
     wmin = float(cfg.weights[1:].min())
     pref = (1.0 - lam1) ** beta / lam1 ** (1.0 + beta)
     stated_low = (p - 1.0) * wmin * pref * (r_fix / m) ** (2.0 - p)
     stated_up = (1.0 + beta) * pref * (M / m) ** (2.0 - p)
 
-    Gn = np.linalg.norm(G, axis=1)
+    Gn = _length(G)
     loc = At * Gn ** beta / lam1 ** (1.0 + beta)
     local_low = (p - 1.0) * loc
     local_up = (1.0 + beta) * loc
@@ -486,11 +487,10 @@ def pushforward_density(cfg: DiracConfiguration, f1: GridDensity,
     sing = _singular_points(cfg)
 
     def sing_dist(pts):
-        dist = np.linalg.norm(pts[..., None, :] - sing, axis=-1)
-        return dist.min(axis=-1, initial=np.inf)
+        return _length(pts[..., None, :] - sing).min(axis=-1, initial=np.inf)
 
     excl = sing_dist(centers) <= (_SINGULAR_RADIUS_REL * scale
-                                  + 0.5 * np.linalg.norm(h))
+                                  + 0.5 * _length(h))
     values = np.zeros(centers.shape[0])
     regular = ~excl
     if regular.any():
@@ -556,7 +556,7 @@ def _directions(d: int, n: int) -> np.ndarray:
         )
     rng = np.random.default_rng(0)
     v = rng.standard_normal((n, d))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    return v / _length(v)[:, None]
 
 
 @dataclass(frozen=True)

@@ -235,6 +235,32 @@ def test_near_one_exponent_unreachable():
     assert err.value.residual is not None
 
 
+def test_tiny_diameter_far_from_origin_unreachable():
+    """A p = 3 tuple of diameter 1.66e-4 at |z| ~ 1.70 (from perfbench's
+    transport workload, seed 2608) needs z finer than the float spacing.
+
+    Its tolerance tol * max(w) * diam^(p-1) is 9.9e-21, while one ulp of z
+    moves the residual by about 2.9e-20, so the residual changes sign
+    between two neighbouring doubles that both miss the tolerance and the
+    solver raises.  Translated by its first atom, the same tuple converges,
+    to that z after translating back.  A solver that works in a frame
+    translated to the tuple makes the first half of this test fail.
+    """
+    x = np.array([[1.7024872386931444], [1.702378556987509],
+                  [1.7023213132986155]])
+    w = np.array([0.33664894393023204, 0.304237275830876,
+                  0.35911378023889196])
+    with pytest.raises(ConvergenceError) as err:
+        pbary_points(x, w, 3.0)
+    z = float(err.value.best[0, 0])
+    assert z == 1.7024015428074437
+    tol_abs = 1e-12 * w.max() * float(np.ptp(x)) ** 2
+    below = el_residual(x, w, 3.0, [np.nextafter(z, -np.inf)])[0]
+    at = el_residual(x, w, 3.0, [z])[0]
+    assert below > tol_abs and at < -tol_abs
+    assert (pbary_points(x - x[0], w, 3.0) + x[0])[0] == z
+
+
 def test_validation_errors():
     pts = np.array([[0.0], [1.0]])
     with pytest.raises(ValidationError):
@@ -538,6 +564,44 @@ def test_setflags_is_called_only_in_array():
                 if getattr(node, "attr", None) == "setflags"
             ]
     assert calls == [("core.py", "_array")]
+
+
+def test_lengths_go_through_length():
+    """core._length is the one Euclidean length kernel: np.linalg.norm is
+    called only in the reference oracle el_residual and in the
+    finite-difference battery's two error norms, and no square root outside
+    _length is taken of a hand-written sum of squares."""
+    def sum_of_squares(node):
+        return any(
+            (isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+             and getattr(n.right, "value", None) == 2)
+            or (isinstance(n, ast.Call) and ast.unparse(n.func).split(".")[-1]
+                in ("sum", "einsum", "dot", "inner", "vdot"))
+            for n in ast.walk(node)
+        )
+
+    norms, roots = [], []
+    for path in sorted(Path(wbary.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            where = (path.name, getattr(top, "name", "<module>"))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = ast.unparse(node.func)
+                    if func == "norm" or func.endswith(".norm"):
+                        norms.append(where)
+                    elif func.endswith("sqrt") and sum_of_squares(node):
+                        roots.append(where)
+                elif (isinstance(node, ast.BinOp)
+                      and isinstance(node.op, ast.Pow)
+                      and getattr(node.right, "value", None) == 0.5
+                      and sum_of_squares(node.left)):
+                    roots.append(where)
+    assert norms == [
+        ("acceptance.py", "gradient_finite_difference_battery"),
+        ("acceptance.py", "gradient_finite_difference_battery"),
+        ("core.py", "el_residual"),
+    ]
+    assert roots == [("core.py", "_length")]
 
 
 def _invalid_input_cases():
