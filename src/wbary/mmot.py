@@ -140,12 +140,9 @@ def _merge_close(atoms, masses, tol):
         order = np.lexsort(atoms.T[::-1])
         atoms, masses = atoms[order], masses[order]
         labels = np.argsort(order)[labels]
-        # Sweep over the first coordinate: atom i can only be close to the
-        # atoms after it up to hi[i] in the sorted order, so to none when
-        # every gap in the first coordinate exceeds tol.
-        if (np.diff(atoms[:, 0]) > tol).all():
-            return atoms, masses, labels
         K = atoms.shape[0]
+        # Sweep over the first coordinate: atom i can only be close to the
+        # atoms after it up to hi[i] in the sorted order.
         hi = np.searchsorted(atoms[:, 0], atoms[:, 0] + tol, side="right")
         n_next = hi - np.arange(K) - 1
         i = np.repeat(np.arange(K), n_next)

@@ -253,12 +253,14 @@ def test_tiny_diameter_far_from_origin_unreachable():
     with pytest.raises(ConvergenceError) as err:
         pbary_points(x, w, 3.0)
     z = float(err.value.best[0, 0])
-    assert z == 1.7024015428074437
+    # The iterates come from libm powers, so allow one ulp between platforms.
+    assert abs(z - 1.7024015428074437) <= np.spacing(z)
     tol_abs = 1e-12 * w.max() * float(np.ptp(x)) ** 2
     below = el_residual(x, w, 3.0, [np.nextafter(z, -np.inf)])[0]
     at = el_residual(x, w, 3.0, [z])[0]
     assert below > tol_abs and at < -tol_abs
-    assert (pbary_points(x - x[0], w, 3.0) + x[0])[0] == z
+    translated = float((pbary_points(x - x[0], w, 3.0) + x[0])[0])
+    assert abs(translated - z) <= np.spacing(z)
 
 
 def test_validation_errors():
