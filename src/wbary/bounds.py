@@ -240,8 +240,12 @@ class InjectivityReport:
         |bary(y) - bary(yt)| >= kappa * (sum_{i not in S} |y_i - yt_i|^2)^(1/2)
 
     with kappa = (1/2) min Lambda_i / max |H_i| over the non-coincident
-    blocks at the base point.  Bases whose final ball contains fewer than
-    two candidates pass vacuously.
+    blocks at the base point.  Let T be the smallest max(|y - base|,
+    |yt - base|) over the base's violating pairs (inf if none).  Of the
+    radii r_init/2^h, h = 0..40 (the radius halves up to 40 times), the
+    base passes at the first below T, vacuously if fewer than two
+    candidates lie within it, and fails if none is below T.  worst_deficit
+    is the most negative margin of a base that halved.
     """
 
     ok: bool
@@ -259,8 +263,10 @@ def local_injectivity_check(points, weights, p) -> InjectivityReport:
     points : (n, N, d) support tuples of a coupling (for a TransportPlan,
         pass plan.points and plan.weights/plan.p)
 
-    The radius starts at 1.01 times the largest product-space distance
-    between tuples and halves up to 40 times.
+    The radius starts at r_init, 1.01 times the largest product-space
+    distance between tuples, and halves up to 40 times; each base's
+    halvings follow in closed form (see InjectivityReport).  Each
+    coincidence class measures its pair distances once.
     """
     pts = _array(points, "points", 3)
     p = _check_exponent(p)
@@ -268,59 +274,48 @@ def local_injectivity_check(points, weights, p) -> InjectivityReport:
     n = pts.shape[0]
     diam = _diameters(pts)
     z, in_S, max_norm, min_lam = _tuple_classes(pts, w, p, diam)
-    same_class = (in_S[:, None, :] == in_S[None, :, :]).all(axis=2)
     z_dist = _length(z[:, None, :] - z[None, :, :])
 
     # Pairwise product-space distances between support tuples.
     pd_full = _length((pts[:, None] - pts[None]).reshape(n, n, -1))
     scale = max(float(diam.max()), 1e-300)
     r_init = 1.01 * float(pd_full.max()) if n > 1 else 1.0
+    # radii[h]: r_init halved h times, one rounding per halving.
+    radii = np.multiply.accumulate([r_init] + [0.5] * (_MAX_HALVINGS + 1))
 
-    ok = True
-    worst = np.inf
-    used_halvings = 0
-    min_radius = r_init
+    worst = 0.0
+    used = 0
     vacuous = 0
     checked = 0
-    for k in range(n):
-        free = ~in_S[k]
-        if not free.any():
-            continue  # fully coincident tuple: the estimate excludes S = full
-        checked += 1
-        if not np.isfinite(max_norm[k]) or max_norm[k] <= 0.0:
-            continue
-        kappa = 0.5 * min_lam[k] / max_norm[k]
-        mates = np.flatnonzero(same_class[k])
-        y = pts[mates][:, free, :]
-        # margin[a, b] = |bary(y_a) - bary(y_b)| - kappa |y_a - y_b|_free
-        margin = z_dist[np.ix_(mates, mates)] - kappa * _length(
-            (y[:, None] - y[None]).reshape(mates.size, mates.size, -1)
-        ) + 1e-12 * scale
-        pairs = np.triu(np.ones(margin.shape, bool), 1)
-        r = r_init
-        passed = False
-        for halv in range(_MAX_HALVINGS + 1):
-            inside = pd_full[k, mates] <= r
-            if inside.sum() < 2:
+    classes, of_class = np.unique(in_S, axis=0, return_inverse=True)
+    for c, row in enumerate(classes):
+        if row.all():
+            continue  # fully coincident tuples: the estimate excludes S = full
+        mates = np.flatnonzero(of_class == c)
+        checked += mates.size
+        a, b = np.triu_indices(mates.size, 1)
+        y = pts[mates][:, ~row, :]
+        free_dist = _length(
+            (y[:, None] - y[None]).reshape(mates.size, mates.size, -1))[a, b]
+        z_pair = z_dist[mates[a], mates[b]]
+        for k in mates[np.isfinite(max_norm[mates]) & (max_norm[mates] > 0.0)]:
+            kappa = 0.5 * min_lam[k] / max_norm[k]
+            # margin = |bary(y_a) - bary(y_b)| - kappa |y_a - y_b|_free
+            margin = z_pair - kappa * free_dist + 1e-12 * scale
+            to_k = pd_full[k, mates]
+            t = np.maximum(to_k[a], to_k[b])[margin < 0.0].min(initial=np.inf)
+            h = int((radii[:-1] >= t).sum())
+            if h:
+                worst = min(worst, float(margin.min()))
+            if h <= _MAX_HALVINGS and (to_k <= radii[h]).sum() < 2:
                 vacuous += 1
-                passed = True
-                break
-            sel = pairs & inside[:, None] & inside[None, :]
-            deficit = min(0.0, float(margin[sel].min()))
-            if deficit >= 0.0:
-                passed = True
-                break
-            worst = min(worst, deficit)
-            r *= 0.5
-            used_halvings = max(used_halvings, halv + 1)
-        min_radius = min(min_radius, r)
-        ok &= passed
+            used = max(used, h)
     return InjectivityReport(
-        ok=ok,
+        ok=used <= _MAX_HALVINGS,
         n_bases=n,
         n_checked_bases=checked,
         vacuous_bases=vacuous,
-        max_halvings_used=used_halvings,
-        min_radius=min_radius,
-        worst_deficit=float(worst if np.isfinite(worst) else 0.0),
+        max_halvings_used=used,
+        min_radius=float(radii[used]),
+        worst_deficit=worst,
     )

@@ -107,12 +107,9 @@ class GridDensity:
         if not mask.any():
             raise ValidationError("density has empty support")
         h = self.cell_widths
-        lo = np.empty(self.dim)
-        hi = np.empty(self.dim)
         nz = np.argwhere(mask)
-        for a in range(self.dim):
-            lo[a] = self.box[a, 0] + nz[:, a].min() * h[a]
-            hi[a] = self.box[a, 0] + (nz[:, a].max() + 1) * h[a]
+        lo = self.box[:, 0] + nz.min(axis=0) * h
+        hi = self.box[:, 0] + (nz.max(axis=0) + 1) * h
         return np.stack([lo, hi], axis=1)
 
     def write_csv(self, path) -> None:

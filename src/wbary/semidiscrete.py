@@ -306,7 +306,8 @@ def check_bounds_p_ge2(cfg: DiracConfiguration, z) -> EigBoundReportPGe2:
 
     r_fix = _length(zb - cfg.fixed_point[None, :])
     M = r_anchor.max(axis=1)
-    with np.errstate(divide="ignore"):
+    # Next to zbar the bound overflows to +inf, as it is set at r_fix = 0.
+    with np.errstate(over="ignore"):
         up_explicit = 1.0 + nonsharp_constant(p) * (
             (1.0 - lam1) / lam1
         ) ** (1.0 - a) * (M / np.maximum(r_fix, _GBAR_ZERO)) ** (p - 2.0)

@@ -20,7 +20,9 @@ from wbary import (
     uniform_ball,
     uniform_box,
 )
-from wbary.bounds import _cell_coefficients
+from wbary import bounds
+from wbary.bounds import _cell_coefficients, _tuple_classes
+from wbary.core import _diameters, _length
 from wbary.semidiscrete import DiracConfiguration, lq_via_changevar
 
 
@@ -266,21 +268,120 @@ _PINNED_INJECTIVITY = {
 }
 
 
-@pytest.mark.parametrize("p", sorted(_PINNED_INJECTIVITY))
-def test_injectivity_pinned_report(p):
+def _pinned_tuples():
     """Clustered tuples, three tuples whose barycenter is their middle
     point, and one fully coincident tuple (skipped)."""
-    vacuous, halvings, min_radius, worst = _PINNED_INJECTIVITY[p]
     rng = np.random.default_rng(6)
     base = rng.normal(size=(1, 3, 2))
     sym = np.array([[[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]])
-    pts = np.concatenate([
+    return np.concatenate([
         base + 0.1 * rng.normal(size=(20, 3, 2))[10:], sym, 1.0005 * sym,
         sym + [0.0, 2e-4], np.full((1, 3, 2), 0.25),
     ])
-    rep = local_injectivity_check(pts, np.array([0.25, 0.5, 0.25]), p)
+
+
+@pytest.mark.parametrize("p", sorted(_PINNED_INJECTIVITY))
+def test_injectivity_pinned_report(p):
+    vacuous, halvings, min_radius, worst = _PINNED_INJECTIVITY[p]
+    rep = local_injectivity_check(_pinned_tuples(),
+                                  np.array([0.25, 0.5, 0.25]), p)
     assert rep.ok
     assert (rep.n_bases, rep.n_checked_bases) == (14, 13)
     assert (rep.vacuous_bases, rep.max_halvings_used) == (vacuous, halvings)
     assert rep.min_radius == pytest.approx(min_radius, rel=1e-12)
     assert rep.worst_deficit == pytest.approx(worst, rel=1e-9)
+
+
+def _injectivity_by_halving(pts, w, p):
+    """Reference oracle: the radius search that local_injectivity_check
+    replaced by its closed form.  Each base halves its radius, up to
+    bounds._MAX_HALVINGS times, until no violating same-class pair lies in
+    the ball or fewer than two candidates do."""
+    n = pts.shape[0]
+    diam = _diameters(pts)
+    z, in_S, max_norm, min_lam = _tuple_classes(pts, w, p, diam)
+    same_class = (in_S[:, None, :] == in_S[None, :, :]).all(axis=2)
+    z_dist = _length(z[:, None, :] - z[None, :, :])
+    pd_full = _length((pts[:, None] - pts[None]).reshape(n, n, -1))
+    scale = max(float(diam.max()), 1e-300)
+    r_init = 1.01 * float(pd_full.max()) if n > 1 else 1.0
+    ok, worst, used, min_radius, vacuous, checked = True, 0.0, 0, r_init, 0, 0
+    for k in range(n):
+        free = ~in_S[k]
+        if not free.any():
+            continue
+        checked += 1
+        if not np.isfinite(max_norm[k]) or max_norm[k] <= 0.0:
+            continue
+        kappa = 0.5 * min_lam[k] / max_norm[k]
+        mates = np.flatnonzero(same_class[k])
+        y = pts[mates][:, free, :]
+        margin = z_dist[np.ix_(mates, mates)] - kappa * _length(
+            (y[:, None] - y[None]).reshape(mates.size, mates.size, -1)
+        ) + 1e-12 * scale
+        pairs = np.triu(np.ones(margin.shape, bool), 1)
+        r, passed = r_init, False
+        for halv in range(bounds._MAX_HALVINGS + 1):
+            inside = pd_full[k, mates] <= r
+            if inside.sum() < 2:
+                vacuous += 1
+                passed = True
+                break
+            deficit = float(margin[pairs & inside[:, None] & inside].min())
+            if deficit >= 0.0:
+                passed = True
+                break
+            worst = min(worst, deficit)
+            r *= 0.5
+            used = max(used, halv + 1)
+        min_radius = min(min_radius, r)
+        ok &= passed
+    return bounds.InjectivityReport(ok, n, checked, vacuous, used,
+                                    min_radius, worst)
+
+
+def _clustered_families():
+    """(points, weights, p): the pinned tuples and seeded clusters."""
+    yield _pinned_tuples(), np.array([0.25, 0.5, 0.25]), 1.5
+    yield _pinned_tuples(), np.array([0.25, 0.5, 0.25]), 3.0
+    for seed, p in enumerate((1.5, 2.0, 2.5, 4.0)):
+        rng = np.random.default_rng(700 + seed)
+        n, N, d = 6 + 3 * seed, 2 + seed % 2, 1 + seed % 3
+        w = rng.uniform(0.2, 1.0, N)
+        pts = rng.normal(size=(1, N, d)) + 1e-2 * rng.normal(size=(n, N, d))
+        yield pts, w / w.sum(), p
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2, 3, 12, 40])
+def test_injectivity_matches_the_halving_search(cap, monkeypatch):
+    """Every report field equals the radius search's, bit for bit, also
+    with the halvings capped below 40, where some reports fail."""
+    monkeypatch.setattr(bounds, "_MAX_HALVINGS", cap)
+    failed = 0
+    for pts, w, p in _clustered_families():
+        rep = local_injectivity_check(pts, w, p)
+        assert rep == _injectivity_by_halving(pts, w, p)
+        failed += not rep.ok
+    assert (failed > 0) == (cap < 40)
+
+
+def test_injectivity_of_one_tuple_is_vacuous():
+    rep = local_injectivity_check([[[0.0, 0.0], [1.0, 0.5]]], [0.5, 0.5], 3.0)
+    assert rep.ok and rep.vacuous_bases == rep.n_checked_bases == 1
+    assert rep.min_radius == 1.0
+    assert (rep.max_halvings_used, rep.worst_deficit) == (0, 0.0)
+
+
+def test_injectivity_ball_includes_its_boundary():
+    """A violating pair whose farther point lies exactly at the first halved
+    radius from the base is inside that ball, so the base halves once more
+    and passes vacuously."""
+    d, far = 2.0 ** -4, 0.1750264309867692
+    pts = np.array([[[0.0], [1.0]], [[d], [1.0 - d]], [[far], [1.0]]])
+    # pts[1] lies at product distance sqrt(2) d = r_init / 2 from pts[0],
+    # and moves the p = 2 barycenter not at all.
+    assert 1.01 * far == 2.0 * _length((pts[1] - pts[0]).ravel())
+    rep = local_injectivity_check(pts, [0.5, 0.5], 2.0)
+    assert rep == _injectivity_by_halving(pts, np.array([0.5, 0.5]), 2.0)
+    assert (rep.max_halvings_used, rep.vacuous_bases) == (2, 3)
+    assert rep.min_radius == 1.01 * far / 4.0

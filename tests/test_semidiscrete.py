@@ -24,6 +24,7 @@ from wbary import (
     uniform_ball,
     uniform_box,
 )
+from wbary._fixtures import _line_config
 from wbary.semidiscrete import _density_at, _directions
 
 # Largest band constant observed for the reference p=3 configuration,
@@ -206,6 +207,17 @@ def test_bounds_p_ge2_margins_nonnegative(cfg_2d_p3):
     assert rep.lower_local_margin >= -1e-9
     assert rep.upper_local_margin >= -1e-9
     assert rep.upper_explicit_margin >= -1e-9
+
+
+def test_explicit_bound_is_inf_next_to_zbar_at_large_p():
+    """At p = 30, one ulp from zbar = 1.5 (exact by symmetry), the explicit
+    upper bound exceeds the float range.  It reads +inf with no warning;
+    before, the power overflowed with a RuntimeWarning."""
+    cfg = _line_config(30.0)
+    assert cfg.fixed_point.tolist() == [1.5]
+    rep = check_bounds_p_ge2(cfg, [[np.nextafter(1.5, 2.0)]])
+    assert rep.upper_explicit_margin == np.inf
+    assert rep.ok
 
 
 def test_bounds_p2_collapse_to_equality():
