@@ -39,7 +39,6 @@ from .core import (
     _check_exponent,
     _check_q,
     _check_weights,
-    _diameters,
     _length,
     curvature_kernel,
     pbary_points,
@@ -52,9 +51,7 @@ from .errors import (
 from .grid import GridDensity, _res_tuple
 
 _GBAR_ZERO = 1e-300
-# Refinement of the cells next to a singular point (see pushforward_density).
-_SINGULAR_RADIUS_REL = 1e-6
-_SUBSAMPLE = 6
+_GAUSS = 0.5 + np.array([-0.5, 0.5]) / math.sqrt(3.0)
 # Directions per radius and fewest usable radii in blowup_exponent.
 _BLOWUP_DIRECTIONS = 64
 _MIN_USABLE_RADII = 4
@@ -111,24 +108,16 @@ class DiracConfiguration:
         w = self.weights[1:]
         return pbary_points(self.anchors, w / w.sum(), self.p)
 
-    @cached_property
-    def geometry_scale(self) -> float:
-        """Diameter of anchors together with the fixed point (length scale)."""
-        d = float(_diameters(np.vstack([self.anchors, self.fixed_point])))
-        return d if d > 0 else 1.0
-
 
 def _anchor_field(cfg: DiracConfiguration, zb):
     """One curvature_kernel pass over the offsets xh_i - z, batched over zb.
 
     Returns (G, negdG, r, A): Gbar(z), -grad Gbar(z) = sum of the curvature
     blocks, the (B, N-1) anchor distances and A(z) = sum_{i>=2} w_i r_i^(p-2).
-    For p < 2 none of them is defined at an anchor.
+    At an anchor its term of G is 0, the limit; for p < 2 negdG and A blow up.
     """
     rvec = cfg.anchors[None, :, :] - zb[:, None, :]
     H, r, fac = curvature_kernel(rvec, cfg.weights[1:], cfg.p)
-    if cfg.p < 2.0 and np.any(r == 0.0):
-        raise SingularPointError("Gbar undefined at an anchor for p < 2")
     wfac = cfg.weights[1:][None, :] * fac
     G = (wfac[..., None] * rvec).sum(axis=1)
     return G, H.sum(axis=1), r, wfac.sum(axis=1)
@@ -138,7 +127,6 @@ def gbar(cfg: DiracConfiguration, z) -> np.ndarray:
     """Gbar(z) = sum_{i>=2} w_i |xh_i - z|^(p-2) (xh_i - z), vectorized.
 
     The reference oracle the tests check fixed_point and b_inverse against.
-    For p < 2 the summand is undefined at the anchors themselves.
     """
     zb, lead = _points(z, cfg.dim, "z")
     return _anchor_field(cfg, zb)[0].reshape(lead + (cfg.dim,))
@@ -178,23 +166,24 @@ def _inverse_jacobian(cfg: DiracConfiguration, field, eigs: bool):
     grad b^{-1} = Id + c A S with c = w1^(alpha-1), S = -grad Gbar / |Gbar|^alpha
     and A = Id - alpha P, P the projector onto Gbar.  It is similar to the
     symmetric Id + c A^{1/2} S A^{1/2}, A^{1/2} = Id + (sqrt(1-alpha) - 1) P,
-    whose eigvalsh gives the spectrum exactly.  p = 2 gives Id / w1; p < 2 gives
-    Id at zbar; for p > 2, zbar raises SingularPointError, while at an anchor
-    the vanishing block gives the continuous limit.  For p < 2 _anchor_field
-    has already raised at an anchor.
+    whose eigvalsh gives the spectrum exactly.  p = 2 or one anchor gives
+    (w1^(1-alpha) + (1-w1)^(1-alpha)) / w1^(1-alpha) Id.  Else p < 2 gives Id
+    at zbar and raises at an anchor; p > 2 raises at zbar only.
     """
-    G, negdG, _, _ = field
+    G, negdG, r, _ = field
     d = cfg.dim
     eye = np.eye(d)[None]
     out = np.empty((G.shape[0],) + ((d,) if eigs else (d, d)))
-    if cfg.p == 2.0:
-        out[:] = (1.0 if eigs else eye) / cfg.lam1
+    if cfg.p == 2.0 or cfg.anchors.shape[0] == 1:
+        s = cfg.lam1 ** (1.0 - cfg.alpha)
+        t = (1.0 - cfg.lam1) ** (1.0 - cfg.alpha)
+        out[:] = (1.0 if eigs else eye) * ((s + t) / s)
         return out
     Gn = _length(G)
     zero = Gn == 0.0
-    if cfg.p > 2.0 and zero.any():
+    if np.any(zero if cfg.p > 2.0 else r == 0.0):
         raise SingularPointError(
-            "grad b^{-1} is unbounded at the anchor barycenter for p > 2"
+            "grad b^{-1} is unbounded at zbar (p > 2) or at an anchor (p < 2)"
         )
     out[zero] = 1.0 if eigs else eye
     pos = ~zero
@@ -218,8 +207,8 @@ def grad_b_inverse(cfg: DiracConfiguration, z) -> np.ndarray:
     """Jacobian matrix of b^{-1} at z (generally non-symmetric), vectorized.
 
     Excluded points (SingularPointError): zbar for p > 2, where the Jacobian
-    blows up, and the anchors for p < 2.  For p = 2 the Jacobian is
-    (1/w_1) Id everywhere; for p > 2 it is continuous at the anchors, and
+    blows up, and the anchors for p < 2.  For p = 2 or one anchor it is a
+    constant times Id; for p > 2 it is continuous at the anchors, and
     for p < 2 it extends continuously to the identity at zbar.
     """
     zb, lead = _points(z, cfg.dim, "z")
@@ -299,6 +288,8 @@ def check_bounds_p_ge2(cfg: DiracConfiguration, z) -> EigBoundReportPGe2:
     emin, emax = eigs.min(axis=1), eigs.max(axis=1)
     lam1, a, p = cfg.lam1, cfg.alpha, cfg.p
     Gn = _length(G)
+    if p > 2.0 and np.any(Gn == 0.0):
+        raise SingularPointError("0/0 bound ratios at the lone anchor")
     ratio = A / (lam1 ** (1.0 - a) * np.maximum(Gn, _GBAR_ZERO) ** a)
 
     low_local = 1.0 + (1.0 - a) * ratio
@@ -372,6 +363,8 @@ def check_bounds_p_lt2(cfg: DiracConfiguration, z) -> EigBoundReportPLt2:
     emin, emax = eigs.min(axis=1) - 1.0, eigs.max(axis=1) - 1.0
     p, lam1, beta = cfg.p, cfg.lam1, cfg.beta
     m = r_anchor.min(axis=1)
+    if np.any(m == 0.0):
+        raise SingularPointError("0/0 bound ratios at the lone anchor")
     M = r_anchor.max(axis=1)
     r_fix = _length(zb - cfg.fixed_point[None, :])
     wmin = float(cfg.weights[1:].min())
@@ -405,9 +398,10 @@ def check_bounds_p_lt2(cfg: DiracConfiguration, z) -> EigBoundReportPLt2:
 class PushforwardResult:
     """Grid image of the barycenter density g_p = (f_1 o b^{-1}) |det grad b^{-1}|.
 
-    mass_ok is False when the grid mass deviates from 1 by more than 5%,
-    which signals under-resolution (or genuine non-integrability near a
-    singular point).
+    mass_ok is False when the grid mass is off 1 by more than 5%, from the
+    sampled image box or, in d >= 2, cells across f1's support edge.
+    singular_cells counts the cells holding zbar (p > 2) or an anchor
+    (p < 2); for p = 2 or one anchor there is none.
     """
 
     density: GridDensity
@@ -417,11 +411,9 @@ class PushforwardResult:
 
 
 def _singular_points(cfg: DiracConfiguration):
-    if cfg.p > 2.0:
-        return cfg.fixed_point[None, :]
-    if cfg.p < 2.0:
-        return cfg.anchors
-    return np.empty((0, cfg.dim))
+    if cfg.p == 2.0 or cfg.anchors.shape[0] == 1:
+        return np.empty((0, cfg.dim))
+    return cfg.fixed_point[None, :] if cfg.p > 2.0 else cfg.anchors
 
 
 def _image_box(cfg: DiracConfiguration, source_box: np.ndarray) -> np.ndarray:
@@ -462,56 +454,49 @@ def _row_means(vals, keep):
     return np.array([v.mean() if v.size else 0.0 for v in parts])
 
 
+def _cell_values(phi, k):
+    """Over every cell: the multilinear interpolant of the vertex values phi
+    at Gauss node k_a on each axis a, or its derivative where k_a = 2."""
+    for a, ka in enumerate(k):
+        step = np.diff(phi, axis=a)
+        phi = step if ka == 2 else np.delete(phi, -1, a) + _GAUSS[ka] * step
+    return phi
+
+
 def pushforward_density(cfg: DiracConfiguration, f1: GridDensity,
                         resolution=None) -> PushforwardResult:
     """Pushforward of the density f1 under b, on a grid over b(spt f1).
 
     resolution : cells per axis (an int or a tuple), by default f1's.
     The grid box is the bounding box of b on the boundary of f1's support
-    box.  Each target cell gets g_p evaluated at its center through the
-    closed-form inverse.  Cells within 1e-6 * scale (plus half a cell
-    diagonal) of a singular point (zbar for p > 2, anchors for p < 2) are
-    refined on a 6^d subgrid and averaged instead, skipping subsample points
-    that fall within 1e-12 * scale of the singularity; all subsample points
-    of all such cells are evaluated in one batch.
+    box.  Each cell holds the f1-mass of its preimage over its volume: the
+    preimage is the multilinear interpolant Phi of b^{-1} at the cell's
+    corners (exact in 1-D), its mass sum_g 2^-d f1(Phi(g)) det DPhi(g) over
+    the 2-point Gauss nodes g, exact for Phi's volume in d <= 4.  Adjacent
+    cells share corner images, so the preimages tile.
     """
     if f1.dim != cfg.dim:
         raise ValidationError("density dimension does not match configuration")
-    if resolution is None:
-        resolution = f1.resolution
-    target_box = _image_box(cfg, f1.support_box())
-    out = GridDensity(target_box, np.zeros(_res_tuple(resolution, cfg.dim)))
-    centers = out.centers()
-    h = out.cell_widths
-    scale = max(cfg.geometry_scale,
-                float(np.max(target_box[:, 1] - target_box[:, 0])))
-    sing = _singular_points(cfg)
-
-    def sing_dist(pts):
-        return _length(pts[..., None, :] - sing).min(axis=-1, initial=np.inf)
-
-    excl = sing_dist(centers) <= (_SINGULAR_RADIUS_REL * scale
-                                  + 0.5 * _length(h))
-    values = np.zeros(centers.shape[0])
-    regular = ~excl
-    if regular.any():
-        values[regular] = _density_at(cfg, f1, centers[regular])
-    n_sing = int(excl.sum())
-    if n_sing:
-        offs = (np.arange(_SUBSAMPLE) + 0.5) / _SUBSAMPLE
-        mesh = np.meshgrid(*([offs] * cfg.dim), indexing="ij")
-        rel = np.stack([m.ravel() for m in mesh], axis=-1)  # (sub^d, d)
-        lo = centers[excl] - 0.5 * h
-        pts = lo[:, None, :] + (rel * h[None, :])[None]  # (n_sing, sub^d, d)
-        keep = sing_dist(pts) > 1e-12 * scale
-        values[excl] = _row_means(_density_at(cfg, f1, pts[keep]), keep)
-    dens = GridDensity(target_box, values.reshape(out.resolution))
+    d = cfg.dim
+    box = _image_box(cfg, f1.support_box())
+    res = _res_tuple(f1.resolution if resolution is None else resolution, d)
+    h = (box[:, 1] - box[:, 0]) / np.array(res)
+    axes = [np.linspace(lo, hi, n + 1) for (lo, hi), n in zip(box, res)]
+    phi = b_inverse(cfg, np.stack(np.meshgrid(*axes, indexing="ij"), -1))
+    gauss_sum = np.zeros(res)
+    for g in np.ndindex((2,) * d):
+        jac = np.stack([_cell_values(phi, g[:a] + (2,) + g[a + 1:])
+                        for a in range(d)], axis=-1)
+        gauss_sum += f1.evaluate(_cell_values(phi, g)) * np.linalg.det(jac)
+    dens = GridDensity(box, gauss_sum / (2 ** d * float(np.prod(h))))
+    cell = np.floor((_singular_points(cfg) - box[:, 0]) / h)
+    held = np.all((cell >= 0) & (cell < res), axis=1)
     mass = dens.mass()
     return PushforwardResult(
         density=dens,
         mass=mass,
         mass_ok=abs(mass - 1.0) <= 0.05,
-        singular_cells=n_sing,
+        singular_cells=len(np.unique(cell[held], axis=0)),
     )
 
 

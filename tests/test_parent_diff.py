@@ -33,6 +33,13 @@ def test_compare_reports_each_kind_of_difference(tmp_path):
         _result(root, "code", code=code)
     _result(parent, "csv", artifacts={"a.csv": "1\n", "b.csv": "2\n"})
     _result(change, "csv", artifacts={"a.csv": "1\n", "b.csv": "2.5\n"})
+    # A text artifact names its first differing line, as for pushforward.csv
+    # (CRLF line ends, and a row that only one side has).
+    head = "x0,value\r\n0.5,1\r\n"
+    _result(parent, "grid", artifacts={"p.csv": head + "1.5,2\r\n"})
+    _result(change, "grid", artifacts={"p.csv": head + "1.5,2.25\r\n"})
+    _result(parent, "rows", artifacts={"p.csv": head})
+    _result(change, "rows", artifacts={"p.csv": head + "1.5,2\r\n"})
     _result(parent, "extra", artifacts={"a.csv": "1\n"})
     _result(change, "extra", artifacts={"a.csv": "1\n", "b.csv": "2\n"})
     _result(parent, "selftest", code=3,
@@ -46,20 +53,22 @@ def test_compare_reports_each_kind_of_difference(tmp_path):
     got = parent_diff.compare(parent, change)
     assert got == {
         "code": [("exit code", "0 -> 3")],
-        "csv": [("artifacts", "b.csv")],
+        "csv": [("artifacts", "b.csv line 1: '2' -> '2.5'")],
         "err": [("stderr", "line 1: 'error: tolerance 1e-12' -> "
                            "'error: tolerance 1e-11'")],
         "extra": [("artifacts", "b.csv only in change")],
         "gone": [("artifacts", "run only in parent")],
+        "grid": [("artifacts", "p.csv line 3: '1.5,2' -> '1.5,2.25'")],
         "json": [("artifacts", "summary.json key lp.iterations")],
+        "rows": [("artifacts", "p.csv 2 -> 3 lines")],
         "same": [],
         "selftest": [],
     }
     lines = parent_diff.table(got).splitlines()
-    assert lines[:5] == ["identical       2", "artifacts       4",
+    assert lines[:5] == ["identical       2", "artifacts       6",
                          "stdout          0", "stderr          1",
                          "exit code       1"]
-    assert len(lines) == 5 + 6
+    assert len(lines) == 5 + 8
 
 
 def test_matrix_covers_every_kind_p_and_seed():

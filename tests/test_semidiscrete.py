@@ -24,8 +24,8 @@ from wbary import (
     uniform_ball,
     uniform_box,
 )
-from wbary._fixtures import _line_config
-from wbary.semidiscrete import _density_at, _directions
+from wbary._fixtures import _blowup_fixture, _line_config
+from wbary.semidiscrete import _cell_values, _density_at, _directions
 
 # Largest band constant observed for the reference p=3 configuration,
 # inflated by 1.5x and frozen as a regression envelope.
@@ -146,11 +146,16 @@ def test_gradient_singularities():
     assert (np.abs(near - 2.0) <= 2.0 * r).all()
     cfg15 = DiracConfiguration(np.array([[1.0], [2.0]]), [1 / 3] * 3, 1.5)
     # p < 2: the gradient extends continuously by the identity at the fixed
-    # point, while the field itself is singular at the anchors.
+    # point and is unbounded at the anchors, while the field is continuous
+    # there: the anchor's own term (1/3) r^(1/2) vanishes, which leaves the
+    # other anchor's 1/3.
     G = grad_b_inverse(cfg15, cfg15.fixed_point)
     np.testing.assert_allclose(G, np.eye(1), atol=1e-12)
+    assert gbar(cfg15, np.array([1.0])).tolist() == [1.0 / 3.0]
+    near = gbar(cfg15, 1.0 + r[:, None])[:, 0]
+    assert (np.abs(near - 1.0 / 3.0) <= np.sqrt(r)).all()
     with pytest.raises(SingularPointError):
-        gbar(cfg15, np.array([1.0]))
+        grad_b_inverse(cfg15, np.array([1.0]))
 
 
 @settings(max_examples=60, deadline=None)
@@ -162,8 +167,10 @@ def test_gradient_singularities():
 )
 def test_inverse_jacobian_spectrum_and_singularities(seed, p, d, k):
     """The symmetric-similarity spectrum is the spectrum of grad b^{-1},
-    jacobian_det is |det grad b^{-1}|, also at the anchors for p > 2, and
-    for p < 2 the anchors raise."""
+    jacobian_det is |det grad b^{-1}|, also at the anchors for p > 2.  For
+    p < 2 and k >= 2 the Jacobian raises at an anchor while Gbar takes the
+    continuous value, the other anchors' terms; one anchor gives a constant
+    Jacobian everywhere, that anchor included."""
     rng = np.random.default_rng(seed)
     anchors = rng.normal(size=(k, d))
     w = rng.uniform(0.2, 1.0, k + 1)
@@ -190,11 +197,27 @@ def test_inverse_jacobian_spectrum_and_singularities(seed, p, d, k):
     np.testing.assert_allclose(
         jacobian_det(cfg, zs), np.abs(np.linalg.det(G)), rtol=1e-9
     )
-    if p < 2.0:
-        z = anchors[rng.integers(k)]
-        for fn in (gbar, grad_b_inverse, check_bounds_p_lt2):
+    if k == 1:
+        s = 1.0 / (p - 1.0)
+        const = (w[0] ** s + w[1] ** s) / w[0] ** s
+        zs = np.vstack([zs, anchors])
+        np.testing.assert_allclose(
+            grad_b_inverse(cfg, zs), np.broadcast_to(const * np.eye(d), (
+                len(zs), d, d)), rtol=1e-9, atol=1e-9 * const)
+        np.testing.assert_allclose(jacobian_det(cfg, anchors), [const ** d],
+                                   rtol=1e-12)
+    elif p < 2.0:
+        j = rng.integers(k)
+        z = anchors[j]
+        for fn in (grad_b_inverse, check_bounds_p_lt2):
             with pytest.raises(SingularPointError):
                 fn(cfg, z[None, :])
+        rest = np.delete(anchors - z, j, axis=0)
+        wr = np.delete(cfg.weights[1:], j)
+        rn = np.linalg.norm(rest, axis=1)
+        np.testing.assert_allclose(
+            gbar(cfg, z), (wr * rn ** (p - 2.0)) @ rest, rtol=1e-12,
+            atol=1e-12)
 
 
 def test_bounds_p_ge2_margins_nonnegative(cfg_2d_p3):
@@ -341,8 +364,10 @@ def test_blowup_exponents_3d():
 
 
 def test_batched_sweeps_match_one_radius_or_cell_at_a_time():
-    """Radius sweeps and the singular-cell subgrids are evaluated in one
-    batch; each radius and each cell gives exactly what it gives alone."""
+    """Radius sweeps are evaluated in one batch, and each radius gives
+    exactly what it gives alone.  Every pushforward cell goes through one
+    rule; at p = 2, where b^{-1} is affine, a cell whose corner preimages lie
+    inside f1's support box holds exactly f1(b^{-1}(centre)) / lam1^d."""
     cfg3 = DiracConfiguration(np.array([[0.8, 0.1], [-0.7, -0.25]]),
                               [0.4, 0.3, 0.3], 3.0)
     f1 = uniform_ball(np.array([0.2, 0.1]), 1.0 / np.sqrt(np.pi), resolution=32)
@@ -352,23 +377,144 @@ def test_batched_sweeps_match_one_radius_or_cell_at_a_time():
     means = [g[g > 0].mean() for g in (
         _density_at(cfg3, f1, z0 + r * dirs) for r in rep.radii_used)]
     assert np.array_equal(rep.annulus_means, means)
+    assert pushforward_density(cfg3, f1, resolution=32).singular_cells == 1
 
-    # On this grid zbar lies within half a cell diagonal of two centers.
-    pf = pushforward_density(cfg3, f1, resolution=32)
+    cfg2 = DiracConfiguration(cfg3.anchors, cfg3.weights, 2.0)
+    f1b = uniform_box(np.array([[-0.5, 0.5], [-0.3, 0.4]]), resolution=24)
+    pf = pushforward_density(cfg2, f1b, resolution=20)
     grid = pf.density
-    h, box = grid.cell_widths, grid.box
-    scale = max(cfg3.geometry_scale, float(np.max(box[:, 1] - box[:, 0])))
-    offs = (np.arange(6) + 0.5) / 6
-    sub = np.stack(np.meshgrid(offs, offs, indexing="ij"), -1).reshape(-1, 2)
-    cells = 0
-    for k, c in enumerate(grid.centers()):
-        if np.linalg.norm(c - z0) > 1e-6 * scale + 0.5 * np.linalg.norm(h):
-            continue
-        cells += 1
-        pts = c - 0.5 * h + sub * h
-        pts = pts[np.linalg.norm(pts - z0, axis=1) > 1e-12 * scale]
-        assert grid.values.ravel()[k] == _density_at(cfg3, f1, pts).mean()
-    assert cells == pf.singular_cells == 2
+    h = grid.cell_widths
+    signs = np.array([[-1, -1], [-1, 1], [1, -1], [1, 1]]) * 0.5
+    corners = grid.centers()[:, None, :] + signs * h
+    pre = b_inverse(cfg2, corners)
+    sb = f1b.support_box()
+    inside = np.all((pre > sb[:, 0]) & (pre < sb[:, 1]), axis=(1, 2))
+    assert 0 < inside.sum() < inside.size
+    expect = f1b.evaluate(b_inverse(cfg2, grid.centers())) / cfg2.lam1 ** 2
+    np.testing.assert_allclose(grid.values.ravel()[inside], expect[inside],
+                               rtol=1e-12)
+    assert pf.mass == pytest.approx(1.0, abs=1e-12)
+    assert pf.singular_cells == 0
+
+
+@pytest.mark.parametrize("p", (1.2, 1.3, 1.5, 1.7))
+def test_pushforward_mass_is_exact_in_1d(p):
+    """In 1-D a cell's preimage is exactly the interval between the images
+    of its ends, so the blow-up fixture (f1 uniform, anchors 0.1 and -0.3)
+    has grid mass 1 to rounding on every grid, although most of the mass
+    piles up next to the anchors (point samples at cell centres gave 0.64
+    to 2.91 at p = 1.2)."""
+    for grid in (64, 128, 256, 512):
+        cfg, f1, _, _ = _blowup_fixture(p, grid)
+        pf = pushforward_density(cfg, f1, resolution=grid)
+        assert abs(pf.mass - 1.0) <= 1e-8, grid
+        assert pf.singular_cells == (2 if p < 1.5 else 1)
+
+
+def test_pushforward_mass_is_exact_next_to_zbar():
+    """A 1-D p = 3 instance whose cell-centre masses were 1.011, 1.365 and
+    0.999 at 400, 1600 and 6400 cells: the cell holding zbar decided them."""
+    cfg = DiracConfiguration(
+        np.array([[1.6703038246195452], [-1.4363693829885906]]),
+        [0.4563223355686919, 0.1983303396915931, 0.34534732473971513], 3.0)
+    for res in (400, 1600, 6400):
+        pf = pushforward_density(
+            cfg, uniform_box(np.array([[-0.5, 0.5]]), resolution=res))
+        assert abs(pf.mass - 1.0) <= 1e-8, res
+        assert pf.singular_cells == 1
+
+
+def test_pushforward_mass_p4_planar():
+    """The planar p = 4 fixture at grid 128, where the density blows up like
+    r^(-4/3) at zbar (a centre sample there once put the mass at 1.2133)."""
+    cfg, f1, _, _ = _blowup_fixture(4.0, 128)
+    pf = pushforward_density(cfg, f1, resolution=128)
+    assert pf.mass == pytest.approx(1.0, abs=0.01)
+    assert pf.singular_cells == 1
+
+
+def test_pushforward_mass_3d():
+    """d = 3 on a small grid, for p < 2, p = 2 and p > 2: mass within 5%."""
+    anchors = 0.25 * np.array([[0.6, 0.1, 0.0], [-0.5, 0.3, 0.1],
+                               [0.0, -0.6, 0.2]])
+    f1 = uniform_box(np.array([[-0.5, 0.5]] * 3), resolution=10)
+    for p in (1.5, 2.0, 3.0):
+        cfg = DiracConfiguration(anchors, [0.4, 0.2, 0.2, 0.2], p)
+        pf = pushforward_density(cfg, f1, resolution=12)
+        assert pf.density.resolution == (12, 12, 12)
+        assert pf.mass_ok and abs(pf.mass - 1.0) <= 0.05, (p, pf.mass)
+
+
+def _multilinear(V, u):
+    """Phi(u) and DPhi(u) of the d-linear interpolant of the corner values
+    V (2, ..., 2, d) of one cell, written out corner by corner."""
+    d = u.shape[0]
+    phi, jac = np.zeros(d), np.zeros((d, d))
+    for c in np.ndindex(V.shape[:-1]):
+        f = np.where(np.array(c) == 1, u, 1.0 - u)
+        phi += np.prod(f) * V[c]
+        for a in range(d):
+            sign = 1.0 if c[a] else -1.0
+            jac[:, a] += sign * np.prod(np.delete(f, a)) * V[c]
+    return phi, jac
+
+
+def test_gauss_rule_is_exact_for_the_interpolated_volume():
+    """det DPhi of a d-linear Phi has degree d - 1 in each unit coordinate,
+    so the 2-point Gauss rule of pushforward_density gives the volume of
+    Phi's image exactly for d <= 4: it matches a 4-point rule on a cell
+    with random corner images, and _cell_values matches the interpolant."""
+    rng = np.random.default_rng(3)
+    x4, w4 = np.polynomial.legendre.leggauss(4)
+    x4, w4 = 0.5 + 0.5 * x4, 0.5 * w4
+    for d in (1, 2, 3, 4):
+        V = np.indices((2,) * d).transpose(tuple(range(1, d + 1)) + (0,))
+        V = V + 0.15 * rng.normal(size=V.shape)
+        gauss = 0.0
+        for g in np.ndindex((2,) * d):
+            jac = np.stack([_cell_values(V, g[:a] + (2,) + g[a + 1:])
+                            for a in range(d)], axis=-1).reshape(d, d)
+            u = 0.5 + (np.array(g) - 0.5) / np.sqrt(3.0)
+            phi, ref = _multilinear(V, u)
+            np.testing.assert_allclose(
+                _cell_values(V, g).reshape(d), phi, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(jac, ref, rtol=1e-13, atol=1e-13)
+            gauss += np.linalg.det(jac) / 2 ** d
+        exact = sum(np.prod(w4[list(k)]) * np.linalg.det(
+            _multilinear(V, x4[list(k)])[1]) for k in np.ndindex((4,) * d))
+        assert gauss == pytest.approx(exact, rel=1e-12), d
+        assert exact > 0.0
+
+
+def test_one_anchor_jacobian_is_constant_at_the_anchor():
+    """With one anchor b^{-1} is affine: grad b^{-1} is the constant
+    (w1^s + w2^s) / w1^s Id, s = 1/(p-1), at the anchor too, and Gbar and
+    b^{-1} are defined there.  There is no singular point.  The bound checks
+    raise at the anchor, where their ratios are 0/0, and give the limit
+    margins next to it."""
+    for p, const in ((3.0, 2.5275252316519468), (1.5, 6.444444444444445)):
+        cfg = DiracConfiguration(np.array([[1.0]]), [0.3, 0.7], p)
+        zs = np.array([[1.0], [1.0 + 1e-9], [1.5]])
+        np.testing.assert_allclose(grad_b_inverse(cfg, zs)[:, 0, 0], const,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(grad_b_inverse_eigs(cfg, zs)[:, 0], const,
+                                   rtol=1e-12)
+        np.testing.assert_allclose(jacobian_det(cfg, zs), const, rtol=1e-12)
+        assert gbar(cfg, np.array([1.0])).tolist() == [0.0]
+        assert b_inverse(cfg, np.array([1.0])).tolist() == [1.0]
+        f1 = uniform_box(np.array([[-0.5, 0.5]]), resolution=64)
+        assert pushforward_density(cfg, f1).singular_cells == 0
+        check = check_bounds_p_ge2 if p > 2.0 else check_bounds_p_lt2
+        with pytest.raises(SingularPointError):
+            check(cfg, np.array([[1.0]]))
+    rep = check_bounds_p_ge2(DiracConfiguration(np.array([[1.0]]), [0.3, 0.7],
+                                                3.0), [[1.5], [1.0 + 1e-9]])
+    # eig - 1 = c = (7/3)^(1/2); alpha = 1/2 and C_3 = 4 give the rest.
+    c = 2.5275252316519468 - 1.0
+    assert rep.lower_unit_margin == pytest.approx(c, rel=1e-9)
+    assert rep.lower_local_margin == pytest.approx(c / 2.0, rel=1e-9)
+    assert rep.upper_local_margin == pytest.approx(c, rel=1e-9)
+    assert rep.upper_explicit_margin == pytest.approx(3.0 * c, rel=1e-9)
 
 
 def test_blowup_needs_radii_and_signal():

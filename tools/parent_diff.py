@@ -8,8 +8,9 @@ on both trees, runs every `wbary run` kind at each p of P_GRID for each seed
 of SEEDS, plus `wbary selftest` and `wbary selftest --fast`.  Each is a fresh
 `python -m wbary.cli` process with PYTHONPATH=<tree>/src and one BLAS
 thread.  Prints one table: identical runs, runs whose artifacts differ (the
-first differing file and, for JSON, its first differing key), runs whose
-stdout or stderr differ (selftest seconds stripped) and exit-code changes.
+first differing file and its first differing JSON key or text line), runs
+whose stdout or stderr differ (selftest seconds stripped) and exit-code
+changes.
 Timings are ignored.  Exits 1 when anything differs.
 """
 
@@ -89,8 +90,9 @@ def _json_key(a, b, path=""):
 
 def _artifact_diff(a: Path, b: Path):
     """The first artifact file that differs between directories a and b
-    (either may be missing), or None.  manifest.json goes last: it only
-    holds the digests of the others."""
+    (either may be missing), with its first differing JSON key or text
+    line, or None.  manifest.json goes last: it only holds the digests of
+    the others."""
     def files(d):
         return {f.relative_to(d) for f in d.rglob("*") if f.is_file()}
 
@@ -104,7 +106,7 @@ def _artifact_diff(a: Path, b: Path):
         if rel.suffix == ".json":
             key = _json_key(json.loads(x), json.loads(y))
             return f"{rel} key {key}" if key else f"{rel} bytes"
-        return str(rel)
+        return f"{rel} {_first_line_diff(x.decode(), y.decode())}"
     return None
 
 
