@@ -280,40 +280,24 @@ def _objective_cap(obj):
 def _eval_batch(pts, w, p, z, hessian=True):
     """Objective, EL residual and Newton matrix of phi at z, batched.
 
-    Returns (obj, F, H) with H the (B, d, d) sum of the curvature blocks,
-    or None when hessian is false.  A term at r = 0 takes its continuous
-    limit, 0 for every p > 1, so z may sit exactly on an atom; its block
-    stays out of the sum so the step can leave the atom.
+    Returns (obj, F, H): F and H come from _field at the offsets x_i - z (H
+    is None when hessian is false), and obj = sum_i w_i r_i^p / p.
     """
-    rvec = pts - z[:, None, :]
-    r, fac, u = _radial(rvec, p)
-    wf = w * fac
-    if p < 2.0:
-        wf[r == 0.0] = 0.0
-    obj = np.einsum("bn,bn->b", wf * r, r) / p
-    F = np.einsum("bn,bni->bi", wf, rvec)
-    if not hessian:
-        return obj, F, None
-    # sum_i wf_i ((p-2) u_i u_i^T + Id), without the (B, N, d, d) blocks.
-    d = z.shape[-1]
-    v = ((p - 2.0) * wf)[..., None] * u
-    H = np.matmul(v.swapaxes(-1, -2), u)
-    H.reshape(-1, d * d)[:, ::d + 1] += np.einsum("bn->b", wf)[:, None]
-    return obj, F, H
+    F, H, r, wf = _field(pts - z[:, None, :], w, p, hessian)
+    return np.einsum("bn,bn->b", wf * r, r) / p, F, H
 
 
 def _anchored_candidates(pts, w, p, rvec, F):
     """Fixed-point candidates anchored at each atom (p < 2 only).
 
-    rvec : offsets x_i - z at the current iterate z, with radial factors
-    from _radial; a term at r = 0 has rvec = 0 and drops out.  R_j is the
-    Euler-Lagrange field with the j-th term removed, evaluated at z; the
-    returned candidate solves the anchored equation exactly when R_j is
-    frozen, and is x_j itself when R_j vanishes.
+    rvec : offsets x_i - z at the current iterate z, and F the EL field
+    there.  R_j is F with the j-th term w_j r_j^(p-2) rvec_j, its factor
+    from _field, removed; a term at r = 0 drops out.  The returned candidate
+    solves the anchored equation exactly when R_j is frozen, and is x_j
+    itself when R_j vanishes.
     """
-    fac = _radial(rvec, p)[1]
-    term = (w * fac)[..., None] * rvec
-    R = F[:, None, :] - term
+    wf = _field(rvec, w, p, False)[3]
+    R = F[:, None, :] - wf[..., None] * rvec
     Rn = np.maximum(_length(R), 1e-300)
     rstar = (Rn / w) ** (1.0 / (p - 1.0))
     return pts + rstar[..., None] * R / Rn[..., None]
@@ -536,9 +520,8 @@ def _radial(rvec, p):
     directions u_i = rvec_i / r_i of offsets rvec (..., N, d).
 
     At r_i = 0, u_i = 0 and fac_i takes the limit of the power: 0 for p > 2,
-    1 at p = 2 and, for p < 2, the finite stand-in 1e300.  The curvature
-    blocks of curvature_kernel, the Newton matrix of _eval_batch and the
-    anchored candidates of _solve_batch all come from these.
+    1 at p = 2 and, for p < 2, the finite stand-in 1e300.  Only
+    curvature_kernel and _field call it.
     """
     r = _length(rvec)
     rpos = np.maximum(r, 1e-300)
@@ -546,6 +529,33 @@ def _radial(rvec, p):
     if p != 2.0:
         fac[r == 0.0] = 0.0 if p > 2.0 else 1e300
     return r, fac, rvec / rpos[..., None]
+
+
+def _field(rvec, w, p, hessian):
+    """The EL field F = sum_i w_i r_i^(p-2) rvec_i of offsets rvec (B, N, d).
+
+    The one field kernel: the solver's residual and Newton matrix, its
+    anchored candidates and semidiscrete's Gbar and -grad Gbar all come
+    from here.  w is broadcastable to (B, N).  Returns (F, H, r, wf): H the
+    (B, d, d) sum of the curvature blocks, formed without the blocks (None
+    unless hessian), the distances r_i and the factors wf_i = w_i r_i^(p-2).
+    A term at r = 0 takes its continuous limit, 0 for every p > 1; for
+    p < 2 its factor and block are left out as well, so a Newton step can
+    leave an atom.
+    """
+    r, fac, u = _radial(rvec, p)
+    wf = w * fac
+    if p < 2.0:
+        wf[r == 0.0] = 0.0
+    F = np.einsum("bn,bni->bi", wf, rvec)
+    if not hessian:
+        return F, None, r, wf
+    # sum_i wf_i ((p-2) u_i u_i^T + Id), without the (B, N, d, d) blocks.
+    d = rvec.shape[-1]
+    v = ((p - 2.0) * wf)[..., None] * u
+    H = np.matmul(v.swapaxes(-1, -2), u)
+    H.reshape(-1, d * d)[:, ::d + 1] += np.einsum("bn->b", wf)[:, None]
+    return F, H, r, wf
 
 
 def curvature_kernel(rvec, w, p):
@@ -556,7 +566,8 @@ def curvature_kernel(rvec, w, p):
     the block takes the limit of the formula: 0 for p > 2, w_i Id at p = 2
     and, for p < 2, the finite stand-in w_i 1e300 Id.  Returns (H, r, fac):
     the (..., N, d, d) blocks, the distances r_i and the radial factors
-    fac_i = r_i^(p-2).
+    fac_i = r_i^(p-2).  The only code that forms per-point blocks; a pass
+    that needs only their sum or the field calls _field.
     """
     r, fac, u = _radial(rvec, p)
     outer = u[..., :, None] * u[..., None, :]

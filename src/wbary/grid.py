@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _array, _length, _points
+from .core import _array, _check_q, _length, _points
 from .errors import ValidationError
 
 
@@ -94,9 +94,9 @@ class GridDensity:
         return out.reshape(lead)
 
     def lq_norm(self, q: float) -> float:
-        """(integral of |density|^q)^(1/q) under the cell quadrature."""
-        if not q > 0:
-            raise ValidationError(f"q must be positive, got {q}")
+        """(integral of |density|^q)^(1/q) under the cell quadrature; q
+        finite and above 1, as core._check_q requires."""
+        q = _check_q(q)
         return float(
             (np.abs(self.values) ** q).sum() * self.cell_volume
         ) ** (1.0 / q)

@@ -18,9 +18,9 @@ its spectrum is real; eigenvalues are computed exactly through a symmetric
 similarity transform.  These eigenvalues drive everything else here: two-sided
 bounds, pushforward densities of the induced barycenter measure, and local
 blow-up exponents that decide L^q membership.  Gbar, its gradient, the anchor
-distances and A(z) = sum_{i>=2} w_i |xh_i - z|^(p-2) come from one
-core.curvature_kernel call per batch of points, and grad b^{-1} and its
-spectrum from one routine on top of it.
+distances and A(z) = sum_{i>=2} w_i |xh_i - z|^(p-2) come from one core._field
+call per batch of points (Gbar is the solver's EL field with the anchors as
+the points), and grad b^{-1} and its spectrum from one routine on top of it.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .core import (
     _check_exponent,
     _check_q,
     _check_weights,
+    _field,
     _length,
-    curvature_kernel,
     pbary_points,
 )
 from .errors import (
@@ -109,18 +109,18 @@ class DiracConfiguration:
         return pbary_points(self.anchors, w / w.sum(), self.p)
 
 
-def _anchor_field(cfg: DiracConfiguration, zb):
-    """One curvature_kernel pass over the offsets xh_i - z, batched over zb.
+def _anchor_field(cfg: DiracConfiguration, zb, hessian):
+    """One core._field pass over the offsets xh_i - z, batched over zb.
 
-    Returns (G, negdG, r, A): Gbar(z), -grad Gbar(z) = sum of the curvature
-    blocks, the (B, N-1) anchor distances and A(z) = sum_{i>=2} w_i r_i^(p-2).
-    At an anchor its term of G is 0, the limit; for p < 2 negdG and A blow up.
+    Returns (G, negdG, r, A): Gbar(z), -grad Gbar(z) = the sum of the
+    curvature blocks (None unless hessian), the (B, N-1) anchor distances
+    and A(z) = sum_{i>=2} w_i r_i^(p-2).  At an anchor its term of G is 0,
+    the limit; for p < 2 its term also stays out of negdG and A, where the
+    true values are unbounded, so every Jacobian and bound raises there.
     """
-    rvec = cfg.anchors[None, :, :] - zb[:, None, :]
-    H, r, fac = curvature_kernel(rvec, cfg.weights[1:], cfg.p)
-    wfac = cfg.weights[1:][None, :] * fac
-    G = (wfac[..., None] * rvec).sum(axis=1)
-    return G, H.sum(axis=1), r, wfac.sum(axis=1)
+    G, negdG, r, wf = _field(cfg.anchors[None, :, :] - zb[:, None, :],
+                             cfg.weights[1:], cfg.p, hessian)
+    return G, negdG, r, wf.sum(axis=1)
 
 
 def gbar(cfg: DiracConfiguration, z) -> np.ndarray:
@@ -129,7 +129,7 @@ def gbar(cfg: DiracConfiguration, z) -> np.ndarray:
     The reference oracle the tests check fixed_point and b_inverse against.
     """
     zb, lead = _points(z, cfg.dim, "z")
-    return _anchor_field(cfg, zb)[0].reshape(lead + (cfg.dim,))
+    return _anchor_field(cfg, zb, False)[0].reshape(lead + (cfg.dim,))
 
 
 def b_forward(cfg: DiracConfiguration, x1) -> np.ndarray:
@@ -144,7 +144,7 @@ def b_forward(cfg: DiracConfiguration, x1) -> np.ndarray:
 def b_inverse(cfg: DiracConfiguration, z) -> np.ndarray:
     """Closed-form inverse of b, with b^{-1}(zbar) = zbar by continuity."""
     zb, lead = _points(z, cfg.dim, "z")
-    return _b_inverse_at(cfg, zb, _anchor_field(cfg, zb)[0]).reshape(
+    return _b_inverse_at(cfg, zb, _anchor_field(cfg, zb, False)[0]).reshape(
         lead + (cfg.dim,))
 
 
@@ -161,7 +161,7 @@ def _b_inverse_at(cfg: DiracConfiguration, zb, G):
 
 def _inverse_jacobian(cfg: DiracConfiguration, field, eigs: bool):
     """grad b^{-1}, or its ascending spectrum, at the points of
-    field = _anchor_field(cfg, zb).
+    field = _anchor_field(cfg, zb, True).
 
     grad b^{-1} = Id + c A S with c = w1^(alpha-1), S = -grad Gbar / |Gbar|^alpha
     and A = Id - alpha P, P the projector onto Gbar.  It is similar to the
@@ -212,21 +212,21 @@ def grad_b_inverse(cfg: DiracConfiguration, z) -> np.ndarray:
     for p < 2 it extends continuously to the identity at zbar.
     """
     zb, lead = _points(z, cfg.dim, "z")
-    out = _inverse_jacobian(cfg, _anchor_field(cfg, zb), eigs=False)
+    out = _inverse_jacobian(cfg, _anchor_field(cfg, zb, True), eigs=False)
     return out.reshape(lead + out.shape[1:])
 
 
 def grad_b_inverse_eigs(cfg: DiracConfiguration, z) -> np.ndarray:
     """Eigenvalues of grad b^{-1}(z), ascending, computed exactly as reals."""
     zb, lead = _points(z, cfg.dim, "z")
-    out = _inverse_jacobian(cfg, _anchor_field(cfg, zb), eigs=True)
+    out = _inverse_jacobian(cfg, _anchor_field(cfg, zb, True), eigs=True)
     return out.reshape(lead + out.shape[1:])
 
 
 def jacobian_det(cfg: DiracConfiguration, z) -> np.ndarray:
     """|det grad b^{-1}(z)|, vectorized."""
     zb, lead = _points(z, cfg.dim, "z")
-    eigs = _inverse_jacobian(cfg, _anchor_field(cfg, zb), eigs=True)
+    eigs = _inverse_jacobian(cfg, _anchor_field(cfg, zb, True), eigs=True)
     return np.abs(np.prod(eigs, axis=-1)).reshape(lead)
 
 
@@ -283,7 +283,7 @@ def check_bounds_p_ge2(cfg: DiracConfiguration, z) -> EigBoundReportPGe2:
     if cfg.p < 2.0:
         raise ValidationError("check_bounds_p_ge2 requires p >= 2")
     zb = _points(z, cfg.dim, "z")[0]
-    G, _, r_anchor, A = field = _anchor_field(cfg, zb)
+    G, _, r_anchor, A = field = _anchor_field(cfg, zb, True)
     eigs = _inverse_jacobian(cfg, field, eigs=True)
     emin, emax = eigs.min(axis=1), eigs.max(axis=1)
     lam1, a, p = cfg.lam1, cfg.alpha, cfg.p
@@ -358,7 +358,7 @@ def check_bounds_p_lt2(cfg: DiracConfiguration, z) -> EigBoundReportPLt2:
     if cfg.p >= 2.0:
         raise ValidationError("check_bounds_p_lt2 requires p < 2")
     zb = _points(z, cfg.dim, "z")[0]
-    G, _, r_anchor, At = field = _anchor_field(cfg, zb)
+    G, _, r_anchor, At = field = _anchor_field(cfg, zb, True)
     eigs = _inverse_jacobian(cfg, field, eigs=True)
     emin, emax = eigs.min(axis=1) - 1.0, eigs.max(axis=1) - 1.0
     p, lam1, beta = cfg.p, cfg.lam1, cfg.beta
@@ -432,14 +432,15 @@ def _image_box(cfg: DiracConfiguration, source_box: np.ndarray) -> np.ndarray:
 
 
 def _density_at(cfg: DiracConfiguration, f1: GridDensity, zs: np.ndarray):
-    """g_p = f1(b^{-1}) |det grad b^{-1}| at the rows of zs, from one anchor
-    field; the Jacobian is taken only where f1(b^{-1}) > 0."""
-    field = _anchor_field(cfg, zs)
-    vals = f1.evaluate(_b_inverse_at(cfg, zs, field[0]))
+    """g_p = f1(b^{-1}) |det grad b^{-1}| at the rows of zs; -grad Gbar and
+    the Jacobian are formed only where f1(b^{-1}) > 0."""
+    G = _anchor_field(cfg, zs, False)[0]
+    vals = f1.evaluate(_b_inverse_at(cfg, zs, G))
     out = np.zeros(zs.shape[0])
     pos = vals > 0.0
     if pos.any():
-        eigs = _inverse_jacobian(cfg, tuple(a[pos] for a in field), eigs=True)
+        eigs = _inverse_jacobian(cfg, _anchor_field(cfg, zs[pos], True),
+                                 eigs=True)
         out[pos] = vals[pos] * np.abs(np.prod(eigs, axis=-1))
     return out
 

@@ -42,6 +42,7 @@ from wbary.core import (
     curvature_kernel,
     mixed_spectrum,
 )
+from wbary.semidiscrete import _anchor_field
 
 
 def test_weighted_mean_p2():
@@ -606,6 +607,25 @@ def test_lengths_go_through_length():
     assert roots == [("core.py", "_length")]
 
 
+def test_the_field_is_formed_in_one_kernel():
+    """core._field is the one field kernel: _radial is called only by it and
+    by curvature_kernel, and curvature_kernel, the only code that forms
+    per-point blocks, only where the blocks themselves are needed."""
+    calls = {"_radial": [], "curvature_kernel": []}
+    for path in sorted(Path(wbary.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and ast.unparse(node.func) in calls):
+                    calls[ast.unparse(node.func)].append(
+                        (path.name, getattr(top, "name", "<module>")))
+    assert calls == {
+        "_radial": [("core.py", "_field"), ("core.py", "curvature_kernel")],
+        "curvature_kernel": [("bounds.py", "_tuple_classes"),
+                             ("core.py", "curvature_blocks")],
+    }
+
+
 def _invalid_input_cases():
     nan = np.nan
     f1 = wbary.uniform_box([[0.0, 1.0]], 8)
@@ -627,6 +647,9 @@ def _invalid_input_cases():
         "concavity-no-interior": lambda: wbary.p_concavity_check(
             [[0.0], [1.0]], [0, 0], 2),
         "lq-norm-nan": lambda: f1.lq_norm(nan),
+        "lq-norm-inf": lambda: f1.lq_norm(np.inf),
+        "lq-norm-one": lambda: f1.lq_norm(1.0),
+        "lq-norm-half": lambda: f1.lq_norm(0.5),
         "integrability-nan-D": lambda: wbary.integrability_bound(
             1, 2, 3, 0.5, 1, D=nan),
         "integrability-nan-dim": lambda: wbary.integrability_bound(
@@ -813,22 +836,40 @@ def test_batched_solutions_equal_single_solves(p):
 @pytest.mark.parametrize("p", [1.5, 2.5, 3.0, 4.0])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_newton_matrix_is_the_sum_of_the_curvature_blocks(p, d):
-    """_eval_batch's Newton matrix equals the sum of curvature_kernel's
-    blocks, with a block at r = 0 left out, to 1e-13 relative; in one row z
-    sits exactly on an atom."""
+    """_eval_batch's Newton matrix, and semidiscrete's -grad Gbar over the
+    anchors, equal the sum of curvature_kernel's blocks, with a block at
+    r = 0 left out, to 1e-13 relative; in one row z sits exactly on an atom
+    (an anchor).  Gbar equals el_residual over the anchors to 1e-13
+    relative, and the Hessian-free pass gives the same Gbar bit for bit."""
     rng = np.random.default_rng([11, d, int(10 * p)])
     pts = rng.normal(size=(64, 4, d))
     w = rng.uniform(0.2, 1.0, (64, 4))
     w /= w.sum(axis=1, keepdims=True)
     z = rng.normal(size=(64, d))
     z[0] = pts[0, 2]
-    H = _eval_batch(pts, w, p, z)[2]
-    blocks, r, _ = curvature_kernel(pts - z[:, None, :], w, p)
-    assert np.flatnonzero(r == 0.0).tolist() == [2]
-    blocks[r == 0.0] = 0.0
-    ref = blocks.sum(axis=-3)
-    err = np.abs(H - ref).max(axis=(1, 2))
-    assert (err <= 1e-13 * np.abs(ref).max(axis=(1, 2))).all()
+
+    def block_sum(rvec, w):
+        blocks, r, _ = curvature_kernel(rvec, w, p)
+        assert np.flatnonzero(r == 0.0).tolist() == [2]
+        blocks[r == 0.0] = 0.0
+        return blocks.sum(axis=-3)
+
+    def assert_close(got, ref, axes):
+        err = np.abs(got - ref).max(axis=axes)
+        assert (err <= 1e-13 * np.abs(ref).max(axis=axes)).all()
+
+    assert_close(_eval_batch(pts, w, p, z)[2],
+                 block_sum(pts - z[:, None, :], w), (1, 2))
+
+    cfg = DiracConfiguration(pts[0, :3], np.append(w[0, 3], w[0, :3]), p)
+    G, negdG, _, _ = _anchor_field(cfg, z, True)
+    assert_close(negdG, block_sum(cfg.anchors - z[:, None, :],
+                                  cfg.weights[1:]), (1, 2))
+    ref = np.array([el_residual(cfg.anchors, cfg.weights[1:], p, zb)
+                    for zb in z])
+    assert_close(G, ref, 1)
+    G_only, none, _, _ = _anchor_field(cfg, z, False)
+    assert none is None and G_only.tobytes() == G.tobytes()
 
 
 @pytest.mark.parametrize("p", [1.2, 1.5, 1.8])

@@ -49,6 +49,10 @@ def test_compare_reports_each_kind_of_difference(tmp_path):
     _result(parent, "err", code=2, stderr="error: tolerance 1e-12\n")
     _result(change, "err", code=2, stderr="error: tolerance 1e-11\n")
     _result(parent, "gone")
+    # A key that one side lacks reads as missing there.
+    _result(parent, "key", artifacts={"summary.json": json.dumps({"a": 1})})
+    _result(change, "key", artifacts={
+        "summary.json": json.dumps({"a": 1, "b": [1.5]})})
 
     got = parent_diff.compare(parent, change)
     assert got == {
@@ -59,16 +63,17 @@ def test_compare_reports_each_kind_of_difference(tmp_path):
         "extra": [("artifacts", "b.csv only in change")],
         "gone": [("artifacts", "run only in parent")],
         "grid": [("artifacts", "p.csv line 3: '1.5,2' -> '1.5,2.25'")],
-        "json": [("artifacts", "summary.json key lp.iterations")],
+        "json": [("artifacts", "summary.json key lp.iterations: 12 -> 13")],
+        "key": [("artifacts", "summary.json key b: missing -> [1.5]")],
         "rows": [("artifacts", "p.csv 2 -> 3 lines")],
         "same": [],
         "selftest": [],
     }
     lines = parent_diff.table(got).splitlines()
-    assert lines[:5] == ["identical       2", "artifacts       6",
+    assert lines[:5] == ["identical       2", "artifacts       7",
                          "stdout          0", "stderr          1",
                          "exit code       1"]
-    assert len(lines) == 5 + 8
+    assert len(lines) == 5 + 9
 
 
 def test_matrix_covers_every_kind_p_and_seed():

@@ -8,9 +8,9 @@ on both trees, runs every `wbary run` kind at each p of P_GRID for each seed
 of SEEDS, plus `wbary selftest` and `wbary selftest --fast`.  Each is a fresh
 `python -m wbary.cli` process with PYTHONPATH=<tree>/src and one BLAS
 thread.  Prints one table: identical runs, runs whose artifacts differ (the
-first differing file and its first differing JSON key or text line), runs
-whose stdout or stderr differ (selftest seconds stripped) and exit-code
-changes.
+first differing file and its first differing JSON key, with both values, or
+text line), runs whose stdout or stderr differ (selftest seconds stripped)
+and exit-code changes.
 Timings are ignored.  Exits 1 when anything differs.
 """
 
@@ -27,6 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+_MISSING = object()
 # A superset of the exit-code ledger's grid in tests/test_cli.py
 # (_LEDGER_P, seeds of _LEDGER).  The ledger pins exit codes only, in
 # process, within a Tier-1 time budget; this tool compares whole outputs
@@ -70,12 +71,13 @@ def run_matrix(tree: Path, out: Path, cmds) -> None:
 
 
 def _json_key(a, b, path=""):
-    """Dotted path of the first key or index at which a and b differ."""
+    """'PATH: A -> B' at the first key or index at which a and b differ,
+    with PATH dotted and both values as JSON (a key one side lacks reads
+    as missing there), or None."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
-            if key not in a or key not in b:
-                return path + key
-            found = _json_key(a[key], b[key], f"{path}{key}.")
+            found = _json_key(a.get(key, _MISSING), b.get(key, _MISSING),
+                              f"{path}{key}.")
             if found is not None:
                 return found
         return None
@@ -85,14 +87,17 @@ def _json_key(a, b, path=""):
             if found is not None:
                 return found
         return None
-    return None if a == b else path.rstrip(".") or "(top level)"
+    if a == b:
+        return None
+    x, y = ("missing" if v is _MISSING else json.dumps(v) for v in (a, b))
+    return f"{path.rstrip('.') or '(top level)'}: {x} -> {y}"
 
 
 def _artifact_diff(a: Path, b: Path):
     """The first artifact file that differs between directories a and b
-    (either may be missing), with its first differing JSON key or text
-    line, or None.  manifest.json goes last: it only holds the digests of
-    the others."""
+    (either may be missing), with its first differing JSON key and both
+    values there, or its first differing text line, or None.  manifest.json
+    goes last: it only holds the digests of the others."""
     def files(d):
         return {f.relative_to(d) for f in d.rglob("*") if f.is_file()}
 
