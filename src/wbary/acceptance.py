@@ -109,8 +109,8 @@ def blowup_threshold_p_gt2(fast: bool = False) -> CheckResult:
     """p=3, d=2: density exponent -1 at the interior critical point.
 
     Pushes a unit-area disk through the barycenter map against two off-axis
-    anchors and fits the annulus-mean decay of the density at the map's
-    fixed point.  The fitted exponent must be -d*(p-2)/(p-1) = -1 within
+    anchors and fits the decay of the density's mean over cubes around the
+    map's fixed point.  The fitted exponent must be -d*(p-2)/(p-1) = -1 within
     10% and the integrability verdict must flip at q0 = (p-1)/(p-2) = 2
     within 0.2.  The full-resolution run must finish within 60 s.
     """

@@ -120,6 +120,9 @@ def _run_semidiscrete(args, outdir: Path) -> dict:
         rep = blowup_exponent(cfg, f1, center, radii)
         payload["blowup_slope"] = rep.slope
         payload["blowup_q0"] = rep.q0
+        payload["blowup_q0_theory"] = (
+            (args.p - 1.0) / (args.p - 2.0) if args.p > 2.0
+            else 1.0 / (2.0 - args.p))
     return payload
 
 

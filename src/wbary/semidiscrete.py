@@ -52,8 +52,7 @@ from .grid import GridDensity, _res_tuple
 
 _GBAR_ZERO = 1e-300
 _GAUSS = 0.5 + np.array([-0.5, 0.5]) / math.sqrt(3.0)
-# Directions per radius and fewest usable radii in blowup_exponent.
-_BLOWUP_DIRECTIONS = 64
+# Fewest usable radii in blowup_exponent.
 _MIN_USABLE_RADII = 4
 
 
@@ -142,21 +141,16 @@ def b_forward(cfg: DiracConfiguration, x1) -> np.ndarray:
 
 
 def b_inverse(cfg: DiracConfiguration, z) -> np.ndarray:
-    """Closed-form inverse of b, with b^{-1}(zbar) = zbar by continuity."""
+    """Closed-form inverse of b, with b^{-1}(zbar) = zbar by continuity.
+
+    Gbar is exactly 0 where its length is, so dividing by 1 there leaves z.
+    """
     zb, lead = _points(z, cfg.dim, "z")
-    return _b_inverse_at(cfg, zb, _anchor_field(cfg, zb, False)[0]).reshape(
-        lead + (cfg.dim,))
-
-
-def _b_inverse_at(cfg: DiracConfiguration, zb, G):
-    """b^{-1} at the rows of zb, given G = Gbar(zb)."""
+    G = _anchor_field(cfg, zb, False)[0]
     Gn = _length(G)
-    out = np.array(zb, copy=True)
-    pos = Gn > 0.0
-    lam1 = cfg.lam1
-    a = cfg.alpha
-    out[pos] -= lam1 ** (a - 1.0) * G[pos] * Gn[pos, None] ** (-a)
-    return out
+    step = (cfg.lam1 ** (cfg.alpha - 1.0) * G
+            * np.where(Gn > 0.0, Gn, 1.0)[:, None] ** (-cfg.alpha))
+    return (zb - step).reshape(lead + (cfg.dim,))
 
 
 def _inverse_jacobian(cfg: DiracConfiguration, field, eigs: bool):
@@ -431,37 +425,35 @@ def _image_box(cfg: DiracConfiguration, source_box: np.ndarray) -> np.ndarray:
     return np.stack([img.min(axis=0), img.max(axis=0)], axis=1)
 
 
-def _density_at(cfg: DiracConfiguration, f1: GridDensity, zs: np.ndarray):
-    """g_p = f1(b^{-1}) |det grad b^{-1}| at the rows of zs; -grad Gbar and
-    the Jacobian are formed only where f1(b^{-1}) > 0."""
-    G = _anchor_field(cfg, zs, False)[0]
-    vals = f1.evaluate(_b_inverse_at(cfg, zs, G))
-    out = np.zeros(zs.shape[0])
-    pos = vals > 0.0
-    if pos.any():
-        eigs = _inverse_jacobian(cfg, _anchor_field(cfg, zs[pos], True),
-                                 eigs=True)
-        out[pos] = vals[pos] * np.abs(np.prod(eigs, axis=-1))
-    return out
-
-
-def _row_means(vals, keep):
-    """Per-row means of the entries vals kept by the (rows, n) mask keep.
-
-    Each row is averaged on its own (0 when empty), so its sum runs in the
-    order of a 1-D mean over that row alone.
-    """
-    parts = np.split(vals, np.cumsum(keep.sum(axis=1))[:-1])
-    return np.array([v.mean() if v.size else 0.0 for v in parts])
-
-
 def _cell_values(phi, k):
     """Over every cell: the multilinear interpolant of the vertex values phi
-    at Gauss node k_a on each axis a, or its derivative where k_a = 2."""
+    at Gauss node k_a on each grid axis a, or its derivative where k_a = 2.
+
+    The grid axes are counted from the end, before the last axis of
+    coordinates, so leading batch axes of phi pass through.
+    """
     for a, ka in enumerate(k):
-        step = np.diff(phi, axis=a)
-        phi = step if ka == 2 else np.delete(phi, -1, a) + _GAUSS[ka] * step
+        ax = a - len(k) - 1
+        step = np.diff(phi, axis=ax)
+        phi = step if ka == 2 else np.delete(phi, -1, ax) + _GAUSS[ka] * step
     return phi
+
+
+def _preimage_masses(f1: GridDensity, phi):
+    """The f1-mass of each cell's preimage, from phi = b^{-1} at the vertices
+    of a grid, (..., n_1+1, ..., n_d+1, d) -> (..., n_1, ..., n_d).
+
+    The preimage is the multilinear interpolant Phi of phi over the cell
+    (exact in 1-D), its mass sum_g 2^-d f1(Phi(g)) det DPhi(g) over the
+    2-point Gauss nodes g, exact for Phi's volume in d <= 4.  Adjacent cells
+    share vertex images, so the preimages tile.
+    """
+    d = phi.shape[-1]
+    return sum(
+        f1.evaluate(_cell_values(phi, g)) * np.linalg.det(np.stack(
+            [_cell_values(phi, g[:a] + (2,) + g[a + 1:]) for a in range(d)],
+            axis=-1))
+        for g in np.ndindex((2,) * d)) / 2 ** d
 
 
 def pushforward_density(cfg: DiracConfiguration, f1: GridDensity,
@@ -470,11 +462,8 @@ def pushforward_density(cfg: DiracConfiguration, f1: GridDensity,
 
     resolution : cells per axis (an int or a tuple), by default f1's.
     The grid box is the bounding box of b on the boundary of f1's support
-    box.  Each cell holds the f1-mass of its preimage over its volume: the
-    preimage is the multilinear interpolant Phi of b^{-1} at the cell's
-    corners (exact in 1-D), its mass sum_g 2^-d f1(Phi(g)) det DPhi(g) over
-    the 2-point Gauss nodes g, exact for Phi's volume in d <= 4.  Adjacent
-    cells share corner images, so the preimages tile.
+    box.  Each cell holds the f1-mass of its preimage (_preimage_masses,
+    from b^{-1} at the cell's corners) over its volume.
     """
     if f1.dim != cfg.dim:
         raise ValidationError("density dimension does not match configuration")
@@ -484,12 +473,7 @@ def pushforward_density(cfg: DiracConfiguration, f1: GridDensity,
     h = (box[:, 1] - box[:, 0]) / np.array(res)
     axes = [np.linspace(lo, hi, n + 1) for (lo, hi), n in zip(box, res)]
     phi = b_inverse(cfg, np.stack(np.meshgrid(*axes, indexing="ij"), -1))
-    gauss_sum = np.zeros(res)
-    for g in np.ndindex((2,) * d):
-        jac = np.stack([_cell_values(phi, g[:a] + (2,) + g[a + 1:])
-                        for a in range(d)], axis=-1)
-        gauss_sum += f1.evaluate(_cell_values(phi, g)) * np.linalg.det(jac)
-    dens = GridDensity(box, gauss_sum / (2 ** d * float(np.prod(h))))
+    dens = GridDensity(box, _preimage_masses(f1, phi) / float(np.prod(h)))
     cell = np.floor((_singular_points(cfg) - box[:, 0]) / h)
     held = np.all((cell >= 0) & (cell < res), axis=1)
     mass = dens.mass()
@@ -526,76 +510,65 @@ def lq_via_changevar(cfg: DiracConfiguration, f1: GridDensity, q: float) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _directions(d: int, n: int) -> np.ndarray:
-    if d == 1:
-        return np.array([[1.0], [-1.0]])
-    if d == 2:
-        th = 2.0 * np.pi * np.arange(n) / n
-        return np.stack([np.cos(th), np.sin(th)], axis=-1)
-    # Fibonacci sphere for d = 3; higher d: normalized Halton-free fallback
-    if d == 3:
-        k = np.arange(n) + 0.5
-        phi = np.arccos(1.0 - 2.0 * k / n)
-        theta = np.pi * (1.0 + math.sqrt(5.0)) * k
-        return np.stack(
-            [np.sin(phi) * np.cos(theta), np.sin(phi) * np.sin(theta),
-             np.cos(phi)], axis=-1,
-        )
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal((n, d))
-    return v / _length(v)[:, None]
-
-
 @dataclass(frozen=True)
 class BlowupReport:
-    """Log-log fit of the pushforward density along shrinking annuli.
+    """Log-log fit of the pushforward density's cube means around a centre.
 
     slope : fitted d(log g)/d(log r) at the given center
     q0 : critical integrability index d / |slope| (inf if the slope is ~0
         or positive); g_p belongs to L^q exactly for q < q0
+    radii_used : the usable half-sides r
+    means : the f1-mass of the preimage of each usable cube over (2r)^d
     """
 
     slope: float
     q0: float
     radii_used: np.ndarray
-    annulus_means: np.ndarray
+    means: np.ndarray
 
 
 def blowup_exponent(cfg: DiracConfiguration, f1: GridDensity, center,
                     radii) -> BlowupReport:
     """Fit the local power-law exponent of g_p around a singular center.
 
-    For each radius, g_p is evaluated at 64 deterministic points on the
-    sphere of that radius (2 in d = 1) and averaged; radii where fewer than
-    90% of the samples carry positive density (the preimage left spt f1) are
-    discarded.  An ordinary least-squares line through (log r, log mean)
-    gives the local exponent; fewer than 4 usable radii raise
-    InsufficientDataError.
+    For each radius r (positive), the cube of half-side r around the center
+    is split into 2^d cells; the f1-mass of its preimage comes from b^{-1} at
+    the 3^d vertices through the pushforward's cell rule (_preimage_masses),
+    and its mean density is that mass over (2r)^d.  A radius is usable when
+    f1 > 0 at every vertex preimage (the cube's preimage stays in spt f1).
+    An ordinary least-squares line through (log r, log mean) gives the local
+    exponent; fewer than 4 usable radii raise InsufficientDataError.  Near
+    the center b^{-1} is asymptotically homogeneous, so the interpolated
+    preimage's volume scales as the true one and the slope is asymptotically
+    exact in every d.
     """
     center = _array(center, "center", 1)
     radii = _array(radii, "radii", 1)
-    if center.shape != (cfg.dim,):
-        raise ValidationError(f"center must have {cfg.dim} coordinates")
+    d = cfg.dim
+    if center.shape != (d,):
+        raise ValidationError(f"center must have {d} coordinates")
     if radii.size < 6:
         raise ValidationError("supply at least 6 candidate radii")
-    dirs = _directions(cfg.dim, _BLOWUP_DIRECTIONS)
-    zs = center[None, None, :] + radii[:, None, None] * dirs[None]
-    g = _density_at(cfg, f1, zs.reshape(-1, cfg.dim)).reshape(radii.size, -1)
-    pos = g > 0.0
-    usable = pos.sum(axis=1) >= 0.9 * len(dirs)
+    if np.any(radii <= 0.0):
+        raise ValidationError("radii must be positive")
+    steps = np.stack(np.meshgrid(*[(-1.0, 0.0, 1.0)] * d, indexing="ij"), -1)
+    phi = b_inverse(cfg, center + radii.reshape((-1,) + (1,) * (d + 1))
+                    * steps)
+    usable = np.all(f1.evaluate(phi) > 0.0, axis=tuple(range(1, d + 1)))
     used = radii[usable]
-    means = _row_means(g[usable][pos[usable]], pos[usable])
     if len(used) < _MIN_USABLE_RADII:
         raise InsufficientDataError(
-            f"only {len(used)} of {radii.size} annuli usable "
+            f"only {len(used)} of {radii.size} cubes usable "
             f"(need {_MIN_USABLE_RADII}); center likely too close to the "
             "boundary of the image region"
         )
+    masses = _preimage_masses(f1, phi[usable]).reshape(len(used), -1)
+    means = masses.sum(axis=1) / (2.0 * used) ** d
     slope = float(np.polyfit(np.log(used), np.log(means), 1)[0])
-    q0 = cfg.dim / abs(slope) if slope < -1e-12 else math.inf
+    q0 = d / abs(slope) if slope < -1e-12 else math.inf
     return BlowupReport(
         slope=slope,
         q0=q0,
         radii_used=used,
-        annulus_means=means,
+        means=means,
     )

@@ -237,8 +237,9 @@ def test_semidiscrete_blowup_summary(tmp_path):
                "--p", "3.0", "--grid", "256")
     assert res.returncode == 0, res.stderr
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["blowup_q0"] == pytest.approx(2.0, abs=0.25)
-    assert summary["blowup_slope"] == pytest.approx(-1.0, abs=0.15)
+    assert summary["blowup_q0"] == pytest.approx(2.0, abs=0.02)
+    assert summary["blowup_slope"] == pytest.approx(-1.0, abs=0.01)
+    assert summary["blowup_q0_theory"] == 2.0
     assert (out / "pushforward.csv").exists()
 
 

@@ -469,7 +469,7 @@ _UNREAD = {
     ("TransportPlan", "maybe_degenerate"): "ROADMAP item 10's LP record",
     ("AffineBarycenterResult", "transport"): "the family's optimal map",
     ("BlowupReport", "radii_used"): "the data the slope is fitted to",
-    ("BlowupReport", "annulus_means"): "the data the slope is fitted to",
+    ("BlowupReport", "means"): "the data the slope is fitted to",
     ("InjectivityReport", "min_radius"): "pinned by "
                                          "test_injectivity_pinned_report",
     ("EigBoundReportPLt2", "stated_ok"): "the stated band's verdict",
@@ -626,6 +626,27 @@ def test_the_field_is_formed_in_one_kernel():
     }
 
 
+def test_density_is_measured_by_one_rule():
+    """semidiscrete._preimage_masses is the one density rule: in semidiscrete
+    only it calls _cell_values and np.linalg.det, only pushforward_density
+    and blowup_exponent call it, and neither of those two forms grad b^{-1}
+    through _inverse_jacobian."""
+    calls = {"_cell_values": set(), "np.linalg.det": set(),
+             "_preimage_masses": set(), "_inverse_jacobian": set()}
+    path = Path(wbary.__file__).parent / "semidiscrete.py"
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Call)
+                    and ast.unparse(node.func) in calls):
+                calls[ast.unparse(node.func)].add(
+                    getattr(top, "name", "<module>"))
+    assert calls["_cell_values"] == {"_preimage_masses"}
+    assert calls["np.linalg.det"] == {"_preimage_masses"}
+    assert calls["_preimage_masses"] == {"pushforward_density",
+                                         "blowup_exponent"}
+    assert not calls["_inverse_jacobian"] & calls["_preimage_masses"]
+
+
 def _invalid_input_cases():
     nan = np.nan
     f1 = wbary.uniform_box([[0.0, 1.0]], 8)
@@ -698,6 +719,10 @@ def _invalid_input_cases():
             [[0.0], [0.0]], 0.5, resolution=8),
         "blowup-column-center": lambda: wbary.blowup_exponent(
             dirac2, f2, [[0.05], [0.05]], np.geomspace(1e-6, 1e-4, 8)),
+        "blowup-negative-radius": lambda: wbary.blowup_exponent(
+            dirac2, f2, dirac2.fixed_point, -np.geomspace(1e-6, 1e-4, 8)),
+        "blowup-zero-radius": lambda: wbary.blowup_exponent(
+            dirac2, f2, [0.05, 0.05], np.r_[0.0, np.geomspace(1e-6, 1e-4, 7)]),
     }
 
 
