@@ -336,13 +336,14 @@ def p_concavity_check(points, values, p) -> ConcavityReport:
 
 
 def homogeneous_transform_coefficient(lam: float, p: float) -> float:
-    """Coefficient g of phi^p = (g/p)|y|^p for phi = (lam/p)|x|^p, lam <= 0.
+    """Coefficient g of phi^p = (g/p)|y|^p for phi = (lam/p)|x|^p, lam <= 0
+    finite.
 
     g = (|lam| / (1 + |lam|))^(p-1); for lam = -1, p = 3 this equals 1/4,
     with the infimum attained at x = y/2.
     """
     p = _check_exponent(p)
-    if not lam <= 0.0:
-        raise ValidationError(f"closed form requires lam <= 0, got {lam}")
+    if not -np.inf < lam <= 0.0:
+        raise ValidationError(f"closed form requires finite lam <= 0, got {lam}")
     a = abs(lam)
     return (a / (1.0 + a)) ** (p - 1.0)

@@ -17,6 +17,7 @@ injectivity of the barycenter map on plan supports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,7 +94,9 @@ def integrability_bound(f1_lq, q, p, lam1, d, D=None, m=None,
     the bound is exactly lam1^(d(1-q)/q) ||f1||_q with constant 1.  Raises
     GeometryError unless the required separation is positive (NaN is not):
     the estimate then carries no information.  f1_lq must be finite and
-    non-negative, constant finite and positive.
+    non-negative, constant finite and positive.  Where the bound is not
+    representable (the prefactor underflows to 0, or it or the bound leaves
+    float range) the result is math.inf, still a valid upper bound.
     """
     p = _check_exponent(p)
     q = _check_q(q)
@@ -111,8 +114,13 @@ def integrability_bound(f1_lq, q, p, lam1, d, D=None, m=None,
             f"the p = {p} bound requires a positive "
             f"{'displacement D' if p > 2.0 else 'separation m'}, got {geom}")
     a = alpha_exponent(p)
-    prefactor = lam1 ** (d * (1.0 - a)) * geom ** (d * abs(p - 2.0))
-    return float(constant * prefactor ** (-(q - 1.0) / q) * f1_lq)
+    try:
+        prefactor = (float(lam1) ** (d * (1.0 - a))
+                     * float(geom) ** (d * abs(p - 2.0)))
+        bound = float(constant) * prefactor ** (-(q - 1.0) / q) * float(f1_lq)
+    except (ZeroDivisionError, OverflowError):
+        return math.inf
+    return math.inf if math.isnan(bound) else bound
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,33 @@ from .errors import WbaryError
 # _finish writes summary.json, and main exits 3 unless its "ok" holds.
 
 
+def _cell(v) -> str:
+    """One table cell as csv.writer writes it: a float as %.17g, anything
+    else as str, quoted where it holds a comma, a quote or a line end."""
+    if isinstance(v, float):
+        return "%.17g" % v
+    s = str(v)
+    return '"' + s.replace('"', '""') + '"' if any(
+        c in s for c in ',"\n') else s
+
+
 def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                f"{v:.17g}" if isinstance(v, float) else str(v) for v in row
-            ) + "\n")
+    """Write a table with the bytes of csv.writer(fh, lineterminator="\n"),
+    cells as _cell gives them.  rows is a sequence of rows or a 2-D float
+    array, every row as long as the header; the table is formatted in one
+    pass, and an array's cells in one %.17g template."""
+    if isinstance(rows, np.ndarray):
+        fmt, cells, widths = "%.17g", rows.ravel().tolist(), {rows.shape[1]}
+    else:
+        fmt, cells = "%s", [_cell(v) for row in rows for v in row]
+        widths = set(map(len, rows))
+    n = len(header)
+    if widths - {n}:
+        raise ValueError(f"{path.name}: a row is not {n} cells long")
+    line = ",".join([fmt] * n) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(map(_cell, header)) + "\n"
+                 + line * (len(cells) // n) % tuple(cells))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -105,7 +125,10 @@ def _run_semidiscrete(args, outdir: Path) -> dict:
 
     cfg, f1, center, radii = _blowup_fixture(args.p, args.grid)
     pf = pushforward_density(cfg, f1, resolution=args.grid)
-    pf.density.write_csv(outdir / "pushforward.csv")
+    dens = pf.density
+    _write_csv(outdir / "pushforward.csv",
+               [f"x{a}" for a in range(dens.dim)] + ["value"],
+               np.column_stack([dens.centers(), dens.values.ravel()]))
     payload = {
         "ok": bool(pf.mass_ok),
         "p": args.p,

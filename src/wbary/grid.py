@@ -59,15 +59,10 @@ class GridDensity:
     def cell_volume(self) -> float:
         return float(np.prod(self.cell_widths))
 
-    def axis_centers(self, axis: int) -> np.ndarray:
-        lo, hi = self.box[axis]
-        n = self.resolution[axis]
-        h = (hi - lo) / n
-        return lo + h * (np.arange(n) + 0.5)
-
     def centers(self) -> np.ndarray:
         """All cell centers as an (n_cells, d) array in C order."""
-        axes = [self.axis_centers(a) for a in range(self.dim)]
+        axes = [lo + h * (np.arange(n) + 0.5) for lo, n, h in
+                zip(self.box[:, 0], self.resolution, self.cell_widths)]
         grids = np.meshgrid(*axes, indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=-1)
 
@@ -80,17 +75,22 @@ class GridDensity:
             raise ValidationError("cannot normalize a density with zero mass")
         return GridDensity(self.box, self.values / m)
 
+    def _cells(self, pts):
+        """(idx, inside) for (n, d) points: inside marks the points in the
+        box, decided on the float cell coordinate before any integer cast,
+        and idx holds their cells' (k, d) indices.  A coordinate beyond
+        float range is infinite, and so outside."""
+        with np.errstate(over="ignore"):
+            t = (pts - self.box[:, 0]) / self.cell_widths
+        inside = np.all((t >= 0.0) & (t < self.resolution), axis=1)
+        return np.floor(t[inside]).astype(int), inside
+
     def evaluate(self, points) -> np.ndarray:
         """Piecewise-constant lookup at (..., d) points; zero outside the box."""
         pts, lead = _points(points, self.dim, "points")
-        h = self.cell_widths
-        idx = np.floor((pts - self.box[:, 0][None, :]) / h[None, :]).astype(int)
-        res = np.array(self.resolution)
-        inside = np.all((idx >= 0) & (idx < res[None, :]), axis=1)
+        idx, inside = self._cells(pts)
         out = np.zeros(pts.shape[0])
-        if inside.any():
-            sel = tuple(idx[inside].T)
-            out[inside] = self.values[sel]
+        out[inside] = self.values[tuple(idx.T)]
         return out.reshape(lead)
 
     def lq_norm(self, q: float) -> float:
@@ -112,18 +112,24 @@ class GridDensity:
         hi = self.box[:, 0] + (nz.max(axis=0) + 1) * h
         return np.stack([lo, hi], axis=1)
 
-    def write_csv(self, path) -> None:
-        """One row per cell: center coordinates then the value.
 
-        Fields are %.17g and lines end in CRLF, the bytes csv.writer writes
-        for these rows, formatted in one pass.
-        """
-        rows = np.column_stack([self.centers(), self.values.ravel()])
-        header = ",".join([f"x{a}" for a in range(self.dim)] + ["value"])
-        line = ",".join(["%.17g"] * rows.shape[1]) + "\r\n"
-        with open(path, "w", newline="") as fh:
-            fh.write(header + "\r\n"
-                     + (line * rows.shape[0]) % tuple(rows.ravel().tolist()))
+def _ball(center, radius):
+    """(center, radius, box) of a ball: center one point, radius positive,
+    and the grid box the cube of half-side 1.1 radius around it."""
+    center = _array(center, "center", 1)
+    radius = float(radius)
+    if not radius > 0.0:
+        raise ValidationError("radius must be positive")
+    pad = 1.1 * radius
+    return center, radius, np.stack([center - pad, center + pad], axis=1)
+
+
+def _on_grid(box, resolution, profile) -> GridDensity:
+    """The density proportional to profile(cell centers) on a grid over box
+    (resolution cells per axis), renormalized so its grid mass is one."""
+    res = _res_tuple(resolution, box.shape[0])
+    values = profile(GridDensity(box, np.zeros(res)).centers())
+    return GridDensity(box, values.reshape(res)).normalized()
 
 
 def uniform_ball(center, radius, resolution=64) -> GridDensity:
@@ -132,47 +138,30 @@ def uniform_ball(center, radius, resolution=64) -> GridDensity:
     Cells whose center lies in the (closed) ball get a constant value; the
     result is renormalized so its grid mass is exactly one.
     """
-    center = _array(center, "center", 1)
-    d = center.shape[0]
-    radius = float(radius)
-    if radius <= 0:
-        raise ValidationError("radius must be positive")
-    pad = 1.1 * radius
-    box = np.stack([center - pad, center + pad], axis=1)
-    dens = _from_indicator(
-        box, resolution, d,
-        lambda pts: _length(pts - center[None, :]) <= radius,
-    )
-    return dens.normalized()
+    center, radius, box = _ball(center, radius)
+    return _on_grid(box, resolution,
+                    lambda x: _length(x - center) <= radius)
 
 
 def uniform_box(support_box, resolution=64) -> GridDensity:
     """Uniform probability density on a sub-box, renormalized on the grid."""
     sb = _array(support_box, "support_box", 2)
-    d = sb.shape[0]
     mid = sb.mean(axis=1)
     half = 0.55 * (sb[:, 1] - sb[:, 0])
     box = np.stack([mid - half, mid + half], axis=1)
-    dens = _from_indicator(
-        box, resolution, d,
-        lambda pts: np.all((pts >= sb[:, 0]) & (pts <= sb[:, 1]), axis=1),
-    )
-    return dens.normalized()
+    return _on_grid(box, resolution, lambda x: np.all(
+        (x >= sb[:, 0]) & (x <= sb[:, 1]), axis=1))
 
 
 def radial_bump(center, radius, resolution=64) -> GridDensity:
     """C^1 bump (1 - (r/R)^2)^2 on a ball, renormalized on the grid."""
-    center = _array(center, "center", 1)
-    d = center.shape[0]
-    radius = float(radius)
-    pad = 1.1 * radius
-    box = np.stack([center - pad, center + pad], axis=1)
-    res = _res_tuple(resolution, d)
-    dens = GridDensity(box, np.zeros(res))
-    pts = dens.centers()
-    r = _length(pts - center[None, :]) / radius
-    v = np.where(r <= 1.0, (1.0 - r ** 2) ** 2, 0.0)
-    return GridDensity(box, v.reshape(res)).normalized()
+    center, radius, box = _ball(center, radius)
+
+    def bump(x):
+        r = _length(x - center) / radius
+        return np.where(r <= 1.0, (1.0 - r ** 2) ** 2, 0.0)
+
+    return _on_grid(box, resolution, bump)
 
 
 def _res_tuple(resolution, d) -> tuple:
@@ -181,12 +170,3 @@ def _res_tuple(resolution, d) -> tuple:
     if len(res) != d or min(res) < 1:
         raise ValidationError(f"resolution {res}: need {d} cell counts >= 1")
     return res
-
-
-def _from_indicator(box, resolution, d, indicator) -> GridDensity:
-    res = _res_tuple(resolution, d)
-    shell = GridDensity(box, np.zeros(res))
-    mask = indicator(shell.centers())
-    if not mask.any():
-        raise ValidationError("support does not meet any cell center")
-    return GridDensity(box, mask.astype(float).reshape(res))

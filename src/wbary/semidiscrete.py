@@ -474,14 +474,13 @@ def pushforward_density(cfg: DiracConfiguration, f1: GridDensity,
     axes = [np.linspace(lo, hi, n + 1) for (lo, hi), n in zip(box, res)]
     phi = b_inverse(cfg, np.stack(np.meshgrid(*axes, indexing="ij"), -1))
     dens = GridDensity(box, _preimage_masses(f1, phi) / float(np.prod(h)))
-    cell = np.floor((_singular_points(cfg) - box[:, 0]) / h)
-    held = np.all((cell >= 0) & (cell < res), axis=1)
+    held, _ = dens._cells(_singular_points(cfg))
     mass = dens.mass()
     return PushforwardResult(
         density=dens,
         mass=mass,
         mass_ok=abs(mass - 1.0) <= 0.05,
-        singular_cells=len(np.unique(cell[held], axis=0)),
+        singular_cells=len(np.unique(held, axis=0)),
     )
 
 

@@ -1,5 +1,7 @@
 """Support geometry, integrability bound, cell bound, injectivity."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -9,6 +11,7 @@ from wbary import (
     GeometryError,
     GridDensity,
     ValidationError,
+    alpha_exponent,
     compute_D,
     compute_m,
     constant_maps,
@@ -104,6 +107,29 @@ def test_integrability_requires_separation():
         integrability_bound(1.0, 2.0, 3.0, 0.2, 2, D=D)
     with pytest.raises(GeometryError):
         integrability_bound(1.0, 2.0, 1.5, 0.2, 2, m=0.0)
+
+
+def test_integrability_bound_out_of_float_range_is_inf():
+    """A bound whose prefactor underflows to 0, or whose power overflows, is
+    math.inf, a valid upper bound, and not a ZeroDivisionError or an
+    OverflowError; every finite value is the formula's, bit for bit, also
+    for the NumPy scalars the distant-support sweep passes."""
+    assert integrability_bound(1.0, 2, 4, 0.5, 2, D=1e-200) == math.inf
+    assert integrability_bound(1.0, 2, 3, 0.1, 1000, D=1.0) == math.inf
+    assert integrability_bound(1.0, 50.0, 4, 0.5, 2, D=1e-80) == math.inf
+    assert integrability_bound(1.0, 2, 4, 0.5, 2, D=1e200) == math.inf
+    assert integrability_bound(0.0, 2, 4, 0.5, 2, D=1e-200) == math.inf
+    # constant * power overflows, and inf * 0 would be NaN.
+    assert integrability_bound(0.0, 2, 4, 0.5, 1, D=1e-40,
+                               constant=1e300) == math.inf
+    for lam1 in np.arange(0.1, 0.91, 0.1):
+        for p, D, q in ((3.0, 6.1, 2.0), (4.0, 0.37, 1.5), (1.5, 2.5, 4.0)):
+            a = alpha_exponent(p)
+            ref = (1.3 * (lam1 ** (2 * (1 - a)) * D ** (2 * abs(p - 2)))
+                   ** (-(q - 1) / q) * 0.8)
+            got = integrability_bound(0.8, q, p, lam1, 2, D=D, m=D,
+                                      constant=1.3)
+            assert got == float(ref) and type(got) is float
 
 
 def test_general_bound_identity_reduction():

@@ -1,10 +1,15 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
+import ast
+import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 
@@ -391,6 +396,69 @@ def test_semidiscrete_mass_is_ok_on_every_grid(tmp_path, p):
         assert cli.main(["run", "--kind", "semidiscrete", "--p", str(p),
                          "--grid", str(grid), "--out", str(out)]) == 0, grid
         assert json.loads((out / "summary.json").read_text())["ok"]
+
+
+def test_write_csv(tmp_path):
+    """_write_csv writes the bytes of csv.writer with LF line ends, floats
+    as %.17g and other cells as str: for a float array (in one %.17g
+    template) and for rows of mixed cells, also for NaN, inf, -0.0 and the
+    smallest subnormal, and for a string that needs quoting."""
+    from wbary.cli import _write_csv
+
+    vals = np.array([[0.0, -0.0, np.nan, np.inf],
+                     [-np.inf, 1e-300, 1.0 / 3.0, -2.5e17],
+                     [5e-324, 1.0, 123456789.125, -1e-5]])
+    mixed = [(0, "plain", True, -0.0, np.nan),
+             (12, 'spectrum in {1, "zeta"}', False, 5e-324, -np.inf),
+             (-3, "", None, np.float64(1.0 / 3.0), 2.5e17)]
+    for header, rows in ((["x0", "x1", "x2", "value"], vals),
+                         (["k", "note, quoted", "flag", "a", "b"], mixed)):
+        path = tmp_path / "table.csv"
+        _write_csv(path, header, rows)
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else str(v)
+                             for v in row])
+        assert path.read_bytes() == ref.getvalue().encode()
+    with pytest.raises(ValueError, match="not 5 cells long"):
+        _write_csv(tmp_path / "short.csv", header, mixed + [(1, 2)])
+
+
+def test_every_table_parses_into_rows_as_long_as_its_header(tmp_path):
+    """Every CSV of every run kind reads back with csv.reader into rows as
+    long as its header, with LF line ends only."""
+    from wbary import cli
+
+    tables = 0
+    for kind in cli.KINDS:
+        out = tmp_path / kind
+        assert cli.main(["run", "--kind", kind, "--out", str(out),
+                         "--grid", "32"]) == 0, kind
+        for path in sorted(out.glob("*.csv")):
+            data = path.read_bytes()
+            assert b"\r" not in data, path.name
+            header, *rows = csv.reader(io.StringIO(data.decode()))
+            assert rows, path.name
+            assert {len(row) for row in rows} == {len(header)}, path.name
+            tables += 1
+    assert tables == 7
+
+
+def test_only_cli_opens_files():
+    """cli is the one module of src/wbary that opens a file: tables and
+    JSON go through its writers."""
+    import wbary
+
+    openers = set()
+    for path in Path(wbary.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and "open" in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None))):
+                openers.add(path.name)
+    assert openers == {"cli.py"}
 
 
 def test_unknown_kind_rejected(tmp_path):

@@ -691,6 +691,8 @@ def _invalid_input_cases():
             dirac2, f2, [0.05], np.geomspace(1e-6, 1e-4, 8)),
         "homogeneous-nan": lambda: wbary.homogeneous_transform_coefficient(
             nan, 3),
+        "homogeneous-minus-inf": (
+            lambda: wbary.homogeneous_transform_coefficient(-np.inf, 3)),
         "curvature-nan-z": lambda: curvature_blocks(config, z=[nan]),
         "curvature-short-z": lambda: curvature_blocks(plane, z=[0.5]),
         "jacobian-nan": lambda: wbary.jacobian_det(dirac, [nan]),

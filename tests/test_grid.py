@@ -1,11 +1,12 @@
 """Grid density container and reference densities."""
 
-import csv
-import io
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wbary
 from wbary import (
     GridDensity,
     ValidationError,
@@ -63,30 +64,36 @@ def test_normalized_idempotent():
     np.testing.assert_allclose(gn.values, f.values, rtol=1e-12)
 
 
-def test_write_csv(tmp_path):
-    f = uniform_box(np.array([[0.0, 1.0]]), resolution=8)
-    path = tmp_path / "density.csv"
-    f.write_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0].split(",")[-1] == "value"
-    assert len(lines) == 1 + 8
-    first = [float(v) for v in lines[1].split(",")]
-    assert first[-1] == pytest.approx(float(f.values.max()))
+@pytest.mark.parametrize("far", [1e19, 1e300, 1.7e308])
+def test_evaluate_far_outside_the_box_is_zero(far):
+    """Points whose cell coordinate lies past the integer range, or past
+    float range (1.7e308 over a cell width below 1), are outside, decided
+    before any cast (Tier-1 turns the cast's or the overflow's
+    RuntimeWarning into an error)."""
+    for f in (uniform_box(np.array([[0.0, 1.0]]), resolution=8),
+              uniform_ball(np.zeros(2), 0.5, resolution=16)):
+        pts = np.array([[far], [-far]]) * np.ones(f.dim)
+        assert f.evaluate(pts).tolist() == [0.0, 0.0]
+    f = uniform_box(np.array([[0.0, 1.0], [0.0, 1.0]]), resolution=8)
+    assert f.evaluate([[0.5, far], [-far, 0.5], [0.5, 0.5]]).tolist() == [
+        0.0, 0.0, float(f.values.max())]
 
-    # Same bytes as one csv.writer row per cell, also for values that
-    # GridDensity itself rejects (NaN, inf), set here past its validation.
-    g = uniform_box(np.array([[0.0, 1.0], [-2.0, 3.0]]), resolution=(3, 4))
-    vals = np.array([[0.0, -0.0, np.nan, np.inf],
-                     [-np.inf, 1e-300, 1.0 / 3.0, -2.5e17],
-                     [5e-324, 1.0, 123456789.125, -1e-5]])
-    object.__setattr__(g, "values", vals)
-    g.write_csv(path)
-    ref = io.StringIO(newline="")
-    writer = csv.writer(ref)
-    writer.writerow(["x0", "x1", "value"])
-    for c, v in zip(g.centers(), vals.ravel()):
-        writer.writerow([f"{x:.17g}" for x in c] + [f"{v:.17g}"])
-    assert path.read_bytes() == ref.getvalue().encode()
+
+def test_cells_are_located_by_one_rule():
+    """GridDensity._cells is the one place in src/wbary that turns a grid
+    coordinate into a cell index (np.floor, or a cast to int)."""
+    where = set()
+    for path in Path(wbary.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        for top in ast.walk(tree):
+            if not isinstance(top, ast.FunctionDef):
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and (
+                        ast.unparse(node.func) == "np.floor"
+                        or ast.unparse(node).endswith(".astype(int)")):
+                    where.add((path.name, top.name))
+    assert where == {("grid.py", "_cells")}
 
 
 def test_validation():
@@ -94,5 +101,7 @@ def test_validation():
         GridDensity(np.array([[1.0, 0.0]]), np.ones(4))  # inverted box
     with pytest.raises(ValidationError):
         GridDensity(np.array([[0.0, 1.0]]), np.ones((4, 4)))  # ndim mismatch
-    with pytest.raises(ValidationError):
-        uniform_ball(np.zeros(2), -1.0)
+    for make in (uniform_ball, radial_bump):
+        for radius in (0.0, -1.0, np.nan):
+            with pytest.raises(ValidationError, match="radius must be positive"):
+                make(np.zeros(2), radius)

@@ -33,8 +33,9 @@ def test_compare_reports_each_kind_of_difference(tmp_path):
         _result(root, "code", code=code)
     _result(parent, "csv", artifacts={"a.csv": "1\n", "b.csv": "2\n"})
     _result(change, "csv", artifacts={"a.csv": "1\n", "b.csv": "2.5\n"})
-    # A text artifact names its first differing line, as for pushforward.csv
-    # (CRLF line ends, and a row that only one side has).
+    # A text artifact names its first differing line, line end included, and
+    # counts the lines that differ (CRLF line ends, and a row that only one
+    # side has).
     head = "x0,value\r\n0.5,1\r\n"
     _result(parent, "grid", artifacts={"p.csv": head + "1.5,2\r\n"})
     _result(change, "grid", artifacts={"p.csv": head + "1.5,2.25\r\n"})
@@ -53,27 +54,45 @@ def test_compare_reports_each_kind_of_difference(tmp_path):
     _result(parent, "key", artifacts={"summary.json": json.dumps({"a": 1})})
     _result(change, "key", artifacts={
         "summary.json": json.dumps({"a": 1, "b": [1.5]})})
+    # Every key that moves or is new is named, not only the first.
+    _result(parent, "keys", artifacts={"summary.json": json.dumps(
+        {"blowup_q0": 2.0089, "blowup_slope": -0.9955, "ok": True})})
+    _result(change, "keys", artifacts={"summary.json": json.dumps(
+        {"blowup_q0": 2.0067, "blowup_q0_theory": 2.0,
+         "blowup_slope": -0.9967, "ok": True})})
+    # Line ends count: CRLF -> LF moves every line and no value.
+    _result(parent, "crlf", artifacts={"p.csv": head + "1.5,2\r\n"})
+    _result(change, "crlf", artifacts={"p.csv": "x0,value\n0.5,1\n1.5,2\n"})
 
     got = parent_diff.compare(parent, change)
     assert got == {
         "code": [("exit code", "0 -> 3")],
-        "csv": [("artifacts", "b.csv line 1: '2' -> '2.5'")],
-        "err": [("stderr", "line 1: 'error: tolerance 1e-12' -> "
-                           "'error: tolerance 1e-11'")],
+        "crlf": [("artifacts", "p.csv line 1: 'x0,value\\r\\n' -> "
+                               "'x0,value\\n' (3 of 3 lines differ)")],
+        "csv": [("artifacts", "b.csv line 1: '2\\n' -> '2.5\\n' "
+                              "(1 of 1 lines differ)")],
+        "err": [("stderr", "line 1: 'error: tolerance 1e-12\\n' -> "
+                           "'error: tolerance 1e-11\\n' (1 of 1 lines differ)")],
         "extra": [("artifacts", "b.csv only in change")],
         "gone": [("artifacts", "run only in parent")],
-        "grid": [("artifacts", "p.csv line 3: '1.5,2' -> '1.5,2.25'")],
-        "json": [("artifacts", "summary.json key lp.iterations: 12 -> 13")],
+        "grid": [("artifacts", "p.csv line 3: '1.5,2\\r\\n' -> "
+                               "'1.5,2.25\\r\\n' (1 of 3 lines differ)")],
+        "json": [("artifacts", "summary.json key lp.iterations: 12 -> 13"),
+                 ("artifacts", "manifest.json key files.summary.json: 0 -> 3")],
         "key": [("artifacts", "summary.json key b: missing -> [1.5]")],
-        "rows": [("artifacts", "p.csv 2 -> 3 lines")],
+        "keys": [("artifacts", "summary.json key blowup_q0: 2.0089 -> 2.0067; "
+                               "key blowup_q0_theory: missing -> 2.0; "
+                               "key blowup_slope: -0.9955 -> -0.9967")],
+        "rows": [("artifacts", "p.csv line 3: missing -> '1.5,2\\r\\n' "
+                               "(1 of 3 lines differ)")],
         "same": [],
         "selftest": [],
     }
     lines = parent_diff.table(got).splitlines()
-    assert lines[:5] == ["identical       2", "artifacts       7",
+    assert lines[:5] == ["identical       2", "artifacts       9",
                          "stdout          0", "stderr          1",
                          "exit code       1"]
-    assert len(lines) == 5 + 9
+    assert len(lines) == 5 + 12
 
 
 def test_matrix_covers_every_kind_p_and_seed():

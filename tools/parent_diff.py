@@ -7,9 +7,10 @@ Checks REV out into a temporary `git worktree` (removed again on exit) and,
 on both trees, runs every `wbary run` kind at each p of P_GRID for each seed
 of SEEDS, plus `wbary selftest` and `wbary selftest --fast`.  Each is a fresh
 `python -m wbary.cli` process with PYTHONPATH=<tree>/src and one BLAS
-thread.  Prints one table: identical runs, runs whose artifacts differ (the
-first differing file and its first differing JSON key, with both values, or
-text line), runs whose stdout or stderr differ (selftest seconds stripped)
+thread.  Prints one table: identical runs, runs whose artifacts differ (each
+differing file with every differing JSON key and both values, or with its
+first differing text line and the count of differing lines), runs whose
+stdout or stderr differ (the same line detail, selftest seconds stripped)
 and exit-code changes.
 Timings are ignored.  Exits 1 when anything differs.
 """
@@ -70,57 +71,60 @@ def run_matrix(tree: Path, out: Path, cmds) -> None:
         (where / "exit_code.txt").write_text(f"{res.returncode}\n")
 
 
-def _json_key(a, b, path=""):
-    """'PATH: A -> B' at the first key or index at which a and b differ,
-    with PATH dotted and both values as JSON (a key one side lacks reads
-    as missing there), or None."""
+def _json_keys(a, b, path=""):
+    """'PATH: A -> B' for every key or index at which a and b differ, with
+    PATH dotted and both values as JSON (a key one side lacks reads as
+    missing there); lists of unequal length differ as a whole."""
     if isinstance(a, dict) and isinstance(b, dict):
-        for key in sorted(set(a) | set(b)):
-            found = _json_key(a.get(key, _MISSING), b.get(key, _MISSING),
-                              f"{path}{key}.")
-            if found is not None:
-                return found
-        return None
+        return [found for key in sorted(set(a) | set(b))
+                for found in _json_keys(a.get(key, _MISSING),
+                                        b.get(key, _MISSING), f"{path}{key}.")]
     if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        for i, (x, y) in enumerate(zip(a, b)):
-            found = _json_key(x, y, f"{path}{i}.")
-            if found is not None:
-                return found
-        return None
+        return [found for i, (x, y) in enumerate(zip(a, b))
+                for found in _json_keys(x, y, f"{path}{i}.")]
     if a == b:
-        return None
+        return []
     x, y = ("missing" if v is _MISSING else json.dumps(v) for v in (a, b))
-    return f"{path.rstrip('.') or '(top level)'}: {x} -> {y}"
+    return [f"{path.rstrip('.') or '(top level)'}: {x} -> {y}"]
 
 
-def _artifact_diff(a: Path, b: Path):
-    """The first artifact file that differs between directories a and b
-    (either may be missing), with its first differing JSON key and both
-    values there, or its first differing text line, or None.  manifest.json
-    goes last: it only holds the digests of the others."""
+def _artifact_diffs(a: Path, b: Path) -> list:
+    """One detail per artifact file that differs between directories a and
+    b (either may be missing): every differing JSON key with both values,
+    or the first differing text line and the count of differing lines.
+    manifest.json goes last: it only holds the digests of the others."""
     def files(d):
         return {f.relative_to(d) for f in d.rglob("*") if f.is_file()}
 
     fa, fb = files(a), files(b)
+    out = []
     for rel in sorted(fa | fb, key=lambda r: (r.name == "manifest.json", r)):
         if rel not in fa or rel not in fb:
-            return f"{rel} only in {'change' if rel in fb else 'parent'}"
+            out.append(f"{rel} only in {'change' if rel in fb else 'parent'}")
+            continue
         x, y = (a / rel).read_bytes(), (b / rel).read_bytes()
         if x == y:
             continue
         if rel.suffix == ".json":
-            key = _json_key(json.loads(x), json.loads(y))
-            return f"{rel} key {key}" if key else f"{rel} bytes"
-        return f"{rel} {_first_line_diff(x.decode(), y.decode())}"
-    return None
+            keys = _json_keys(json.loads(x), json.loads(y))
+            out.append(f"{rel} " + ("; ".join(f"key {k}" for k in keys)
+                                    or "bytes"))
+        else:
+            out.append(f"{rel} {_line_diff(x.decode(), y.decode())}")
+    return out
 
 
-def _first_line_diff(a: str, b: str) -> str:
-    la, lb = a.splitlines(), b.splitlines()
-    for i, (x, y) in enumerate(zip(la, lb)):
-        if x != y:
-            return f"line {i + 1}: {x!r} -> {y!r}"
-    return f"{len(la)} -> {len(lb)} lines"
+def _line_diff(a: str, b: str) -> str:
+    """The first differing line of a and b, line ends included (a line one
+    side lacks reads as missing there), and how many of the lines differ."""
+    la, lb = a.splitlines(keepends=True), b.splitlines(keepends=True)
+    n = max(len(la), len(lb))
+    la += [None] * (n - len(la))
+    lb += [None] * (n - len(lb))
+    diff = [i for i in range(n) if la[i] != lb[i]]
+    x, y = ("missing" if v is None else repr(v)
+            for v in (la[diff[0]], lb[diff[0]]))
+    return f"line {diff[0] + 1}: {x} -> {y} ({len(diff)} of {n} lines differ)"
 
 
 def compare(parent: Path, change: Path) -> dict:
@@ -134,15 +138,13 @@ def compare(parent: Path, change: Path) -> dict:
             side = "change" if b.is_dir() else "parent"
             out[name] = [("artifacts", f"run only in {side}")]
             continue
-        diffs = []
-        art = _artifact_diff(a / "artifacts", b / "artifacts")
-        if art:
-            diffs.append(("artifacts", art))
+        diffs = [("artifacts", detail) for detail in
+                 _artifact_diffs(a / "artifacts", b / "artifacts")]
         for stream in ("stdout", "stderr"):
             x = _SECONDS.sub("", (a / f"{stream}.txt").read_text())
             y = _SECONDS.sub("", (b / f"{stream}.txt").read_text())
             if x != y:
-                diffs.append((stream, _first_line_diff(x, y)))
+                diffs.append((stream, _line_diff(x, y)))
         ca = (a / "exit_code.txt").read_text().strip()
         cb = (b / "exit_code.txt").read_text().strip()
         if ca != cb:
