@@ -3,10 +3,13 @@
 Two subcommands:
 
 ``wbary run --kind KIND --out DIR [options]``
-    Runs one self-contained computation and writes deterministic artifacts
-    (CSV tables, ``summary.json``, and a ``manifest.json`` with SHA-256
-    digests) into the output directory.  Outputs carry no timestamps, so a
-    rerun with identical options reproduces identical bytes.
+    Runs one self-contained computation, then writes its deterministic
+    artifacts (CSV tables, ``summary.json``, and a ``manifest.json`` with the
+    SHA-256 digest of each) into the output directory.  Nothing is written
+    before the computation has finished, so a run that fails writes nothing;
+    the manifest lists exactly the files the run wrote, and other files in
+    the directory are left alone.  Outputs carry no timestamps, so a rerun
+    with identical options reproduces identical bytes.
 
 ``wbary selftest [--fast]``
     Executes the verification battery and prints one line per check.
@@ -30,8 +33,9 @@ from .core import _check_exponent, _check_q, _check_tol
 from .errors import WbaryError
 
 # Each runner imports the layers it uses, so a kind loads only those.  It
-# writes its tables into the output directory and returns the summary;
-# _finish writes summary.json, and main exits 3 unless its "ok" holds.
+# sees no path: it returns (summary, tables), tables mapping a file name to
+# (header, rows).  main formats every file, digests the text it writes and
+# writes them all in one loop; it exits 3 unless the summary's "ok" holds.
 
 
 def _cell(v) -> str:
@@ -44,11 +48,11 @@ def _cell(v) -> str:
         c in s for c in ',"\n') else s
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    """Write a table with the bytes of csv.writer(fh, lineterminator="\n"),
-    cells as _cell gives them.  rows is a sequence of rows or a 2-D float
-    array, every row as long as the header; the table is formatted in one
-    pass, and an array's cells in one %.17g template."""
+def _csv(header, rows) -> str:
+    """A table as csv.writer(fh, lineterminator="\n") writes it, cells as
+    _cell gives them.  rows is a sequence of rows or a 2-D float array,
+    every row as long as the header; the table is formatted in one pass,
+    and an array's cells in one %.17g template."""
     if isinstance(rows, np.ndarray):
         fmt, cells, widths = "%.17g", rows.ravel().tolist(), {rows.shape[1]}
     else:
@@ -56,39 +60,17 @@ def _write_csv(path: Path, header, rows) -> None:
         widths = set(map(len, rows))
     n = len(header)
     if widths - {n}:
-        raise ValueError(f"{path.name}: a row is not {n} cells long")
+        raise ValueError(f"a row is not {n} cells long")
     line = ",".join([fmt] * n) + "\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(map(_cell, header)) + "\n"
-                 + line * (len(cells) // n) % tuple(cells))
+    return (",".join(map(_cell, header)) + "\n"
+            + line * (len(cells) // n) % tuple(cells))
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _finish(outdir: Path, kind: str, params: dict, summary: dict) -> None:
-    _write_json(outdir / "summary.json", summary)
-    files = sorted(
-        f.name for f in outdir.iterdir()
-        if f.is_file() and f.name != "manifest.json"
-    )
-    digests = {}
-    for name in files:
-        h = hashlib.sha256()
-        h.update((outdir / name).read_bytes())
-        digests[name] = h.hexdigest()
-    _write_json(outdir / "manifest.json", {
-        "version": __version__,
-        "kind": kind,
-        "params": params,
-        "files": digests,
-    })
-
-
-def _run_point_bary(args, outdir: Path) -> dict:
+def _run_point_bary(args) -> tuple:
     from .core import _solve_configs
 
     rng = np.random.default_rng(args.seed)
@@ -103,19 +85,17 @@ def _run_point_bary(args, outdir: Path) -> dict:
         rows.append((k, *map(float, sol.z), float(sol.residual_norm),
                      sol.iterations, len(sol.coincident_set)))
         worst = max(worst, sol.residual_norm)
-    _write_csv(outdir / "solutions.csv",
-               ["index"] + [f"z{a}" for a in range(d)]
-               + ["residual", "iterations", "n_coincident"], rows)
     return {
         "ok": True,
         "p": args.p,
         "n_configs": n,
         "worst_residual": worst,
         "weights": [float(x) for x in w],
-    }
+    }, {"solutions.csv": (["index"] + [f"z{a}" for a in range(d)]
+                          + ["residual", "iterations", "n_coincident"], rows)}
 
 
-def _run_semidiscrete(args, outdir: Path) -> dict:
+def _run_semidiscrete(args) -> tuple:
     from ._fixtures import _blowup_fixture
     from .semidiscrete import (
         blowup_exponent,
@@ -126,9 +106,6 @@ def _run_semidiscrete(args, outdir: Path) -> dict:
     cfg, f1, center, radii = _blowup_fixture(args.p, args.grid)
     pf = pushforward_density(cfg, f1, resolution=args.grid)
     dens = pf.density
-    _write_csv(outdir / "pushforward.csv",
-               [f"x{a}" for a in range(dens.dim)] + ["value"],
-               np.column_stack([dens.centers(), dens.values.ravel()]))
     payload = {
         "ok": bool(pf.mass_ok),
         "p": args.p,
@@ -146,10 +123,12 @@ def _run_semidiscrete(args, outdir: Path) -> dict:
         payload["blowup_q0_theory"] = (
             (args.p - 1.0) / (args.p - 2.0) if args.p > 2.0
             else 1.0 / (2.0 - args.p))
-    return payload
+    return payload, {"pushforward.csv": (
+        [f"x{a}" for a in range(dens.dim)] + ["value"],
+        np.column_stack([dens.centers(), dens.values.ravel()]))}
 
 
-def _run_mmot(args, outdir: Path) -> dict:
+def _run_mmot(args) -> tuple:
     from .mmot import DiscreteMeasure, check_cp_monotone, verify_c2m_equivalence
 
     rng = np.random.default_rng(args.seed)
@@ -169,13 +148,6 @@ def _run_mmot(args, outdir: Path) -> dict:
          *map(float, plan.barycenters[k]))
         for k in range(len(plan.masses))
     ]
-    _write_csv(outdir / "plan.csv",
-               ["tuple"] + [f"i{j}" for j in range(3)] + ["mass", "by0", "by1"],
-               rows)
-    _write_csv(outdir / "barycenter_measure.csv",
-               ["x0", "x1", "mass"],
-               [(float(a[0]), float(a[1]), float(m))
-                for a, m in zip(nu.atoms, nu.masses)])
     ok = bool(eq.ok and mono.ok and plan.support_within_basis)
     return {
         "ok": ok,
@@ -191,26 +163,31 @@ def _run_mmot(args, outdir: Path) -> dict:
         "lp_rounds": plan.lp_rounds,
         "lp_columns": plan.lp_columns,
         "lp_iterations": plan.lp_iterations,
+    }, {
+        "plan.csv": (["tuple"] + [f"i{j}" for j in range(3)]
+                     + ["mass", "by0", "by1"], rows),
+        "barycenter_measure.csv": (
+            ["x0", "x1", "mass"],
+            [(float(a[0]), float(a[1]), float(m))
+             for a, m in zip(nu.atoms, nu.masses)]),
     }
 
 
-def _run_bounds(args, outdir: Path) -> dict:
+def _run_bounds(args) -> tuple:
     from ._fixtures import FITTED_DISTANT_CONSTANT, _distant_support_sweep
 
     rows = [tuple(map(float, row)) for row in
             _distant_support_sweep(max(args.grid, 512), args.q)]
     ok = all(norm <= bound for _, norm, bound, _ in rows)
-    _write_csv(outdir / "sweep.csv",
-               ["lam1", "measured", "bound", "separation"], rows)
     return {
         "ok": bool(ok),
         "p": 3.0,
         "q": args.q,
         "constant": FITTED_DISTANT_CONSTANT,
-    }
+    }, {"sweep.csv": (["lam1", "measured", "bound", "separation"], rows)}
 
 
-def _run_affine(args, outdir: Path) -> dict:
+def _run_affine(args) -> tuple:
     from ._fixtures import _spectrum_fixture
     from .affine import spectrum_optimality
 
@@ -225,15 +202,14 @@ def _run_affine(args, outdir: Path) -> dict:
             rows.append((f"{tag}-{k}", A.shape[0], v.optimal,
                          float(v.zeta) if v.zeta is not None else float("nan"),
                          v.reason or ""))
-    _write_csv(outdir / "spectrum_fixture.csv",
-               ["matrix", "dim", "optimal", "zeta", "reason"], rows)
     return {
         "ok": bool(ok),
         "n_matrices": len(rows),
-    }
+    }, {"spectrum_fixture.csv": (
+        ["matrix", "dim", "optimal", "zeta", "reason"], rows)}
 
 
-def _run_counterexample(args, outdir: Path) -> dict:
+def _run_counterexample(args) -> tuple:
     """Exhibit: the r^(2-p) lower envelope fails near the fixed point.
 
     For p < 2 the gradient eigenvalue gap decays like |Gbar(z)|^beta, i.e.
@@ -260,16 +236,14 @@ def _run_counterexample(args, outdir: Path) -> dict:
         violated |= gap < stated_low - 1e-12
         rows.append((float(r), gap, float(stated_low), float(local_low),
                      bool(rep.local_ok)))
-    _write_csv(outdir / "exhibit.csv",
-               ["radius", "eig_gap", "claimed_lower",
-                "local_factor_lower", "local_band_holds"], rows)
     return {
         "ok": True,
         "p": p,
         "fixed_point": float(zfix),
         "claimed_lower_bound_violated": bool(violated),
         "local_band_holds": all(bool(r[4]) for r in rows),
-    }
+    }, {"exhibit.csv": (["radius", "eig_gap", "claimed_lower",
+                         "local_factor_lower", "local_band_holds"], rows)}
 
 
 _RUNNERS = {
@@ -340,17 +314,34 @@ def main(argv=None) -> int:
         return 2
 
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    params = {
-        "kind": args.kind, "p": args.p, "q": args.q, "grid": args.grid,
-        "tol": args.tol, "seed": args.seed,
-    }
+    # The nearest existing ancestor (a relative path ends at "."; a dangling
+    # link exists) must be a directory, or mkdir below would fail after the
+    # whole computation.
+    if not next(d for d in (outdir, *outdir.parents)
+                if d.exists() or d.is_symlink()).is_dir():
+        print("error: --out: not a directory", file=sys.stderr)
+        return 2
     try:
-        summary = _RUNNERS[args.kind](args, outdir)
+        summary, tables = _RUNNERS[args.kind](args)
     except WbaryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _finish(outdir, args.kind, params, summary)
+    texts = {name: _csv(*table) for name, table in tables.items()}
+    texts["summary.json"] = _json(summary)
+    texts["manifest.json"] = _json({
+        "version": __version__,
+        "kind": args.kind,
+        "params": {
+            "kind": args.kind, "p": args.p, "q": args.q, "grid": args.grid,
+            "tol": args.tol, "seed": args.seed,
+        },
+        "files": {name: hashlib.sha256(text.encode()).hexdigest()
+                  for name, text in texts.items()},
+    })
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        with open(outdir / name, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     return 0 if summary["ok"] else 3
 
 

@@ -288,6 +288,69 @@ def test_invalid_parameters_exit_2(tmp_path, args):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("out", ["file", "file/sub", "link"])
+def test_out_that_is_not_a_directory_exits_2(tmp_path, out):
+    """An --out that is an existing file, lies under one or is a dangling
+    link exits 2 with one error line before anything is computed, and
+    nothing is made or changed."""
+    (tmp_path / "file").write_bytes(b"kept\n")
+    (tmp_path / "link").symlink_to(tmp_path / "nowhere")
+    res = _run("run", "--kind", "point_bary", "--out", str(tmp_path / out))
+    assert res.returncode == 2
+    assert res.stderr == "error: --out: not a directory\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["file", "link"]
+    assert (tmp_path / "file").read_bytes() == b"kept\n"
+
+
+def _files(out):
+    return {f.name: f.read_bytes() for f in out.iterdir()}
+
+
+def test_a_run_that_fails_writes_nothing(tmp_path, monkeypatch, capsys):
+    """A run whose computation raises exits 2 and writes nothing: a new
+    --out is not made, and an existing one keeps every byte.  The real
+    semidiscrete runner runs; its L^q norm fails after the pushforward
+    table has been computed."""
+    from wbary import cli, semidiscrete
+    from wbary.errors import ConvergenceError
+
+    calls = []
+
+    def fail(*args):
+        calls.append(args)
+        raise ConvergenceError("point solves missed their tolerance")
+
+    argv = ["run", "--kind", "semidiscrete", "--grid", "32", "--out"]
+    old, new = tmp_path / "old", tmp_path / "new"
+    assert cli.main(argv + [str(old)]) == 0
+    before = _files(old)
+    monkeypatch.setattr(semidiscrete, "lq_via_changevar", fail)
+    capsys.readouterr()
+    for out in (new, old):
+        assert cli.main(argv + [str(out), "--p", "1.7"]) == 2
+    assert len(calls) == 2
+    assert capsys.readouterr().err == (
+        "error: point solves missed their tolerance\n" * 2)
+    assert not new.exists()
+    assert _files(old) == before
+
+
+def test_a_run_lists_only_its_own_files(tmp_path):
+    """A run into a directory that holds another run's files writes the
+    bytes of a run into an empty directory, lists only its own files in
+    manifest.json, and leaves the other files untouched."""
+    from wbary import cli
+
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert cli.main(["run", "--kind", "point_bary", "--out", str(out)]) == 0
+    leftover = (out / "solutions.csv").read_bytes()
+    for where in (out, fresh):
+        assert cli.main(["run", "--kind", "affine", "--out", str(where)]) == 0
+    assert sorted(_manifest(out)["files"]) == [
+        "spectrum_fixture.csv", "summary.json"]
+    assert _files(out) == {**_files(fresh), "solutions.csv": leftover}
+
+
 def test_import_wbary_loads_no_submodule():
     """import wbary loads neither a wbary submodule nor NumPy; each public
     name imports its submodule on first use."""
@@ -398,12 +461,12 @@ def test_semidiscrete_mass_is_ok_on_every_grid(tmp_path, p):
         assert json.loads((out / "summary.json").read_text())["ok"]
 
 
-def test_write_csv(tmp_path):
-    """_write_csv writes the bytes of csv.writer with LF line ends, floats
-    as %.17g and other cells as str: for a float array (in one %.17g
-    template) and for rows of mixed cells, also for NaN, inf, -0.0 and the
-    smallest subnormal, and for a string that needs quoting."""
-    from wbary.cli import _write_csv
+def test_write_csv():
+    """_csv gives the text of csv.writer with LF line ends, floats as %.17g
+    and other cells as str: for a float array (in one %.17g template) and
+    for rows of mixed cells, also for NaN, inf, -0.0 and the smallest
+    subnormal, and for a string that needs quoting."""
+    from wbary.cli import _csv
 
     vals = np.array([[0.0, -0.0, np.nan, np.inf],
                      [-np.inf, 1e-300, 1.0 / 3.0, -2.5e17],
@@ -413,17 +476,15 @@ def test_write_csv(tmp_path):
              (-3, "", None, np.float64(1.0 / 3.0), 2.5e17)]
     for header, rows in ((["x0", "x1", "x2", "value"], vals),
                          (["k", "note, quoted", "flag", "a", "b"], mixed)):
-        path = tmp_path / "table.csv"
-        _write_csv(path, header, rows)
         ref = io.StringIO(newline="")
         writer = csv.writer(ref, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
             writer.writerow([f"{v:.17g}" if isinstance(v, float) else str(v)
                              for v in row])
-        assert path.read_bytes() == ref.getvalue().encode()
+        assert _csv(header, rows) == ref.getvalue()
     with pytest.raises(ValueError, match="not 5 cells long"):
-        _write_csv(tmp_path / "short.csv", header, mixed + [(1, 2)])
+        _csv(header, mixed + [(1, 2)])
 
 
 def test_every_table_parses_into_rows_as_long_as_its_header(tmp_path):
@@ -447,18 +508,22 @@ def test_every_table_parses_into_rows_as_long_as_its_header(tmp_path):
 
 
 def test_only_cli_opens_files():
-    """cli is the one module of src/wbary that opens a file: tables and
-    JSON go through its writers."""
+    """src/wbary calls open( exactly once, in the write loop of cli.main:
+    every table, summary.json and manifest.json is written there."""
     import wbary
+    from wbary import cli
 
-    openers = set()
-    for path in Path(wbary.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Call) and "open" in (
-                    getattr(node.func, "id", None),
-                    getattr(node.func, "attr", None))):
-                openers.add(path.name)
-    assert openers == {"cli.py"}
+    def opens(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and "open" in (getattr(node.func, "id", None),
+                               getattr(node.func, "attr", None))]
+
+    src = Path(wbary.__file__).parent
+    assert sum(len(opens(ast.parse(path.read_text())))
+               for path in src.glob("*.py")) == 1
+    main = next(node for node in ast.parse(Path(cli.__file__).read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    assert len(opens(main)) == 1
 
 
 def test_unknown_kind_rejected(tmp_path):
