@@ -8,11 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Fitted constant for the distant-support estimate, frozen from a one-time
-# calibration of the d=1, p=3, q=2 sweep below (1.25 x the largest measured
-# ratio across the lam1 grid).
-FITTED_DISTANT_CONSTANT = 3.05
-
 
 def _disk(resolution):
     """Uniform density on the unit-area disk around (0.2, 0.1)."""
@@ -58,28 +53,30 @@ def _blowup_fixture(p, resolution):
 
 def _distant_support_sweep(resolution, q):
     """Rows (lam1, ||g_3||_q, bound, D) for lam1 in {0.1, ..., 0.9}: f1 uniform
-    on [-0.5, 0.5] (D over 65 atoms of it), anchors 6 and 7.5 at (1-lam1)/2."""
-    from .bounds import compute_D, integrability_bound
+    on [-0.5, 0.5], anchors 6 and 7.5 at (1-lam1)/2.  D and M are the
+    smallest distance to zbar and the largest anchor distance of b at 65
+    atoms of f1's support.  They bound every point of the image: b is
+    monotone, the anchors lie on one side of the support, so both distances
+    are monotone along the image, and the support's end points are among the
+    atoms."""
+    from .bounds import integrability_bound
+    from .core import _length
     from .grid import uniform_box
-    from .mmot import DiscreteMeasure
-    from .semidiscrete import DiracConfiguration, lq_via_changevar
+    from .semidiscrete import DiracConfiguration, b_forward, lq_via_changevar
 
     p = 3.0
     anchors = np.array([[6.0], [7.5]])
     f1 = uniform_box(np.array([[-0.5, 0.5]]), resolution=resolution)
     supp = np.linspace(-0.5, 0.5, 65)[:, None]
-    support_measures = [
-        DiscreteMeasure(supp, np.ones(65) / 65),
-        DiscreteMeasure(anchors[:1], [1.0]),
-        DiscreteMeasure(anchors[1:], [1.0]),
-    ]
     rows = []
     for lam1 in np.arange(0.1, 0.91, 0.1):
-        w = np.array([lam1, (1 - lam1) / 2, (1 - lam1) / 2])
-        norm = lq_via_changevar(DiracConfiguration(anchors, w, p), f1, q)
-        D = compute_D(support_measures, w, p)
-        bound = integrability_bound(f1.lq_norm(q), q, p, lam1, 1, D=D,
-                                    constant=FITTED_DISTANT_CONSTANT)
+        cfg = DiracConfiguration(
+            anchors, np.array([lam1, (1 - lam1) / 2, (1 - lam1) / 2]), p)
+        norm = lq_via_changevar(cfg, f1, q)
+        z = b_forward(cfg, supp)
+        D = float(_length(z - cfg.fixed_point).min())
+        M = float(_length(z[:, None, :] - anchors).max())
+        bound = integrability_bound(f1.lq_norm(q), q, p, lam1, 1, D=D, M=M)
         rows.append((lam1, norm, bound, D))
     return rows
 

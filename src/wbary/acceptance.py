@@ -34,7 +34,6 @@ from .bounds import (
     local_injectivity_check,
 )
 from ._fixtures import (
-    FITTED_DISTANT_CONSTANT,
     _blowup_fixture,
     _disk,
     _distant_support_sweep,
@@ -448,9 +447,11 @@ def stated_band_p_lt2(fast: bool = False) -> CheckResult:
 def distant_support_bound_sweep(fast: bool = False) -> CheckResult:
     """lam1 sweep of the distant-support estimate at d=1, p=3, q=2.
 
-    Across lam1 in {0.1, ..., 0.9} the measured norm must stay below the
-    frozen fitted-constant bound, and its log-log slope against lam1 must
-    match -d(1-alpha)(q-1)/q = -0.25 within 15%.
+    Across lam1 in {0.1, ..., 0.9} the measured norm must stay below
+    integrability_bound, whose constant is composed from the explicit
+    eigenvalue bound of check_bounds_p_ge2 at M/D with no calibration, and
+    its log-log slope against lam1 must match -d(1-alpha)(q-1)/q = -0.25
+    within 15%.
     """
     q, d = 2.0, 1
     lam1s, measured, bounds, _ = map(np.array, zip(*_distant_support_sweep(
@@ -464,7 +465,7 @@ def distant_support_bound_sweep(fast: bool = False) -> CheckResult:
         name="distant-support-bound-sweep",
         ok=ok,
         details=(
-            f"min bound margin {_fmt(margin)} (C={FITTED_DISTANT_CONSTANT}); "
+            f"min bound margin {_fmt(margin)} (constant from C_p and M/D); "
             f"scaling slope {_fmt(-slope)} vs {target} (tol 15%)"
         ),
         metrics={"min_margin": margin, "slope": -slope,

@@ -8,8 +8,11 @@ Two separation quantities control integrability of the pushforward density:
   m : the smallest distance between any tuple point and the tuple
       barycenter.
 
-For p > 2 the density bound needs D > 0; for p < 2 it needs m > 0.  The
-general L^q estimate decomposes the source into cells classified by which
+For p > 2 the density bound needs D > 0 and M, the largest distance from a
+barycenter to an anchor (a point of the Dirac marginals), which the caller
+measures beside D; M >= D, since the reduced barycenter lies in the
+anchors' convex hull.  For p < 2 it needs m > 0.  The general L^q
+estimate decomposes the source into cells classified by which
 tuple points the barycenter touches, and weights the non-degenerate cells by
 a curvature ratio; the local injectivity check validates the quantitative
 injectivity of the barycenter map on plan supports.
@@ -40,6 +43,7 @@ from .core import (
 )
 from .errors import GeometryError, ValidationError
 from .grid import GridDensity
+from .semidiscrete import _explicit_upper
 
 # Radius halvings per base point in local_injectivity_check.
 _MAX_HALVINGS = 40
@@ -85,25 +89,30 @@ def compute_m(measures, weights, p) -> float:
 
 
 def integrability_bound(f1_lq, q, p, lam1, d, D=None, m=None,
-                        constant=1.0) -> float:
+                        M=None) -> float:
     """Upper bound for the L^q norm of the barycenter density.
 
-        bound = constant * (lam1^(d(1-alpha)) * geom^(d|p-2|))^(-(q-1)/q) * ||f1||_q
-
-    with geom = D for p > 2, geom = m for p < 2 and geom = 1 at p = 2, where
-    the bound is exactly lam1^(d(1-q)/q) ||f1||_q with constant 1.  Raises
-    GeometryError unless the required separation is positive (NaN is not):
-    the estimate then carries no information.  f1_lq must be finite and
-    non-negative, constant finite and positive.  Where the bound is not
-    representable (the prefactor underflows to 0, or it or the bound leaves
-    float range) the result is math.inf, still a valid upper bound.
+    For p > 2, every eigenvalue of grad b^{-1} on the image is at most
+    semidiscrete's explicit bound
+        B = 1 + C_p ((1-lam1)/lam1)^(1-alpha) (M/D)^(p-2),
+    with C_p = nonsharp_constant(p), D the smallest distance from the image
+    to zbar and M >= D the largest anchor distance over it.  The Jacobian is
+    then at most B^d, so
+        bound = B^(d(q-1)/q) * ||f1||_q.
+    Otherwise
+        bound = (lam1^(d(1-alpha)) * geom^(d|p-2|))^(-(q-1)/q) * ||f1||_q
+    with geom = m for p < 2 and geom = 1 at p = 2, where B = 1/lam1 and the
+    bound is exactly lam1^(d(1-q)/q) ||f1||_q.  Raises GeometryError unless
+    the required separation (D or m) is positive (NaN is not): the estimate
+    then carries no information.  f1_lq must be finite and non-negative,
+    and for p > 2 M finite and >= D.  Where the bound is not representable
+    (it or a power in it leaves float range) the result is math.inf, still
+    a valid upper bound.
     """
     p = _check_exponent(p)
     q = _check_q(q)
     if not 0.0 <= f1_lq < np.inf:
         raise ValidationError(f"f1_lq must be finite and >= 0, got {f1_lq}")
-    if not 0.0 < constant < np.inf:
-        raise ValidationError(f"constant must be finite and > 0, got {constant}")
     if not 0.0 < lam1 < 1.0:
         raise ValidationError("lam1 must lie in (0, 1)")
     if not d >= 1:
@@ -113,11 +122,16 @@ def integrability_bound(f1_lq, q, p, lam1, d, D=None, m=None,
         raise GeometryError(
             f"the p = {p} bound requires a positive "
             f"{'displacement D' if p > 2.0 else 'separation m'}, got {geom}")
-    a = alpha_exponent(p)
+    if p > 2.0 and (M is None or not D <= M < np.inf):
+        raise ValidationError(f"M must be finite and >= D = {D}, got {M}")
     try:
-        prefactor = (float(lam1) ** (d * (1.0 - a))
-                     * float(geom) ** (d * abs(p - 2.0)))
-        bound = float(constant) * prefactor ** (-(q - 1.0) / q) * float(f1_lq)
+        if p > 2.0:
+            B = _explicit_upper(p, float(lam1), float(M) / float(D))
+            bound = B ** (d * (q - 1.0) / q) * float(f1_lq)
+        else:
+            prefactor = (float(lam1) ** (d * (1.0 - alpha_exponent(p)))
+                         * float(geom) ** (d * abs(p - 2.0)))
+            bound = prefactor ** (-(q - 1.0) / q) * float(f1_lq)
     except (ZeroDivisionError, OverflowError):
         return math.inf
     return math.inf if math.isnan(bound) else bound

@@ -174,7 +174,7 @@ def _run_mmot(args) -> tuple:
 
 
 def _run_bounds(args) -> tuple:
-    from ._fixtures import FITTED_DISTANT_CONSTANT, _distant_support_sweep
+    from ._fixtures import _distant_support_sweep
 
     rows = [tuple(map(float, row)) for row in
             _distant_support_sweep(max(args.grid, 512), args.q)]
@@ -183,7 +183,6 @@ def _run_bounds(args) -> tuple:
         "ok": bool(ok),
         "p": 3.0,
         "q": args.q,
-        "constant": FITTED_DISTANT_CONSTANT,
     }, {"sweep.csv": (["lam1", "measured", "bound", "separation"], rows)}
 
 

@@ -235,6 +235,14 @@ def nonsharp_constant(p: float) -> float:
     return (p - 1.0) ** (1.0 + a) * 2.0 ** ((p - 2.0) * a)
 
 
+def _explicit_upper(p, lam1, ratio):
+    """1 + C_p ((1-lam1)/lam1)^(1-alpha) ratio^(p-2): the explicit upper
+    bound on the eigenvalues of grad b^{-1} at a point whose largest anchor
+    distance over its distance to zbar is at most ratio (p >= 2)."""
+    return 1.0 + nonsharp_constant(p) * ((1.0 - lam1) / lam1) ** (
+        1.0 - alpha_exponent(p)) * ratio ** (p - 2.0)
+
+
 @dataclass(frozen=True)
 class EigBoundReportPGe2:
     """Margins of the eigenvalue bounds for p >= 2, minimized over the z batch.
@@ -290,12 +298,10 @@ def check_bounds_p_ge2(cfg: DiracConfiguration, z) -> EigBoundReportPGe2:
     up_local = 1.0 + (p - 1.0) * ratio
 
     r_fix = _length(zb - cfg.fixed_point[None, :])
-    M = r_anchor.max(axis=1)
     # Next to zbar the bound overflows to +inf, as it is set at r_fix = 0.
     with np.errstate(over="ignore"):
-        up_explicit = 1.0 + nonsharp_constant(p) * (
-            (1.0 - lam1) / lam1
-        ) ** (1.0 - a) * (M / np.maximum(r_fix, _GBAR_ZERO)) ** (p - 2.0)
+        up_explicit = _explicit_upper(
+            p, lam1, r_anchor.max(axis=1) / np.maximum(r_fix, _GBAR_ZERO))
     up_explicit = np.where(r_fix == 0.0, np.inf if p > 2.0 else
                            up_explicit, up_explicit)
 

@@ -24,9 +24,15 @@ from wbary import (
     uniform_box,
 )
 from wbary import bounds
+from wbary._fixtures import _distant_support_sweep
 from wbary.bounds import _cell_coefficients, _tuple_classes
 from wbary.core import _diameters, _length
-from wbary.semidiscrete import DiracConfiguration, lq_via_changevar
+from wbary.semidiscrete import (
+    DiracConfiguration,
+    b_forward,
+    lq_via_changevar,
+    nonsharp_constant,
+)
 
 
 def _objective_minimizer(pts, w, p):
@@ -74,9 +80,10 @@ def test_integrability_bound_p2_reduction():
 
 def test_integrability_bound_p_lt2_distant_supports():
     """p = 1.5, q = 2: f1 uniform on [-0.5, 0.5], anchors 6 and 7.5 with
-    weights (1 - lam1)/2 each, m from 65 atoms of f1's support.  The bound
-    with constant 1 holds and is tight within a factor 2.5 for every lam1
-    in {0.1, 0.3, ..., 0.9} (measured/bound between 0.41 and 0.88)."""
+    weights (1 - lam1)/2 each, m from 65 atoms of f1's support.  The p < 2
+    bound, lam1 and m alone with no further factor, holds and is tight
+    within a factor 2.5 for every lam1 in {0.1, 0.3, ..., 0.9}
+    (measured/bound between 0.41 and 0.88)."""
     p, q = 1.5, 2.0
     anchors = np.array([[6.0], [7.5]])
     f1 = uniform_box(np.array([[-0.5, 0.5]]), resolution=1024)
@@ -113,23 +120,85 @@ def test_integrability_bound_out_of_float_range_is_inf():
     """A bound whose prefactor underflows to 0, or whose power overflows, is
     math.inf, a valid upper bound, and not a ZeroDivisionError or an
     OverflowError; every finite value is the formula's, bit for bit, also
-    for the NumPy scalars the distant-support sweep passes."""
-    assert integrability_bound(1.0, 2, 4, 0.5, 2, D=1e-200) == math.inf
-    assert integrability_bound(1.0, 2, 3, 0.1, 1000, D=1.0) == math.inf
-    assert integrability_bound(1.0, 50.0, 4, 0.5, 2, D=1e-80) == math.inf
-    assert integrability_bound(1.0, 2, 4, 0.5, 2, D=1e200) == math.inf
-    assert integrability_bound(0.0, 2, 4, 0.5, 2, D=1e-200) == math.inf
-    # constant * power overflows, and inf * 0 would be NaN.
-    assert integrability_bound(0.0, 2, 4, 0.5, 1, D=1e-40,
-                               constant=1e300) == math.inf
+    for the NumPy scalars the distant-support sweep passes.  D = 1e200 used
+    to overflow D^(d(p-2)); now the bound reads M/D, and M >= D keeps it
+    finite."""
+    assert integrability_bound(1.0, 2, 4, 0.5, 2, D=1e-200, M=1.0) == math.inf
+    assert integrability_bound(1.0, 2, 3, 0.1, 1000, D=1.0, M=1.0) == math.inf
+    assert integrability_bound(1.0, 50.0, 4, 0.5, 2, D=1e-80,
+                               M=1.0) == math.inf
+    assert (integrability_bound(1.0, 2, 4, 0.5, 2, D=1e200, M=2e200)
+            == 1.0 + nonsharp_constant(4) * 2.0 ** 2)
+    assert integrability_bound(0.0, 2, 4, 0.5, 2, D=1e-200, M=1.0) == math.inf
+    # M/D overflows to inf without an error, and inf * 0 would be NaN.
+    assert integrability_bound(0.0, 2, 3, 0.5, 1, D=1e-300,
+                               M=1e10) == math.inf
+    assert integrability_bound(1.0, 2, 1.5, 0.5, 4, m=1e-200) == math.inf
     for lam1 in np.arange(0.1, 0.91, 0.1):
-        for p, D, q in ((3.0, 6.1, 2.0), (4.0, 0.37, 1.5), (1.5, 2.5, 4.0)):
+        for p, D, M, q in ((3.0, 6.1, 7.2, 2.0), (4.0, 0.37, 2.5, 1.5),
+                           (1.5, 2.5, None, 4.0)):
             a = alpha_exponent(p)
-            ref = (1.3 * (lam1 ** (2 * (1 - a)) * D ** (2 * abs(p - 2)))
-                   ** (-(q - 1) / q) * 0.8)
-            got = integrability_bound(0.8, q, p, lam1, 2, D=D, m=D,
-                                      constant=1.3)
+            if p > 2:
+                B = (1 + nonsharp_constant(p) * ((1 - lam1) / lam1) ** (1 - a)
+                     * (M / D) ** (p - 2))
+                ref = B ** (2 * (q - 1) / q) * 0.8
+            else:
+                ref = ((lam1 ** (2 * (1 - a)) * D ** (2 * abs(p - 2)))
+                       ** (-(q - 1) / q) * 0.8)
+            got = integrability_bound(0.8, q, p, lam1, 2, D=D, m=D, M=M)
             assert got == float(ref) and type(got) is float
+
+
+def _far_anchor_family(seed):
+    """(cfg, q) of one family of the test below: 1-3 anchors on one side of
+    [-0.5, 0.5] at distance 0.55-5.5 from 0, anchor weights uniform on
+    (0.2, 1) scaled to 1 - lam1."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 4))
+    anchors = rng.choice([-1.0, 1.0]) * rng.uniform(0.55, 5.5, size=(k, 1))
+    p = float(rng.choice([2.2, 2.5, 3.0, 4.0, 6.0]))
+    q = float(rng.choice([1.2, 1.5, 2.0, 3.0, 5.0]))
+    lam1 = rng.uniform(0.05, 0.95)
+    rest = rng.uniform(0.2, 1.0, size=k)
+    return DiracConfiguration(
+        anchors, np.r_[lam1, (1 - lam1) * rest / rest.sum()], p), q
+
+
+def test_composed_bound_dominates_far_anchor_families():
+    """On 100 seeded 1-D families (f1 uniform on [-0.5, 0.5] at 256 cells,
+    1-3 anchors on one side at 0.55-5.5, p in {2.2, 2.5, 3, 4, 6}, q in
+    {1.2, 1.5, 2, 3, 5}, lam1 uniform on (0.05, 0.95)), the bound composed
+    from the explicit eigenvalue bound is at least lq_via_changevar's norm.
+    D and M come from b at the support's ends: b is monotone and the
+    anchors lie on one side, so both distances are extreme there.  The
+    tightest family (seed 13: p = 2.2, q = 1.2, lam1 = 0.90) is 1.07%
+    above."""
+    f1 = uniform_box(np.array([[-0.5, 0.5]]), resolution=256)
+    ends = np.array([[-0.5], [0.5]])
+    for seed in range(100):
+        cfg, q = _far_anchor_family(seed)
+        z = b_forward(cfg, ends)
+        D = _length(z - cfg.fixed_point).min()
+        M = _length(z[:, None, :] - cfg.anchors).max()
+        bound = integrability_bound(f1.lq_norm(q), q, cfg.p, cfg.lam1, 1,
+                                    D=D, M=M)
+        assert lq_via_changevar(cfg, f1, q) <= bound, seed
+
+
+def test_distant_support_sweep_bound_is_the_composed_formula():
+    """Each bound of the distant-support sweep (512 cells, q = 2) is
+    (1 + C_p ((1-lam1)/lam1)^(1/2) (M/D))^(1/2) ||f1||_2 at p = 3, bit for
+    bit, with D the sweep's separation column and M = 7.5 - b(-0.5), the
+    far anchor's distance from the image's far end; no fitted factor."""
+    anchors = np.array([[6.0], [7.5]])
+    f1_lq = uniform_box(np.array([[-0.5, 0.5]]), resolution=512).lq_norm(2.0)
+    for lam1, _, bound, D in _distant_support_sweep(512, 2.0):
+        cfg = DiracConfiguration(
+            anchors, [lam1, (1 - lam1) / 2, (1 - lam1) / 2], 3.0)
+        M = 7.5 - b_forward(cfg, [-0.5])[0]
+        B = (1 + nonsharp_constant(3.0) * ((1 - lam1) / lam1) ** 0.5
+             * (M / D))
+        assert bound == B ** 0.5 * f1_lq
 
 
 def test_general_bound_identity_reduction():
@@ -245,7 +314,7 @@ def test_integrability_exponent_must_be_finite_and_exceed_1():
         with pytest.raises(ValidationError):
             general_lq_bound(f1, maps, [1 / 3] * 3, 3.0, q)
         with pytest.raises(ValidationError):
-            integrability_bound(1.0, q, 3.0, 0.3, 1, D=1.0)
+            integrability_bound(1.0, q, 3.0, 0.3, 1, D=1.0, M=1.0)
 
 
 def test_general_bound_of_a_zero_density_is_zero():

@@ -255,6 +255,11 @@ def test_bounds_sweep(tmp_path):
     assert res.returncode == 0, res.stderr
     lines = (out / "sweep.csv").read_text().splitlines()
     assert len(lines) > 3  # header plus one row per weight setting
+    assert lines[0] == "lam1,measured,bound,separation"
+    rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
+    assert all(measured <= bound for _, measured, bound, _ in rows)
+    # The bound's constant is derived, so the summary names none.
+    assert "constant" not in json.loads((out / "summary.json").read_text())
 
 
 def test_affine_fixture(tmp_path):
@@ -384,7 +389,7 @@ _FIXTURES = "wbary._fixtures"
     ("mmot", {"wbary.mmot"}),
     ("counterexample", {_FIXTURES, "wbary.grid", "wbary.semidiscrete"}),
     ("semidiscrete", {_FIXTURES, "wbary.grid", "wbary.semidiscrete"}),
-    ("bounds", {_FIXTURES, "wbary.bounds", "wbary.grid", "wbary.mmot",
+    ("bounds", {_FIXTURES, "wbary.bounds", "wbary.grid",
                 "wbary.semidiscrete"}),
     ("affine", {_FIXTURES, "wbary.affine", "wbary.mmot"}),
     ("selftest", {_FIXTURES, "wbary.acceptance", "wbary.affine",

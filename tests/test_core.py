@@ -626,6 +626,26 @@ def test_the_field_is_formed_in_one_kernel():
     }
 
 
+def test_the_explicit_eigenvalue_bound_is_formed_once():
+    """semidiscrete._explicit_upper is the one place the explicit eigenvalue
+    bound 1 + C_p ((1-lam1)/lam1)^(1-alpha) ratio^(p-2) is formed: only it
+    calls nonsharp_constant in src/wbary, and only the battery's bound check
+    and the distant-support L^q bound call it."""
+    calls = {"nonsharp_constant": [], "_explicit_upper": []}
+    for path in sorted(Path(wbary.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Call)
+                        and ast.unparse(node.func) in calls):
+                    calls[ast.unparse(node.func)].append(
+                        (path.name, getattr(top, "name", "<module>")))
+    assert calls == {
+        "nonsharp_constant": [("semidiscrete.py", "_explicit_upper")],
+        "_explicit_upper": [("bounds.py", "integrability_bound"),
+                            ("semidiscrete.py", "check_bounds_p_ge2")],
+    }
+
+
 def test_density_is_measured_by_one_rule():
     """semidiscrete._preimage_masses is the one density rule: in semidiscrete
     only it calls _cell_values and np.linalg.det, only pushforward_density
@@ -711,8 +731,12 @@ def _invalid_input_cases():
             f2, wbary.constant_maps([[2.0]]), [0.5, 0.5], 3, 2),
         "integrability-nan-norm": lambda: wbary.integrability_bound(
             nan, 2, 3, 0.5, 1, D=1.0),
-        "integrability-nan-constant": lambda: wbary.integrability_bound(
-            1, 2, 3, 0.5, 1, D=1.0, constant=nan),
+        "integrability-nan-M": lambda: wbary.integrability_bound(
+            1, 2, 3, 0.5, 1, D=1.0, M=nan),
+        "integrability-M-below-D": lambda: wbary.integrability_bound(
+            1, 2, 3, 0.5, 1, D=1.0, M=0.5),
+        "integrability-missing-M": lambda: wbary.integrability_bound(
+            1, 2, 3, 0.5, 1, D=1.0),
         "curvature-column-z": lambda: curvature_blocks(
             plane, z=[[0.3], [0.3]]),
         "ball-column-center": lambda: wbary.uniform_ball(

@@ -783,8 +783,9 @@ def _is_product_cap_value(node):
 
 
 def test_product_cap_is_one_constant():
-    """No function in src/wbary takes a cap or max_iter argument, and the
-    product cap's value is written once, as core.PRODUCT_CAP."""
+    """No function in src/wbary takes a cap, max_iter or constant argument,
+    and the product cap's value is written once, as core.PRODUCT_CAP.  A
+    bound's constant is derived from its inputs, never passed in."""
     params, values, cap_names = [], [], []
     for path in sorted(Path(mmot.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -794,7 +795,7 @@ def test_product_cap_is_one_constant():
                 params += [
                     (path.name, getattr(node, "name", "<lambda>"), arg.arg)
                     for arg in a.posonlyargs + a.args + a.kwonlyargs
-                    if arg.arg in ("cap", "max_iter")
+                    if arg.arg in ("cap", "max_iter", "constant")
                 ]
             if _is_product_cap_value(node):
                 values.append(path.name)

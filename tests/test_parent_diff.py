@@ -4,10 +4,16 @@ import importlib.util
 import json
 from pathlib import Path
 
-_TOOL = Path(__file__).resolve().parents[1] / "tools" / "parent_diff.py"
-_spec = importlib.util.spec_from_file_location("parent_diff", _TOOL)
-parent_diff = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(parent_diff)
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+parent_diff = _load("parent_diff", Path(__file__).resolve().parents[1]
+                    / "tools" / "parent_diff.py")
 
 
 def _result(root, name, code=0, stdout="", stderr="", artifacts=None):
@@ -103,3 +109,11 @@ def test_matrix_covers_every_kind_p_and_seed():
                          ("selftest-fast", ["selftest", "--fast"])]
     assert cmds[0][1] == ["run", "--kind", "mmot", "--p", "1.05", "--seed",
                           "0", "--out", "artifacts"]
+
+
+def test_matrix_covers_the_exit_code_ledger():
+    """Every p and seed the exit-code ledger pins is one the tool compares,
+    read from both files so that neither list is copied."""
+    ledger = _load("ledger_source", Path(__file__).with_name("test_cli.py"))
+    assert set(parent_diff.P_GRID) >= set(ledger._LEDGER_P)
+    assert set(parent_diff.SEEDS) == set(ledger._LEDGER)

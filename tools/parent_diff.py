@@ -34,7 +34,7 @@ _MISSING = object()
 # process, within a Tier-1 time budget; this tool compares whole outputs
 # across trees, so it adds p = 1.7 and 2.5, off the ledger's grid, where a
 # change can move artifacts without moving an exit code.  A p added to the
-# ledger belongs here too.
+# ledger belongs here too (tests/test_parent_diff.py checks both grids).
 P_GRID = (1.05, 1.2, 1.3, 1.5, 1.7, 2.0, 2.5, 3.0, 4.0)
 SEEDS = (0, 7)
 CATEGORIES = ("artifacts", "stdout", "stderr", "exit code")
